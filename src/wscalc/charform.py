@@ -7,8 +7,10 @@ the alternant ratio
     T_N(lam; x) = A(x^(lam+rho)) / A(x^rho),   rho = (N-1/2, ..., 1/2),
 
 computed with doubled exponents so the half-integers stay on the integer
-lattice; the division is exact.  The series machinery expands both sides of
-the torus-integral identity
+lattice; the division is exact.  An arbitrary lam is first straightened into
+the dominant chamber (``weyl.straighten_weight``), so only dominant
+characters are ever divided out, once each.  The series machinery expands
+both sides of the torus-integral identity
 
     sum_l W0(p^(l,0,..,0)) |p|^(l(s-m-1))
         = L(pi, s) / (L_psi(sigma~, s+1/2) zeta(2s))
@@ -20,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .ratfun import Poly, RatFun
-from .weyl import enumerate_group
+from .weyl import character, straighten_weight
 from .wsformula import ws_torus
 
 __all__ = [
@@ -34,57 +36,25 @@ __all__ = [
 ]
 
 
-def _alternant_doubled(vars_, pattern):
-    """sum_w sgn(w) u^(w*pattern) over W(C_N) on doubled x-exponents.
-
-    ``pattern`` is a tuple of N odd integers (doubled half-integers); the
-    result lives on the x-slots of the exponent lattice, read as exponents
-    of u_i = x_i^(1/2).
-    """
-    N = len(pattern)
-    acc = {}
-    for w in enumerate_group(N):
-        img, flp = w.image, w.flips
-        e = [0] * vars_.size
-        for i in range(N):
-            j = img[i] - 1
-            e[1 + i] = flp[j] * pattern[j]
-        key = tuple(e)
-        s = acc.get(key, 0) + w.sgn()
-        if s:
-            acc[key] = s
-        else:
-            del acc[key]
-    return Poly(vars_, {e: Fraction(c) for e, c in acc.items()}, prune=False)
-
-
 def so_char(vars_, lam):
     """The SO_{2N+1} character T_N(lam; x_1..x_N), N = len(lam), lam in Z^N.
 
     For dominant lam this is the trace of the irreducible representation
-    with highest weight lam; for arbitrary integer lam the alternant ratio
-    is still well defined and vanishes whenever lam+rho is non-regular.
+    with highest weight lam; an arbitrary integer lam is first straightened
+    by the dot action (sign and dominant weight, or 0 when lam+rho is
+    non-regular) and the cached dominant character is reused.
     """
     lam = tuple(int(a) for a in lam)
     N = len(lam)
     if N > vars_.n:
         raise ValueError("not enough x variables for rank %d" % N)
-    rho2 = tuple(2 * (N - i) - 1 for i in range(N))
-    num_pat = tuple(2 * lam[i] + rho2[i] for i in range(N))
-    num = _alternant_doubled(vars_, num_pat)
-    if num.is_zero():
+    st = straighten_weight(lam, "so")
+    if st is None:
         return RatFun.zero(vars_)
-    den = _alternant_doubled(vars_, rho2)
-    quot = num.divide_exact(den)
-    if quot is None:
-        raise AssertionError("character alternant ratio failed to divide")
-    # map back from u_i = x_i^(1/2): every exponent must be even
-    halved = {}
-    for e, c in quot.terms.items():
-        if any(a % 2 for a in e[1 : 1 + N]):
-            raise AssertionError("character has a non-integral exponent")
-        halved[(e[0],) + tuple(a // 2 for a in e[1:])] = c
-    return RatFun.from_poly(Poly(vars_, halved, prune=False))
+    sign, dom = st
+    pad = (0,) * (vars_.size - 1 - N)
+    terms = {(0,) + e + pad: Fraction(sign * c) for e, c in character(dom, "so")}
+    return RatFun.from_poly(Poly(vars_, terms, prune=False))
 
 
 def satake_multiset(ctx):
@@ -167,7 +137,7 @@ def lhs_series(ctx, K):
     for l in range(K + 1):
         f = (l,) + (0,) * (ctx.n - 1)
         comp = RatFun.monomial(V, V.v_exp(-2 * l * (ctx.m + 1)))
-        out.append((ws_torus(ctx, f) * comp).reduced())
+        out.append(ws_torus(ctx, f) * comp)
     return SeriesInT(out)
 
 

@@ -19,6 +19,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 
 from . import charform, cone, padic, wsformula
 from .ratfun import PoleError
@@ -349,6 +350,13 @@ def _verify_padic(cfg, ctx):
     }
 
 
+def _is_prime(q):
+    """Trial division; q is capped at 2^31 so that the check stays instant."""
+    if not 2 <= q < 2 ** 31:
+        return False
+    return all(q % k for k in range(2, isqrt(q) + 1))
+
+
 def _verify_gauss(cfg, ctx=None):
     from itertools import product as iproduct
 
@@ -562,6 +570,8 @@ def main(argv=None):
         Context(cfg.n, cfg.m)  # rank validation up front
         if cfg.mode == "numeric" and cfg.q < 2:
             raise ValueError("numeric mode requires a concrete q >= 2")
+        if getattr(args, "which", None) == "padic" and not _is_prime(cfg.q):
+            raise ValueError("verify padic needs a prime q below 2^31, got %d" % cfg.q)
     except ValueError as exc:
         return _error(str(exc), getattr(args, "out", None))
     if args.command == "eval":

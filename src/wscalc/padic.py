@@ -346,6 +346,8 @@ def root_generator(n, root, t, p):
 
 def random_rational(rng, p, unit=False):
     """a/b with |a|, |b| <= 9 and p dividing neither, scaled by p^e, |e| <= 2."""
+    if p < 2:
+        raise ValueError("p must be a prime, got %r" % p)
     while True:
         a = rng.randint(-9, 9)
         if a and a % p:
@@ -592,7 +594,7 @@ def gauss_shell(i, j, q):
         0                 if j >= i + 2.
     """
     if q < 2:
-        raise ValueError("q must be a prime power >= 3 (odd residue field)")
+        raise ValueError("q must be a prime power >= 2")
     qf = Fraction(q)
     if j <= i:
         return qf ** (-j) * (1 - 1 / qf)

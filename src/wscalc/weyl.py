@@ -1,17 +1,21 @@
-"""Hyperoctahedral Weyl groups W(C_k): signed permutations and antisymmetrizers.
+"""Hyperoctahedral Weyl groups W(C_k): signed permutations, antisymmetrizers
+and the Weyl characters of the dual groups.
 
 An element w = (image, flips) sends the i-th coordinate to the image(i)-th,
 with a sign flip where flips[image(i)] = -1.  Substituting w into variables
 replaces x_j by x_{image^-1(j)}^{flips[j]}; the induced map on exponent
 tuples is ``act_on_exponents``.  The sign character is the determinant of
 the reflection representation: parity of the permutation times (-1)^#flips.
+
+W(C_k) is also the Weyl group of SO(2k+1) (type B) and of Sp(2k) (type C),
+so one alternant serves both character formulas; they differ only in rho.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
-from .ratfun import Poly
+from .ratfun import Poly, Vars
 
 __all__ = [
     "SignedPerm",
@@ -20,6 +24,9 @@ __all__ = [
     "antisymmetrize",
     "alternating_monomial_sum",
     "is_regular",
+    "straighten",
+    "straighten_weight",
+    "character",
 ]
 
 ENUMERATION_GUARD = 6
@@ -162,8 +169,8 @@ def enumerate_group(k, guard=ENUMERATION_GUARD):
     """
     if k > guard:
         raise ValueError(
-            "W(C_%d) has %d elements; exact enumeration is guarded at k=%d "
-            "(use the numeric mode for larger ranks)" % (k, _order(k), guard)
+            "W(C_%d) has %d elements; enumeration is guarded at k=%d, and "
+            "exact and numeric mode both enumerate it" % (k, _order(k), guard)
         )
     out = []
     for image in permutations(range(1, k + 1)):
@@ -192,14 +199,28 @@ def simple_reflections(k):
     return out
 
 
+def straighten(mu):
+    """Reflect an integer pattern into the dominant chamber of W(C_k).
+
+    Returns (sgn(w), w*mu) for the w whose image w*mu is strictly decreasing
+    and positive, so that the alternant of mu is sgn(w) times the alternant
+    of w*mu; or None when mu is singular (a zero or a repeated |entry|) and
+    its alternant vanishes.
+    """
+    mags = [abs(a) for a in mu]
+    if 0 in mags or len(set(mags)) < len(mags):
+        return None
+    sign = -1 if sum(a < 0 for a in mu) % 2 else 1
+    for i, a in enumerate(mags):
+        for b in mags[i + 1 :]:
+            if a < b:
+                sign = -sign
+    return sign, tuple(sorted(mags, reverse=True))
+
+
 def is_regular(mu):
     """An exponent pattern is regular iff its |entries| are distinct and nonzero."""
-    seen = set()
-    for e in mu:
-        if e == 0 or abs(e) in seen:
-            return False
-        seen.add(abs(e))
-    return True
+    return straighten(mu) is not None
 
 
 def antisymmetrize(fn, k, guard=ENUMERATION_GUARD):
@@ -230,3 +251,49 @@ def alternating_monomial_sum(vars_, mu, offset, k, guard=ENUMERATION_GUARD):
         else:
             del acc[e]
     return Poly(vars_, {e: Fraction(c) for e, c in acc.items()}, prune=False)
+
+
+def _doubled_rho(k, group):
+    """2*rho of SO(2k+1), (2k-1, ..., 1), or of Sp(2k), (2k, ..., 2)."""
+    if group not in ("so", "sp"):
+        raise ValueError("group must be 'so' or 'sp'")
+    odd = group == "so"
+    return tuple(2 * (k - i) - odd for i in range(k))
+
+
+def straighten_weight(lam, group):
+    """The dot action: chi_lam = sign * chi_dom for any integer weight lam.
+
+    ``group`` is "so" for SO(2k+1), rho = (k-1/2, ..., 1/2), or "sp" for
+    Sp(2k), rho = (k, ..., 1).  Returns (sign, dom) with dom dominant, the
+    straightening of lam + rho minus rho, or None when lam + rho is singular
+    and the character vanishes.  Works on doubled weights, where both rhos
+    are integral.
+    """
+    rho2 = _doubled_rho(len(lam), group)
+    st = straighten(tuple(2 * a + r for a, r in zip(lam, rho2)))
+    if st is None:
+        return None
+    sign, mu = st
+    return sign, tuple((a - r) // 2 for a, r in zip(mu, rho2))
+
+
+@lru_cache(maxsize=None)
+def character(lam, group):
+    """The irreducible character of dominant highest weight lam of SO(2k+1)
+    (group "so") or Sp(2k) (group "sp"), k = len(lam), as a tuple of
+    (exponent k-tuple of x_1..x_k, integer multiplicity) pairs.
+
+    Weyl's formula A(x^(lam+rho)) / A(x^rho), on doubled exponents so that
+    rho is integral; the division is exact and asserted.
+    """
+    k = len(lam)
+    V = Vars(k, 0)
+    rho2 = _doubled_rho(k, group)
+    num = alternating_monomial_sum(V, (0,) + tuple(2 * a + r for a, r in zip(lam, rho2)), 1, k)
+    quot = num.divide_exact(alternating_monomial_sum(V, (0,) + rho2, 1, k))
+    if quot is None:
+        raise AssertionError("Weyl character formula failed to divide")
+    if any(a % 2 for e in quot.terms for a in e):
+        raise AssertionError("character has a non-integral exponent")
+    return tuple((tuple(a // 2 for a in e[1:]), c.numerator) for e, c in quot.terms.items())

@@ -10,21 +10,28 @@ and the normalized value
     L(d, f) = zeta(1)^-m prod_i zeta(2i) * delta_G^(1/2)(p^f)
               * delta_MJ^(1/2)(p^d) * S(d, f)
 
-for dominant d, f.  Two engines compute S: a shared-denominator engine that
-rewrites d(w.chi) through the Weyl-denominator identity
+for dominant d, f.  d and d' are the Weyl denominators of SO(2n+1) and
+Sp(2m), so the Weyl sum of one term c v^k x^a y^b of b is a product of
+characters, c v^k chi^B_(f-a)(x) chi^C_(d-b)(y) (the Brauer-Klimyk rule).
+A character of a non-dominant weight is straightened by the dot action:
+lam + rho is reflected into the dominant chamber with sign sgn(w), and
+dropped when it is singular.  The engine therefore computes S as a short
+integer combination of characters, the character form, and expands it
+through characters cached by highest weight; no rational function is
+divided.  L applies its prefactor to the coefficient polynomials in v of
+the form before anything is expanded.
 
-    d(chi) = (-1)^n / (P(chi) A_{W_G}(P(chi))),   P(chi) = chi^rho1,
-
-turning the whole sum into one alternating polynomial divided by the two
-fixed alternants (exact divisions, asserted), and a literal term-by-term
-rational-function sum used as a cross-check at small rank.  Both are exact.
+A literal term-by-term rational-function sum (``weyl_sum_direct``) and a
+numeric sum at sample points (``weyl_sum_numeric``) are kept as independent
+cross-checks.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .ratfun import LinearForm, Poly, RatFun, laurent_div_exact, zeta_of
-from .weyl import enumerate_group
+from .ratfun import LinearForm, Poly, RatFun, zeta_of
+from .weyl import character, enumerate_group, straighten_weight
 from .zetafactors import (
     b_factor,
     b_factor_poly,
@@ -63,151 +70,6 @@ def require_dominant(vec, what):
     return vec
 
 
-def _rho1_doubled(n):
-    """2*rho1 for SO_{2n+1}: the odd integers (2n-1, 2n-3, ..., 1)."""
-    return tuple(2 * (n - i) - 1 for i in range(n))
-
-
-def _rho2(m):
-    """rho2 for Sp_2m: (m, m-1, ..., 1)."""
-    return tuple(m - j for j in range(m))
-
-
-@lru_cache(maxsize=None)
-def _alternant_G(ctx):
-    """A_{W_G}(x^rho1) * prod_i x_i^(1/2), an integral alternating Poly in x."""
-    V = ctx.vars
-    n = ctx.n
-    d2 = _rho1_doubled(n)
-    acc = {}
-    for w in enumerate_group(n):
-        img, flp = w.image, w.flips
-        e = [0] * V.size
-        for i in range(n):
-            j = img[i] - 1
-            e[_G_OFF + i] = (1 + flp[j] * d2[j]) // 2
-        key = tuple(e)
-        s = acc.get(key, 0) + w.sgn()
-        if s:
-            acc[key] = s
-        else:
-            del acc[key]
-    return Poly(V, {e: Fraction(c) for e, c in acc.items()}, prune=False)
-
-
-@lru_cache(maxsize=None)
-def _alternant_M(ctx):
-    """A_{W_M}(y^rho2), an integral alternating Poly in y."""
-    V = ctx.vars
-    m = ctx.m
-    if m == 0:
-        return Poly.constant(V, 1)
-    r2 = _rho2(m)
-    off = 1 + ctx.n
-    acc = {}
-    for w in enumerate_group(m):
-        img, flp = w.image, w.flips
-        e = [0] * V.size
-        for j in range(m):
-            t = img[j] - 1
-            e[off + j] = flp[t] * r2[t]
-        key = tuple(e)
-        s = acc.get(key, 0) + w.sgn()
-        if s:
-            acc[key] = s
-        else:
-            del acc[key]
-    return Poly(V, {e: Fraction(c) for e, c in acc.items()}, prune=False)
-
-
-def _binomial(V, e):
-    """The binomial 1 - X^e."""
-    return Poly.constant(V, 1) - Poly.monomial(V, e)
-
-
-@lru_cache(maxsize=None)
-def _alternant_G_factored(ctx):
-    """The G-alternant as (sign, unit exponent, binomial factors).
-
-    The classical type-B Weyl denominator factorization
-    A(x^rho1) = x^rho1 prod_{a<b} (1 - x_a^-1 x_b)(1 - x_a^-1 x_b^-1)
-                prod_i (1 - x_i^-1)
-    is not assumed: the expanded product is compared against the enumerated
-    alternant (up to overall sign) and a mismatch raises.
-    """
-    V = ctx.vars
-    n = ctx.n
-    unit = [0] * V.size
-    for i in range(n):
-        unit[_G_OFF + i] = n - i  # rho1 + 1/2 = (n, n-1, ..., 1)
-    factors = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            for sb in (1, -1):
-                e = [0] * V.size
-                e[_G_OFF + a] = -1
-                e[_G_OFF + b] = sb
-                factors.append(_binomial(V, tuple(e)))
-    for i in range(n):
-        e = [0] * V.size
-        e[_G_OFF + i] = -1
-        factors.append(_binomial(V, tuple(e)))
-    return _match_alternant(_alternant_G(ctx), tuple(unit), factors)
-
-
-@lru_cache(maxsize=None)
-def _alternant_M_factored(ctx):
-    """The M-alternant as (sign, unit exponent, binomial factors), checked
-    against the enumerated sum like the G side (type-C denominator)."""
-    V = ctx.vars
-    m = ctx.m
-    off = 1 + ctx.n
-    unit = [0] * V.size
-    for j in range(m):
-        unit[off + j] = m - j  # rho2 = (m, ..., 1)
-    factors = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            for sb in (1, -1):
-                e = [0] * V.size
-                e[off + a] = -1
-                e[off + b] = sb
-                factors.append(_binomial(V, tuple(e)))
-    for j in range(m):
-        e = [0] * V.size
-        e[off + j] = -2
-        factors.append(_binomial(V, tuple(e)))
-    return _match_alternant(_alternant_M(ctx), tuple(unit), factors)
-
-
-def _match_alternant(alternant, unit, factors):
-    prod = Poly.monomial(alternant.vars, unit)
-    for f in factors:
-        prod = prod * f
-    if prod == alternant:
-        return 1, unit, tuple(factors)
-    if prod == -alternant:
-        return -1, unit, tuple(factors)
-    raise AssertionError("Weyl denominator factorization mismatch")
-
-
-def _divide_by_alternants(ctx, acc):
-    """acc / (G-alternant * M-alternant) on a raw integer term dict, by unit
-    shift and sequential exact binomial divisions; raises when inexact."""
-    sg, ug, fg = _alternant_G_factored(ctx)
-    sm, um, fm = (1, ctx.vars.zero_exp(), ()) if ctx.m == 0 else _alternant_M_factored(ctx)
-    shift = tuple(-a - b for a, b in zip(ug, um))
-    quot = {tuple(a + b for a, b in zip(e, shift)): c for e, c in acc.items()}
-    for f in fg + fm:
-        fdict = {e: c.numerator for e, c in f.terms.items()}
-        quot = laurent_div_exact(quot, fdict, fractions=False)
-        if quot is None:
-            raise AssertionError("Weyl sum numerator not divisible by an alternant")
-    if sg * sm < 0:
-        quot = {e: -c for e, c in quot.items()}
-    return Poly(ctx.vars, {e: Fraction(c) for e, c in quot.items()}, prune=False)
-
-
 @lru_cache(maxsize=None)
 def _b_terms_int(ctx):
     """b(chi, xi) expanded, as a tuple of (exponent, int coefficient)."""
@@ -216,62 +78,56 @@ def _b_terms_int(ctx):
     )
 
 
-def weyl_sum(ctx, d, f):
-    """The double Weyl sum S(d, f), exactly, over all 2^n n! * 2^m m! pairs.
+def _character_form(ctx, d, f):
+    """S(d, f) in the character basis: {(lam, mu): {k: c}}, where the integer
+    c is the coefficient of v^k chi^B_lam(x) chi^C_mu(y), lam and mu dominant.
 
-    Every term is accumulated over the shared denominator
-    A_{W_G}(chi^rho1) A_{W_M}(xi^rho2); the final division is exact and
-    asserted.  The result is W_G x W_M-invariant by construction.
+    Each term c v^k x^a y^b of b contributes c v^k chi^B_(f-a) chi^C_(d-b),
+    straightened by the dot action (Brauer-Klimyk).
     """
     d = require_dominant(d, "d")
     f = require_dominant(f, "f")
-    V = ctx.vars
     n, m = ctx.n, ctx.m
     if len(f) != n or len(d) != m:
         raise ValueError("shape mismatch: need |f| = n, |d| = m")
+    form = {}
+    for e, c in _b_terms_int(ctx):
+        st_b = straighten_weight(tuple(a - b for a, b in zip(f, e[_G_OFF : _G_OFF + n])), "so")
+        st_c = st_b and straighten_weight(tuple(a - b for a, b in zip(d, e[_G_OFF + n :])), "sp")
+        if not st_c:
+            continue
+        (sx, lam), (sy, mu) = st_b, st_c
+        vpoly = form.setdefault((lam, mu), {})
+        s = vpoly.get(e[0], 0) + sx * sy * c
+        if s:
+            vpoly[e[0]] = s
+        else:
+            del vpoly[e[0]]
+    return {key: vpoly for key, vpoly in form.items() if vpoly}
 
-    bterms = _b_terms_int(ctx)
-    q2f = tuple(2 * f[i] + e for i, e in enumerate(_rho1_doubled(n)))
-    dr2 = tuple(d[j] + e for j, e in enumerate(_rho2(m)))
-    y_off = 1 + n
 
+def _expand(ctx, coeffs, shift=0):
+    """The Poly v^shift * sum over (lam, mu) of coeffs[lam, mu](v) chi_lam chi_mu,
+    each character taken from the cache keyed by its highest weight."""
     acc = {}
-    acc_get = acc.get
-    for w in enumerate_group(n):
-        img, flp = w.image, w.flips
-        sg = w.sgn()
-        # per-target source slot, sign, and the half-integer compensating
-        # shift (1 - (w*q2f)_i)/2 of the x-substitution
-        xmap = []
-        for i in range(n):
-            j = img[i] - 1
-            xmap.append((_G_OFF + j, flp[j], (1 - flp[j] * q2f[j]) // 2))
-        for w2 in enumerate_group(m) if m else [None]:
-            if w2 is None:
-                sign = sg
-                ymap = ()
-            else:
-                img2, flp2 = w2.image, w2.flips
-                sign = sg * w2.sgn()
-                ymap = tuple(
-                    (y_off + img2[j] - 1, flp2[img2[j] - 1], -flp2[img2[j] - 1] * dr2[img2[j] - 1])
-                    for j in range(m)
-                )
-            for e, c in bterms:
-                key = (
-                    (e[0],)
-                    + tuple(sgn_ * e[src] + off for src, sgn_, off in xmap)
-                    + tuple(sgn_ * e[src] + off for src, sgn_, off in ymap)
-                )
-                s = acc_get(key, 0) + sign * c
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
+    get = acc.get
+    for (lam, mu), vpoly in coeffs.items():
+        chi_y = character(mu, "sp")
+        for ex, cx in character(lam, "so"):
+            for ey, cy in chi_y:
+                exy = ex + ey
+                cxy = cx * cy
+                for k, c in vpoly.items():
+                    key = (k + shift,) + exy
+                    acc[key] = get(key, 0) + c * cxy
+    return Poly(ctx.vars, {e: Fraction(c) for e, c in acc.items() if c}, prune=False)
 
-    quot = _divide_by_alternants(ctx, acc)
-    sign = -1 if (n + m) % 2 else 1
-    return RatFun.from_poly(quot) * sign
+
+def weyl_sum(ctx, d, f):
+    """The double Weyl sum S(d, f), exactly, as the expansion of its
+    straightened character form.  The result is W_G x W_M-invariant by
+    construction."""
+    return RatFun.from_poly(_expand(ctx, _character_form(ctx, d, f)))
 
 
 def weyl_sum_direct(ctx, d, f):
@@ -336,25 +192,64 @@ def normalization_constant_closed(ctx):
     return out
 
 
+def _v_list(terms):
+    """A polynomial in v, {power: coefficient}, as a coefficient list with the
+    constant term first."""
+    if min(terms) < 0:
+        raise AssertionError("negative power of v")
+    return [Fraction(terms.get(k, 0)) for k in range(max(terms) + 1)]
+
+
+def _v_divmod(a, b):
+    """Quotient and remainder of polynomials in v over Q, as coefficient
+    lists with the constant term first and a nonzero last entry."""
+    a = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = a[i + len(b) - 1] / b[-1]
+        for j, bj in enumerate(b):
+            a[i + j] -= c * bj
+    r = a[: len(b) - 1]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
 def L_value(ctx, d, f):
     """The normalized integrated Whittaker-Shintani value L(d, f).
 
     Exact for dominant d in Z^m, f in Z^n; the prefactor is the closed-form
     reciprocal of the normalization constant, so L(0, 0) = 1 is a theorem
     about the Weyl sum, not a convention.
+
+    The constant C(v) and the coefficient polynomials in v of the character
+    form are divided by their common gcd before anything is expanded.  The
+    products chi_lam chi_mu are a basis of the invariants, so the result is
+    in lowest terms.
     """
-    d = require_dominant(d, "d")
-    f = require_dominant(f, "f")
-    s = weyl_sum(ctx, d, f)
-    pref = normalization_constant_closed(ctx).inverse()
-    deltas = RatFun.monomial(
-        ctx.vars,
-        tuple(
-            a + b
-            for a, b in zip(delta_half_G(ctx, f), delta_half_MJ(ctx, d))
-        ),
+    coeffs = {key: _v_list(vpoly) for key, vpoly in _character_form(ctx, d, f).items()}
+    closed = normalization_constant_closed(ctx)
+    den, rem = _v_divmod(
+        *(_v_list({e[0]: c for e, c in p.terms.items()})
+          for p in (closed.numerator_poly(), closed.denominator_poly()))
     )
-    return (pref * deltas * s).reduced()
+    if rem:
+        raise AssertionError("normalization constant is not a polynomial in v")
+    g = den
+    for p in coeffs.values():
+        while p and len(g) > 1:
+            g, p = p, _v_divmod(g, p)[1]
+    den = _v_divmod(den, g)[0]
+    coeffs = {key: _v_divmod(p, g)[0] for key, p in coeffs.items()}
+    scale = lcm(*(c.denominator for p in (den, *coeffs.values()) for c in p))
+    shift = delta_half_G(ctx, f)[0] + delta_half_MJ(ctx, d)[0]
+    num = _expand(
+        ctx,
+        {key: {k: int(c * scale) for k, c in enumerate(p) if c} for key, p in coeffs.items()},
+        shift,
+    )
+    den = Poly(ctx.vars, {ctx.vars.v_exp(k): c * scale for k, c in enumerate(den)})
+    return RatFun.from_poly(num) / RatFun.from_poly(den)
 
 
 def ws_torus(ctx, f):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from wscalc import wsformula
 from wscalc.ratfun import Poly, RatFun, Vars
 from wscalc.weyl import enumerate_group
 from wscalc.zetafactors import Context
@@ -151,3 +152,40 @@ def test_failing_coefficient_is_reported_not_raised():
     # sanity: the report shape supports per-coefficient inspection
     assert [l for l, _ in rep.results] == [0, 1, 2]
     assert rep.as_dict()["pass"] is True
+
+
+# Casselman-Shalika: at m = 0 the value is the SO(2n+1) character of f,
+# times delta^(1/2)(p^f) = v^(2 sum_i f_i (n-i+1)).
+CS_WEIGHTS = {
+    1: [(0,), (1,), (2,), (3,), (5,)],
+    2: [(0, 0), (1, 0), (1, 1), (2, 1), (3, 0)],
+    3: [(0, 0, 0), (1, 0, 0), (1, 1, 1), (2, 1, 0), (2, 2, 1)],
+    4: [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (2, 1, 0, 0), (1, 1, 1, 1)],
+}
+
+
+def _delta_half(ctx, f):
+    V = ctx.vars
+    return RatFun.monomial(V, V.v_exp(2 * sum(fi * (ctx.n - i) for i, fi in enumerate(f))))
+
+
+def test_casselman_shalika_at_m0():
+    for n, weights in CS_WEIGHTS.items():
+        ctx = Context(n, 0)
+        for f in weights:
+            expect = _delta_half(ctx, f) * so_char(ctx.vars, f)
+            assert wsformula.ws_torus(ctx, f) == expect
+            if n <= 2:
+                # the literal Weyl sum shares no character code with so_char
+                assert _delta_half(ctx, f) * wsformula.weyl_sum_direct(ctx, (), f) == expect
+
+
+def test_casselman_shalika_pin_fails_on_wrong_delta(monkeypatch):
+    def wrong_delta(ctx, f):
+        return ctx.vars.v_exp(sum(2 * fi * (ctx.n - i) for i, fi in enumerate(f, 1)))
+
+    monkeypatch.setattr(wsformula, "delta_half_G", wrong_delta)
+    for n, weights in CS_WEIGHTS.items():
+        ctx = Context(n, 0)
+        for f in weights[1:]:
+            assert wsformula.ws_torus(ctx, f) != _delta_half(ctx, f) * so_char(ctx.vars, f)

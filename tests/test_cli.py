@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -166,3 +169,18 @@ def test_exit_code_contract_on_failure(capsys, monkeypatch):
     assert code == 1
     assert doc["pass"] is False
     assert doc["report"]["witness"] == "forced failure"
+
+
+@pytest.mark.parametrize("q", ["1", "4", "6"])
+def test_verify_padic_rejects_non_prime_q(q):
+    """q = 1 used to hang in random_rational and q = 4 passed as a
+    mathematical FAIL; both are config errors."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "wscalc.cli", "verify", "padic", "--n", "2", "--m", "1",
+         "--samples", "2", "--q", q],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "config"

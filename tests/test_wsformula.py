@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from wscalc import wsformula
 from wscalc.ratfun import Poly, RatFun
-from wscalc.weyl import enumerate_group
+from wscalc.weyl import alternating_monomial_sum, enumerate_group
 from wscalc.zetafactors import Context, d_factor, dprime_factor
 from wscalc.wsformula import (
     L_value,
@@ -16,7 +17,7 @@ from wscalc.wsformula import (
     weyl_sum_numeric,
     ws_torus,
 )
-from wscalc.wsformula import _alternant_G, _alternant_M, _G_OFF
+from wscalc.wsformula import _G_OFF
 
 C10 = Context(1, 0)
 C21 = Context(2, 1)
@@ -37,20 +38,22 @@ L_PINNED_2_1 = (
 
 
 def test_weyl_denominator_identities():
-    """d and d' agree with their alternant closed forms, used by the engine."""
+    """d and d' agree with their alternant closed forms: with A the alternant
+    of W(C_k), d(x) = (-1)^n x^-rho / A(x^rho), rho = (n-1/2, ..., 1/2), and
+    d'(y) = (-1)^m y^-rho' / A(y^rho'), rho' = (m, ..., 1).  The half-integral
+    rho is handled by comparing d after the substitution x -> x^2."""
     for n in (1, 2, 3):
         ctx = Context(n, 0)
         V = ctx.vars
-        rho1p = [0] * V.size
-        for i in range(n):
-            rho1p[1 + i] = n - 1 - i
+        rho2 = (0,) + tuple(2 * (n - i) - 1 for i in range(n))
         sign = -1 if n % 2 else 1
         rhs = (
-            RatFun.monomial(V, tuple(-e for e in rho1p))
-            * RatFun.from_poly(_alternant_G(ctx)).inverse()
+            RatFun.monomial(V, tuple(-e for e in rho2))
+            * RatFun.from_poly(alternating_monomial_sum(V, rho2, _G_OFF, n)).inverse()
             * sign
         )
-        assert d_factor(ctx) == rhs
+        doubled = d_factor(ctx).substitute_exponents(lambda e: (e[0],) + tuple(2 * a for a in e[1:]))
+        assert doubled == rhs
     for m in (1, 2):
         ctx = Context(m + 1, m)
         V = ctx.vars
@@ -60,7 +63,7 @@ def test_weyl_denominator_identities():
         sign = -1 if m % 2 else 1
         rhs = (
             RatFun.monomial(V, tuple(-e for e in q))
-            * RatFun.from_poly(_alternant_M(ctx)).inverse()
+            * RatFun.from_poly(alternating_monomial_sum(V, q, 1 + ctx.n, m)).inverse()
             * sign
         )
         assert dprime_factor(ctx) == rhs
@@ -123,6 +126,32 @@ def test_engine_matches_direct_sum():
     ]
     for ctx, d, f in cases:
         assert weyl_sum(ctx, d, f) == weyl_sum_direct(ctx, d, f)
+
+
+def test_dropping_the_straightening_sign_breaks_the_engine(monkeypatch):
+    """The cross-check against the literal sum can fail: a straightening that
+    forgets sgn(w) gives a different Weyl sum."""
+    straighten = wsformula.straighten_weight
+
+    def unsigned(lam, group):
+        st = straighten(lam, group)
+        return None if st is None else (1, st[1])
+
+    monkeypatch.setattr(wsformula, "straighten_weight", unsigned)
+    assert weyl_sum(C21, (1,), (1, 1)) != weyl_sum_direct(C21, (1,), (1, 1))
+
+
+def test_engine_matches_numeric_sum_3_2():
+    """At (3,2) the literal sum is too slow for the suite; the independent
+    numeric sum over all 384 Weyl terms stands in for it."""
+    pts = sample_points(C32, 5, seed=11)
+    for d in ((0, 0), (1, 0), (1, 1)):
+        for f in ((0, 0, 0), (2, 1, 0)):
+            s = weyl_sum(C32, d, f)
+            for pt in pts:
+                exact = s.eval_at(pt)
+                got = weyl_sum_numeric(C32, d, f, pt)
+                assert abs(got - exact) <= 1e-9 * max(1, abs(exact))
 
 
 def test_L_regression_pin_and_numeric_cross_check():
