@@ -570,8 +570,18 @@ def main(argv=None):
         Context(cfg.n, cfg.m)  # rank validation up front
         if cfg.mode == "numeric" and cfg.q < 2:
             raise ValueError("numeric mode requires a concrete q >= 2")
-        if getattr(args, "which", None) == "padic" and not _is_prime(cfg.q):
+        which = getattr(args, "which", None)
+        if which == "padic" and not _is_prime(cfg.q):
             raise ValueError("verify padic needs a prime q below 2^31, got %d" % cfg.q)
+        # a verifier that checks nothing must not report a pass
+        sampled = which == "padic" or (which == "invariance" and cfg.mode == "numeric")
+        if sampled and cfg.samples < 1:
+            raise ValueError("verify %s needs --samples >= 1, got %d" % (which, cfg.samples))
+        if which == "cone" and (cfg.count < 0 or cfg.bound < 0):
+            raise ValueError(
+                "verify cone needs --count >= 0 and --bound >= 0, got %d and %d"
+                % (cfg.count, cfg.bound)
+            )
     except ValueError as exc:
         return _error(str(exc), getattr(args, "out", None))
     if args.command == "eval":

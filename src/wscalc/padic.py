@@ -4,7 +4,10 @@ Everything here is exact: matrices have Fraction entries, minors are exact
 determinants, and p-adic sizes are tracked through valuations.  The dense
 subfield Q of Q_p suffices because every identity tested (minor invariance,
 torus equivariance, the open-cell kernel formula) is polynomial or
-valuation-theoretic.
+valuation-theoretic.  Matrix products skip zero entries, since the factory
+elements are mostly identity.  The Gauss-shell oracle sums its character
+over integer residues: the p-adic fractional part it needs is a modular
+inverse over a power of p.
 
 The symplectic group Sp_2n is realized with respect to the form
 S[i, 2n+1-i] = 1 for i <= n and -1 for i > n (1-indexed), the convention
@@ -16,12 +19,12 @@ J(x, y, z) take the block shape [[1, x, y, z], [0, 1, 0, y^t],
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import inf
 
 __all__ = [
     "PValued",
     "valuation",
-    "padic_fractional_part",
     "SympMatrix",
     "symplectic_form",
     "d_torus",
@@ -67,22 +70,6 @@ def valuation(x, p):
         den //= p
         v -= 1
     return v
-
-
-def padic_fractional_part(x, p):
-    """The p-adic fractional part: a rational in [0, 1) with x - frac in Z_p."""
-    x = Fraction(x)
-    v = valuation(x, p)
-    if v >= 0:
-        return Fraction(0)
-    k = -v
-    pk = p ** k
-    # x = a / (b p^k) with p dividing neither a nor b after reduction
-    b = x.denominator
-    while b % p == 0:
-        b //= p
-    u = (x.numerator * pow(b, -1, pk)) % pk
-    return Fraction(u, pk)
 
 
 class PValued:
@@ -134,6 +121,7 @@ class PValued:
         return "PValued(%s, p=%d)" % (self.value, self.p)
 
 
+@lru_cache(maxsize=None)
 def symplectic_form(n):
     """The Gram matrix: antidiagonal 1s in the top half, -1s in the bottom."""
     N = 2 * n
@@ -146,19 +134,21 @@ def symplectic_form(n):
 
 
 def _mat_mul(a, b):
-    N = len(a)
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(N)) for cb in bt) for ra in a
-    )
-
-
-def _mat_eq(a, b):
-    return all(ra == rb for ra, rb in zip(a, b))
-
-
-def _transpose(a):
-    return tuple(zip(*a))
+    """The exact product a*b, touching only nonzero entries: factory elements
+    are mostly identity plus a few entries, so dense products waste most of
+    their Fraction operations on zeros."""
+    N = len(b[0])
+    zero = Fraction(0)
+    out = []
+    for ra in a:
+        row = [zero] * N
+        for k, x in enumerate(ra):
+            if x:
+                for j, y in enumerate(b[k]):
+                    if y:
+                        row[j] += x * y
+        out.append(tuple(row))
+    return tuple(out)
 
 
 class SympMatrix:
@@ -175,7 +165,11 @@ class SympMatrix:
         self.n = n
         self.p = p
         N = 2 * n
-        entries = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        # products arrive as Fractions already; re-wrapping them would cost
+        # as much as a sparse product
+        entries = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in entries
+        )
         if len(entries) != N or any(len(row) != N for row in entries):
             raise ValueError("entries must form a 2n x 2n matrix")
         self.entries = entries
@@ -183,8 +177,13 @@ class SympMatrix:
             raise ValueError("matrix does not preserve the symplectic form")
 
     def preserves_form(self):
-        S = symplectic_form(self.n)
-        return _mat_eq(_mat_mul(_transpose(self.entries), _mat_mul(S, self.entries)), S)
+        """g^T S g == S, with S g formed by permuting rows: S g is g's rows
+        reversed, the lower half negated."""
+        n = self.n
+        g = self.entries
+        rev = g[::-1]
+        sg = rev[:n] + tuple(tuple(-x for x in row) for row in rev[n:])
+        return _mat_mul(tuple(zip(*g)), sg) == symplectic_form(n)
 
     @classmethod
     def identity(cls, n, p):
@@ -606,17 +605,23 @@ def gauss_shell(i, j, q):
 def gauss_shell_numeric(i, j, q):
     """Brute-force oracle for gauss_shell: the character sum over unit
     representatives of the shell p^j O^* modulo p^(j+M), with psi(a) =
-    exp(2 pi i {a}_p) of conductor zero."""
+    exp(2 pi i {a}_p) of conductor zero.
+
+    For t = p^j u, t^-1 x = p^(i-j) u^-1, and with k = j - i its p-adic
+    fractional part is an integer residue over p^k:
+
+        {p^(i-j) u^-1}_p = (u^-1 mod p^k) / p^k   if k > 0,   else 0.
+    """
     import cmath
 
-    M = max(1, j - i)
+    k = j - i
+    M = max(1, k)
     pM = q ** M
     measure = Fraction(q) ** (-(j + M))
     total = 0j
     for u in range(1, pM):
         if u % q == 0:
             continue
-        # t = p^j u, so t^-1 x = p^(i-j) u^-1
-        frac = padic_fractional_part(Fraction(q) ** (i - j) / u, q)
-        total += cmath.exp(2j * cmath.pi * float(frac))
+        frac = pow(u, -1, pM) / pM if k > 0 else 0.0
+        total += cmath.exp(2j * cmath.pi * frac)
     return total * float(measure)

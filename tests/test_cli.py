@@ -171,16 +171,56 @@ def test_exit_code_contract_on_failure(capsys, monkeypatch):
     assert doc["report"]["witness"] == "forced failure"
 
 
+def _run_subprocess(*argv):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "wscalc.cli"] + list(argv),
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
 @pytest.mark.parametrize("q", ["1", "4", "6"])
 def test_verify_padic_rejects_non_prime_q(q):
     """q = 1 used to hang in random_rational and q = 4 passed as a
     mathematical FAIL; both are config errors."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "wscalc.cli", "verify", "padic", "--n", "2", "--m", "1",
-         "--samples", "2", "--q", q],
-        capture_output=True, text=True, timeout=60, env=env,
+    proc = _run_subprocess(
+        "verify", "padic", "--n", "2", "--m", "1", "--samples", "2", "--q", q
     )
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"]["type"] == "config"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["padic", "--samples", "0"],
+        ["invariance", "--mode", "numeric", "--samples", "0"],
+        ["cone", "--count", "0", "--bound", "-1"],
+        ["cone", "--count", "-1"],
+    ],
+)
+def test_zero_work_verify_is_config_error(argv):
+    """A run that would check nothing used to report pass: true, and a
+    negative cone count a mathematical FAIL; both are config errors."""
+    proc = _run_subprocess("verify", *argv, "--n", "2", "--m", "1")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["type"] == "config"
+
+
+def test_verify_gauss_names_failing_case(monkeypatch):
+    import wscalc.cli as cli_mod
+    from wscalc import padic
+
+    closed = padic.gauss_shell
+
+    def sign_flipped(i, j, q):
+        value = closed(i, j, q)
+        return -value if j == i + 1 else value
+
+    monkeypatch.setattr(padic, "gauss_shell", sign_flipped)
+    ok, report = cli_mod._verify_gauss(None)
+    assert not ok and not report["pass"]
+    assert report["failures"] == [
+        {"q": q, "i": i, "j": i + 1} for q in (3, 5) for i in range(-4, 4)
+    ]

@@ -4,11 +4,14 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wscalc.padic import (
     CellFactorization,
     PValued,
     SympMatrix,
+    _mat_mul,
     abs_cell_kernel,
     alpha_k,
     beta_l,
@@ -20,20 +23,22 @@ from wscalc.padic import (
     lam_element,
     minor,
     minor_expansion_check,
-    padic_fractional_part,
     random_cell_element,
     random_rational,
     random_torus_values,
     random_unipotent_MJ,
     random_unipotent_U,
     random_upper_unipotent_G,
+    root_generator,
     symplectic_form,
     valuation,
     w0_element,
+    weyl_matrix,
     x_elem,
     y_elem,
     z_elem,
 )
+from wscalc.weyl import SignedPerm
 
 P = 3
 
@@ -65,15 +70,6 @@ def test_pvalued_arithmetic():
         a + PValued(1, 5)
 
 
-def test_fractional_part():
-    assert padic_fractional_part(Fraction(1, 3), 3) == Fraction(1, 3)
-    assert padic_fractional_part(Fraction(5), 3) == 0
-    assert padic_fractional_part(Fraction(1, 2), 3) == 0  # a 3-adic integer
-    x = Fraction(7, 9)
-    f = padic_fractional_part(x, 3)
-    assert 0 <= f < 1 and valuation(x - f, 3) >= 0
-
-
 def test_constructors_are_symplectic():
     rng = random.Random(11)
     for n, m in [(2, 1), (3, 2), (3, 1), (4, 2)]:
@@ -85,6 +81,77 @@ def test_constructors_are_symplectic():
         random_unipotent_U(n, m, rng, P)
         xs = [random_rational(rng, P) for _ in range(m)]
         j_elem(n, m, xs, xs[::-1], random_rational(rng, P), P)
+
+
+def _dense_mul(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def _dense_preserves_form(g):
+    """The reference test g^T S g == S with two dense products."""
+    S = symplectic_form(g.n)
+    return _dense_mul(tuple(zip(*g.entries)), _dense_mul(S, g.entries)) == S
+
+
+@st.composite
+def sparse_pair(draw):
+    """Two N x N Fraction matrices, 2 <= N <= 10, holding at most 2N nonzeros each."""
+    N = draw(st.integers(2, 10))
+    nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+    def matrix():
+        ent = [[Fraction(0)] * N for _ in range(N)]
+        cells = st.tuples(st.integers(0, N - 1), st.integers(0, N - 1), nonzero)
+        for i, j, x in draw(st.lists(cells, max_size=2 * N)):
+            ent[i][j] = x
+        return tuple(tuple(row) for row in ent)
+
+    return matrix(), matrix()
+
+
+@given(sparse_pair())
+@settings(max_examples=100, deadline=None)
+def test_sparse_mat_mul_matches_dense(pair):
+    a, b = pair
+    assert _mat_mul(a, b) == _dense_mul(a, b)
+
+
+def _factory_elements(rng):
+    n, m = 3, 2
+    yield w0_element(n, P)
+    yield lam_element(n, m, P)
+    yield d_torus(n, random_torus_values(rng, P, n), P)
+    yield weyl_matrix(n, SignedPerm((2, 3, 1), (1, -1, 1)), P)
+    for kind in ("minus", "neg_minus", "plus", "neg_plus"):
+        yield root_generator(n, (kind, 1, 3), random_rational(rng, P), P)
+    for kind in ("long", "neg_long"):
+        yield root_generator(n, (kind, 2), random_rational(rng, P), P)
+    xs = [random_rational(rng, P) for _ in range(m)]
+    yield j_elem(n, m, xs, xs[::-1], random_rational(rng, P), P)
+    yield random_cell_element(n, m, rng, P)[0]
+
+
+def test_form_check_matches_dense_and_catches_one_entry():
+    """On factory elements the one-product check agrees with g^T S g == S.
+    Adding 1 to entry (i, j) of a symplectic g keeps the form only when
+    g^T S e_i is a multiple of e_j, so in every row, upper half and lower
+    half alike, at most one perturbed entry may pass."""
+    rng = random.Random(13)
+    for g in _factory_elements(rng):
+        assert g.preserves_form() and _dense_preserves_form(g)
+        N = 2 * g.n
+        for i in range(N):
+            rejected = 0
+            for j in range(N):
+                ent = [list(row) for row in g.entries]
+                ent[i][j] += 1
+                h = SympMatrix(g.n, ent, P, check=False)
+                assert h.preserves_form() == _dense_preserves_form(h)
+                rejected += not h.preserves_form()
+            assert rejected >= N - 1
 
 
 def test_form_check_rejects_non_symplectic():
