@@ -14,10 +14,9 @@ CSV table instead.  Any failing verification exits nonzero with a witness.
 
 import argparse
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -56,7 +55,6 @@ class RunConfig:
     a: tuple = None
     r: tuple = None
     csv: bool = False
-    threads: int = field(default_factory=lambda: int(os.environ.get("WSCALC_THREADS", "1")))
 
 
 def _int_vector(text):
@@ -102,7 +100,6 @@ def _base_doc(command, cfg):
             "m": cfg.m,
             "mode": cfg.mode,
             "seed": cfg.seed,
-            "threads": cfg.threads,
         },
     }
 
@@ -502,8 +499,9 @@ def _add_common(sp):
         choices=("exact", "numeric"),
         default="exact",
         help="exact symbolic arithmetic (default; intended for n <= 3) or "
-        "complex evaluation at a seeded sample point; exact enumeration of "
-        "W(C_k) is guarded at k = 6",
+        "complex evaluation of the same character form at a seeded sample "
+        "point; both expand b once per rank, which dominates from n = 4 on, "
+        "and enumeration of W(C_k) is guarded at k = 6",
     )
     sp.add_argument("--q", type=int, default=3, help="residue cardinality for numeric mode")
     sp.add_argument("--seed", type=int, default=0)

@@ -1,11 +1,12 @@
+import cmath
 import random
 
 import pytest
 
 from wscalc import wsformula
-from wscalc.ratfun import Poly, RatFun
+from wscalc.ratfun import PoleError, Poly, RatFun
 from wscalc.weyl import alternating_monomial_sum, enumerate_group
-from wscalc.zetafactors import Context, d_factor, dprime_factor
+from wscalc.zetafactors import Context, b_factor, d_factor, dprime_factor
 from wscalc.wsformula import (
     L_value,
     invariance_report,
@@ -128,9 +129,35 @@ def test_engine_matches_direct_sum():
         assert weyl_sum(ctx, d, f) == weyl_sum_direct(ctx, d, f)
 
 
-def test_dropping_the_straightening_sign_breaks_the_engine(monkeypatch):
-    """The cross-check against the literal sum can fail: a straightening that
-    forgets sgn(w) gives a different Weyl sum."""
+def _reference_numeric(ctx, d, f, point):
+    """The literal numeric double Weyl sum: one complex term
+    b d d' (w.chi)^-1(p^f) (w'.xi)^-1(p^d) per (w, w'), from the factor
+    products.  Independent of the character form, and ill-conditioned where
+    two angles nearly coincide."""
+    n = ctx.n
+    b, dd, dp = b_factor(ctx), d_factor(ctx), dprime_factor(ctx)
+    v, xs, ys = point[0], point[1 : 1 + n], point[1 + n :]
+    total = 0j
+    for w in enumerate_group(n):
+        wx = w.act_on_point(xs)
+        for w2 in enumerate_group(ctx.m):
+            wy = w2.act_on_point(ys)
+            pt = (v,) + wx + wy
+            term = b.eval_at(pt) * dd.eval_at(pt) * dp.eval_at(pt)
+            for z, k in zip(wx + wy, f + d):
+                term *= z ** -k
+            total += term
+    return total
+
+
+def _close(got, ref):
+    return abs(got - ref) <= 1e-9 * max(1, abs(ref))
+
+
+@pytest.fixture
+def unsigned_straightening(monkeypatch):
+    """A straightening that forgets sgn(w), on a cleared character-form
+    cache, so that no corrupted form outlives the test."""
     straighten = wsformula.straighten_weight
 
     def unsigned(lam, group):
@@ -138,20 +165,48 @@ def test_dropping_the_straightening_sign_breaks_the_engine(monkeypatch):
         return None if st is None else (1, st[1])
 
     monkeypatch.setattr(wsformula, "straighten_weight", unsigned)
+    wsformula._straightened_b.cache_clear()
+    yield
+    wsformula._straightened_b.cache_clear()
+
+
+def test_dropping_the_straightening_sign_breaks_the_engine(unsigned_straightening):
+    """The cross-check against the literal sum can fail: a straightening that
+    forgets sgn(w) gives a different Weyl sum."""
     assert weyl_sum(C21, (1,), (1, 1)) != weyl_sum_direct(C21, (1,), (1, 1))
 
 
+def test_dropping_the_straightening_sign_breaks_the_numeric_sum(unsigned_straightening):
+    for pt in sample_points(C21, 3, seed=4):
+        ref = _reference_numeric(C21, (1,), (1, 1), pt)
+        assert not _close(weyl_sum_numeric(C21, (1,), (1, 1), pt), ref)
+
+
 def test_engine_matches_numeric_sum_3_2():
-    """At (3,2) the literal sum is too slow for the suite; the independent
-    numeric sum over all 384 Weyl terms stands in for it."""
+    """At (3,2) the literal sum is too slow for the suite; the literal
+    numeric sum over all 384 Weyl terms stands in for it, for the exact sum
+    and for the numeric one."""
     pts = sample_points(C32, 5, seed=11)
     for d in ((0, 0), (1, 0), (1, 1)):
         for f in ((0, 0, 0), (2, 1, 0)):
             s = weyl_sum(C32, d, f)
             for pt in pts:
-                exact = s.eval_at(pt)
-                got = weyl_sum_numeric(C32, d, f, pt)
-                assert abs(got - exact) <= 1e-9 * max(1, abs(exact))
+                ref = _reference_numeric(C32, d, f, pt)
+                assert _close(s.eval_at(pt), ref)
+                assert _close(weyl_sum_numeric(C32, d, f, pt), ref)
+
+
+def test_numeric_sum_is_well_conditioned_near_coincident_angles():
+    """Where x1 and x2 are 1e-6 apart in angle the 384 literal terms cancel
+    and miss the exact value; the character form does not."""
+    d, f = (1, 0), (2, 1, 0)
+    r, theta = 0.7, 1.1
+    pt = (3 ** -0.5,) + tuple(
+        r * cmath.exp(1j * a) for a in (theta, theta + 1e-6, 2.5, 0.9, -1.7)
+    )
+    exact = weyl_sum(C32, d, f).eval_at(pt)
+    assert _close(weyl_sum_numeric(C32, d, f, pt), exact)
+    assert not _close(_reference_numeric(C32, d, f, pt), exact)
 
 
 def test_L_regression_pin_and_numeric_cross_check():
@@ -199,6 +254,24 @@ def test_invariance_numeric_3_2():
     )
     assert rep.ok
     assert rep.max_deviation < 1e-9
+
+
+def test_numeric_invariance_fails_when_every_point_is_skipped(monkeypatch):
+    """A numeric run that checked nothing is not a pass: with Gamma at a pole
+    at every point, each generator fails and the skipped points are the
+    witness."""
+
+    class AtPole:
+        def eval_at(self, point):
+            raise PoleError("Gamma at a pole", magnitude=0.0)
+
+    monkeypatch.setattr(wsformula, "gamma_big", lambda ctx: AtPole())
+    rep = invariance_report(C21, (0,), (1, 0), mode="numeric", samples=3, seed=0)
+    doc = rep.as_dict()
+    assert not rep.ok and doc["pass"] is False
+    assert doc["skipped_points"] == 3
+    assert [g["pass"] for g in doc["generators"]] == [False] * 3
+    assert all("deviation" not in g for g in doc["generators"])
 
 
 def test_identity_generator_deviation_zero():
