@@ -18,7 +18,6 @@ both sides of the torus-integral identity
 in the formal variable T = |p|^s and compares coefficients exactly.
 """
 
-from fractions import Fraction
 from itertools import combinations
 
 from .ratfun import Poly, RatFun
@@ -53,7 +52,7 @@ def so_char(vars_, lam):
         return RatFun.zero(vars_)
     sign, dom = st
     pad = (0,) * (vars_.size - 1 - N)
-    terms = {(0,) + e + pad: Fraction(sign * c) for e, c in character(dom, "so")}
+    terms = {(0,) + e + pad: sign * c for e, c in character(dom, "so")}
     return RatFun.from_poly(Poly(vars_, terms, prune=False))
 
 
@@ -82,7 +81,7 @@ def elementary_sym(vars_, monomials, r):
     acc = {}
     for subset in combinations(monomials, r):
         e = tuple(sum(col) for col in zip(*subset))
-        acc[e] = acc.get(e, Fraction(0)) + 1
+        acc[e] = acc.get(e, 0) + 1
     return RatFun.from_poly(Poly(vars_, acc))
 
 

@@ -22,6 +22,7 @@ from math import isqrt
 
 from . import charform, cone, padic, wsformula
 from .ratfun import PoleError
+from .weyl import group_order, is_dominant
 from .zetafactors import (
     Context,
     c_alpha,
@@ -29,6 +30,7 @@ from .zetafactors import (
     gamma_alpha,
     gamma_beta,
     gamma_big,
+    require_b_expandable,
     simple_roots_G,
     simple_roots_M,
 )
@@ -158,18 +160,11 @@ def _verify_constant(cfg, ctx):
     closed = wsformula.normalization_constant_closed(ctx)
     ok = computed == closed
     return ok, {
-        "terms": (2 ** ctx.n) * _fact(ctx.n) * (2 ** ctx.m) * _fact(ctx.m),
+        "terms": group_order(ctx.n) * group_order(ctx.m),
         "constant": computed.text(),
         "closed_form": closed.text(),
         "pass": ok,
     }
-
-
-def _fact(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def _verify_gamma(cfg, ctx):
@@ -182,20 +177,14 @@ def _verify_gamma(cfg, ctx):
         remap = w.embed_remap(V.size, 1)
         eq = gamma.substitute_exponents(remap) * c_alpha(ctx, root) == gamma * gamma_alpha(ctx, root)
         ok &= eq
-        checks.append({"group": "G", "root": _root_name(root), "pass": eq})
+        checks.append({"group": "G", "root": root.label, "pass": eq})
     for root in simple_roots_M(ctx):
         w = root.reflection(ctx)
         remap = w.embed_remap(V.size, 1 + ctx.n)
         eq = gamma.substitute_exponents(remap) * c_tilde_beta(ctx, root) == gamma * gamma_beta(ctx, root)
         ok &= eq
-        checks.append({"group": "M", "root": _root_name(root), "pass": eq})
+        checks.append({"group": "M", "root": root.label, "pass": eq})
     return ok, {"generators": checks, "pass": ok}
-
-
-def _root_name(root):
-    if root.kind == "short":
-        return "e%d-e%d" % (root.index, root.index + 1)
-    return "2e%d" % root.index
 
 
 def _verify_invariance(cfg, ctx):
@@ -233,13 +222,13 @@ def _verify_cone(cfg, ctx):
     minimal = 0
     total = 0
     bound = cfg.bound
-    avecs = [av for av in iproduct(range(bound + 1), repeat=n - m) if _dominant(av)]
+    avecs = [av for av in iproduct(range(bound + 1), repeat=n - m) if is_dominant(av)]
     dvecs = list(iproduct(range(bound + 1), repeat=m))
     rvecs = list(iproduct(range(bound + 1), repeat=m))
     for av in avecs:
         for dv in dvecs:
             for rv in rvecs:
-                if not _dominant(_sum_vec(dv, rv)):
+                if not is_dominant(_sum_vec(dv, rv)):
                     continue
                 t = cone.ConeTriple(n, m, dv, av, rv)
                 total += 1
@@ -267,16 +256,12 @@ def _random_triple(rng, n, m, hi):
         a = sorted((rng.randint(0, hi) for _ in range(n - m)), reverse=True)
         d = [rng.randint(0, hi) for _ in range(m)]
         r = [rng.randint(0, hi) for _ in range(m)]
-        if _dominant(_sum_vec(d, r)):
+        if is_dominant(_sum_vec(d, r)):
             return cone.ConeTriple(n, m, d, a, r)
 
 
 def _sum_vec(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _dominant(v):
-    return all(x >= 0 for x in v) and all(v[i] >= v[i + 1] for i in range(len(v) - 1))
 
 
 def _is_minimal(t):
@@ -291,9 +276,9 @@ def _is_minimal(t):
         rv = tuple(tv - dv[j] for j, tv in enumerate(total))
         if any(x < 0 for x in rv):
             continue
-        if not _dominant(dv):
+        if not is_dominant(dv):
             continue
-        if not _dominant(t.a + rv):
+        if not is_dominant(t.a + rv):
             continue
         feasible.append(dv)
     if nf.d not in feasible:
@@ -498,10 +483,9 @@ def _add_common(sp):
         "--mode",
         choices=("exact", "numeric"),
         default="exact",
-        help="exact symbolic arithmetic (default; intended for n <= 3) or "
-        "complex evaluation of the same character form at a seeded sample "
-        "point; both expand b once per rank, which dominates from n = 4 on, "
-        "and enumeration of W(C_k) is guarded at k = 6",
+        help="exact symbolic arithmetic (default) or complex evaluation of "
+        "the same character form at a seeded sample point; both expand b "
+        "once per rank, which dominates at n = 4 and is refused from n = 5 on",
     )
     sp.add_argument("--q", type=int, default=3, help="residue cardinality for numeric mode")
     sp.add_argument("--seed", type=int, default=0)
@@ -565,10 +549,12 @@ def main(argv=None):
             count=getattr(args, "count", 1000),
             csv=getattr(args, "csv", False),
         )
-        Context(cfg.n, cfg.m)  # rank validation up front
+        ctx = Context(cfg.n, cfg.m)  # rank validation up front
         if cfg.mode == "numeric" and cfg.q < 2:
             raise ValueError("numeric mode requires a concrete q >= 2")
         which = getattr(args, "which", None)
+        if args.command in ("eval", "series") or which in ("constant", "invariance", "shintani"):
+            require_b_expandable(ctx)
         if which == "padic" and not _is_prime(cfg.q):
             raise ValueError("verify padic needs a prime q below 2^31, got %d" % cfg.q)
         # a verifier that checks nothing must not report a pass

@@ -11,13 +11,9 @@ componentwise-minimal d among all equivalent dominant-shaped triples.
 
 from dataclasses import dataclass
 
+from .weyl import is_dominant
+
 __all__ = ["ConeTriple", "op1", "op2", "op3", "normal_form", "ws_leq", "WSPair"]
-
-
-def _is_dominant(vec):
-    return all(a >= 0 for a in vec) and all(
-        vec[i] >= vec[i + 1] for i in range(len(vec) - 1)
-    )
 
 
 @dataclass(frozen=True)
@@ -42,10 +38,10 @@ class ConeTriple:
             raise ValueError("a must have length n-m")
         if any(x < 0 for x in self.d) or any(x < 0 for x in self.r):
             raise ValueError("d and r must be nonnegative")
-        if not _is_dominant(self.a):
+        if not is_dominant(self.a):
             raise ValueError("a must be dominant")
         s = tuple(x + y for x, y in zip(self.d, self.r))
-        if not _is_dominant(s):
+        if not is_dominant(s):
             raise ValueError("d + r must be dominant")
 
     def replace(self, d=None, r=None):
@@ -130,7 +126,7 @@ class WSPair:
         object.__setattr__(self, "f", tuple(int(x) for x in self.f))
         if len(self.d) != self.m or len(self.f) != self.n:
             raise ValueError("shape mismatch: need |d| = m, |f| = n")
-        if not _is_dominant(self.d) or not _is_dominant(self.f):
+        if not is_dominant(self.d) or not is_dominant(self.f):
             raise ValueError("d and f must be dominant")
 
 

@@ -6,7 +6,10 @@ from three layers:
   * exponent tuples -- a monomial is a tuple of integers, one slot per
     variable, in the fixed order (v, x_1, ..., x_n, y_1, ..., y_m);
     exponents may be negative;
-  * ``Poly`` -- a sparse Laurent polynomial with exact Fraction coefficients;
+  * ``Poly`` -- a sparse Laurent polynomial with exact rational
+    coefficients: an ``int`` when integral, else a ``Fraction``, so that
+    integer inputs (every factor key, character and value here) are
+    multiplied, added and divided in plain integer arithmetic;
   * ``RatFun`` -- a quotient, kept in partially factored form: a scalar unit
     times a product of canonical polynomial factors over another such
     product.  Multiplication and division never expand anything; addition
@@ -17,7 +20,8 @@ All values are immutable after construction and safe to share.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import sub
 
 __all__ = [
     "Vars",
@@ -32,6 +36,14 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _exact(c):
+    """An exact coefficient: an int when c is integral, else a Fraction."""
+    if isinstance(c, int):
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class ContextMismatchError(ValueError):
@@ -124,14 +136,21 @@ def exp_neg(e):
 
 
 class Poly:
-    """Sparse Laurent polynomial: dict from exponent tuple to nonzero Fraction."""
+    """Sparse Laurent polynomial: dict from exponent tuple to a nonzero exact
+    coefficient, an int when integral and a Fraction otherwise.
+
+    Integer inputs stay integers through every operation; a Fraction enters
+    only with a non-integral constant, scale or quotient.  An integral result
+    of Fraction arithmetic may stay a Fraction: the two compare and hash
+    equal, so keys, equality and hashes do not depend on the type.
+    """
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars_, terms, prune=True):
         self.vars = vars_
         if prune:
-            terms = {e: c for e, c in terms.items() if c}
+            terms = {e: _exact(c) for e, c in terms.items() if c}
         self.terms = terms
 
     # -- constructors -------------------------------------------------
@@ -142,14 +161,14 @@ class Poly:
 
     @classmethod
     def constant(cls, vars_, c):
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return cls.zero(vars_)
         return cls(vars_, {vars_.zero_exp(): c}, prune=False)
 
     @classmethod
     def monomial(cls, vars_, exp, c=1):
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return cls.zero(vars_)
         return cls(vars_, {tuple(exp): c}, prune=False)
@@ -166,7 +185,7 @@ class Poly:
         _check_same(self, other)
         res = dict(self.terms)
         for e, c in other.terms.items():
-            s = res.get(e, _ZERO) + c
+            s = res.get(e, 0) + c
             if s:
                 res[e] = s
             else:
@@ -177,7 +196,7 @@ class Poly:
         _check_same(self, other)
         res = dict(self.terms)
         for e, c in other.terms.items():
-            s = res.get(e, _ZERO) - c
+            s = res.get(e, 0) - c
             if s:
                 res[e] = s
             else:
@@ -197,7 +216,7 @@ class Poly:
         for e2, c2 in small.items():
             for e1, c1 in big.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = res.get(e, _ZERO) + c1 * c2
+                s = res.get(e, 0) + c1 * c2
                 if s:
                     res[e] = s
                 else:
@@ -205,10 +224,10 @@ class Poly:
         return Poly(self.vars, res, prune=False)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return Poly.zero(self.vars)
-        return Poly(self.vars, {e: k * c for e, k in self.terms.items()}, prune=False)
+        return Poly(self.vars, {e: _exact(k * c) for e, k in self.terms.items()}, prune=False)
 
     def shift(self, exp):
         """Multiply by the monomial with exponent tuple ``exp``."""
@@ -232,26 +251,16 @@ class Poly:
         """Componentwise minimum exponent over all terms (zero poly: origin)."""
         if not self.terms:
             return self.vars.zero_exp()
-        mins = None
-        for e in self.terms:
-            if mins is None:
-                mins = list(e)
-            else:
-                for i, a in enumerate(e):
-                    if a < mins[i]:
-                        mins[i] = a
-        return tuple(mins)
+        return tuple(map(min, zip(*self.terms)))
 
     def content(self):
-        """Positive rational c with self/c having coprime integer coefficients."""
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        if num_gcd == 0:
+        """Positive rational c with self/c having coprime integer coefficients:
+        the gcd of the numerators over the lcm of the denominators (1 for the
+        zero polynomial)."""
+        if not self.terms:
             return _ONE
-        return Fraction(num_gcd, den_lcm)
+        cs = self.terms.values()
+        return Fraction(gcd(*(c.numerator for c in cs)), lcm(*(c.denominator for c in cs)))
 
     def leading(self):
         """(exponent, coefficient) of the lexicographically largest term."""
@@ -263,8 +272,9 @@ class Poly:
 
         Works on the Laurent grid; exactness is decided, not assumed.  The
         arithmetic runs on plain integers whenever both operands have
-        integer coefficients (a primitive divisor's exact quotient is
-        integral by Gauss's lemma; the divisor content is scaled back in).
+        integral coefficients (a primitive divisor's exact quotient is
+        integral by Gauss's lemma; the divisor content is scaled back in),
+        and over Q otherwise.
         """
         _check_same(self, divisor)
         if divisor.is_zero():
@@ -287,15 +297,13 @@ class Poly:
             quot = laurent_div_exact(rem, div, fractions=False)
             if quot is None:
                 return None
-            return Poly(
-                self.vars,
-                {e: Fraction(c, div_content) for e, c in quot.items()},
-                prune=False,
-            )
+            if div_content > 1:
+                quot = {e: _exact(Fraction(c, div_content)) for e, c in quot.items()}
+            return Poly(self.vars, quot, prune=False)
         quot = laurent_div_exact(dict(self.terms), dict(divisor.terms), fractions=True)
         if quot is None:
             return None
-        return Poly(self.vars, quot, prune=False)
+        return Poly(self.vars, {e: _exact(c) for e, c in quot.items()}, prune=False)
 
     def eval_at(self, point):
         """Evaluate at a complex point (tuple in canonical variable order)."""
@@ -345,7 +353,9 @@ def laurent_div_exact(rem, div, fractions=False):
     not exact.  Both dicts are shifted to nonnegative exponents internally;
     the leading term is tracked with a lazy max-heap.  With
     ``fractions=False`` the coefficients must be ints and a non-integral
-    quotient step proves inexactness (primitive divisor assumed).
+    quotient step proves inexactness (primitive divisor assumed); with
+    ``fractions=True`` each quotient coefficient is a Fraction, never a
+    float, whatever the operand types.
     """
     import heapq
 
@@ -389,7 +399,7 @@ def laurent_div_exact(rem, div, fractions=False):
         if any(a < 0 for a in qe):
             return None
         if fractions:
-            qc = rc / lead_c
+            qc = Fraction(rc) / lead_c
         else:
             qc, residue = divmod(rc, lead_c)
             if residue:
@@ -416,10 +426,11 @@ def laurent_div_exact(rem, div, fractions=False):
 
 # -- canonical factors ----------------------------------------------------
 #
-# A factor is stored as a sorted tuple of (exponent, Fraction) pairs with
+# A factor is stored as a sorted tuple of (exponent, int) pairs with
 # componentwise-minimal exponent 0, coprime integer coefficients, and the
 # lexicographically leading coefficient positive.  The unit stripped off in
-# canonicalization is returned so callers can absorb it.
+# canonicalization (a Fraction: the signed content) is returned so callers
+# can absorb it.
 
 
 def canonical_factor(poly):
@@ -427,12 +438,15 @@ def canonical_factor(poly):
     if poly.is_zero():
         raise ZeroDivisionError("zero polynomial cannot be a factor")
     mins = poly.min_exponents()
-    terms = {tuple(a - b for a, b in zip(e, mins)): c for e, c in poly.terms.items()}
-    cont = Poly(poly.vars, terms, prune=False).content()
-    lead = terms[max(terms)]
-    if lead < 0:
+    terms = poly.terms
+    if any(mins):
+        terms = {tuple(map(sub, e, mins)): c for e, c in terms.items()}
+    cont = poly.content()
+    if terms[max(terms)] < 0:
         cont = -cont
-    key = tuple(sorted((e, c / cont) for e, c in terms.items()))
+    # c / cont = (a/b) * l / g with g | a and b | l: integer // only
+    g, l = cont.numerator, cont.denominator
+    key = tuple(sorted((e, c.numerator // g * (l // c.denominator)) for e, c in terms.items()))
     return cont, mins, key
 
 
@@ -789,18 +803,17 @@ def _binomial_halves(vars_, key):
     (e0, c0), (e1, c1) = key
     if any(e0):
         return None
-    if c1 != 1 or c0 >= 0 or c0.denominator != 1:
+    if c1 != 1 or c0 >= 0:
         return None
     if any(a % 2 for a in e1):
         return None
-    k2 = -c0
-    k = _isqrt_exact(k2.numerator)
+    k = _isqrt_exact(-c0)
     if k is None:
         return None
     half = tuple(a // 2 for a in e1)
     zero = tuple(0 for _ in e1)
-    minus = tuple(sorted(((zero, Fraction(-k)), (half, _ONE))))
-    plus = tuple(sorted(((zero, Fraction(k)), (half, _ONE))))
+    minus = tuple(sorted(((zero, -k), (half, 1))))
+    plus = tuple(sorted(((zero, k), (half, 1))))
     return minus, plus
 
 

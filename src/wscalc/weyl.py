@@ -11,7 +11,6 @@ W(C_k) is also the Weyl group of SO(2k+1) (type B) and of Sp(2k) (type C),
 so one alternant serves both character formulas; they differ only in rho.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -27,6 +26,8 @@ __all__ = [
     "straighten",
     "straighten_weight",
     "character",
+    "group_order",
+    "is_dominant",
 ]
 
 ENUMERATION_GUARD = 6
@@ -170,7 +171,7 @@ def enumerate_group(k, guard=ENUMERATION_GUARD):
     if k > guard:
         raise ValueError(
             "W(C_%d) has %d elements; enumeration is guarded at k=%d, and "
-            "exact and numeric mode both enumerate it" % (k, _order(k), guard)
+            "exact and numeric mode both enumerate it" % (k, group_order(k), guard)
         )
     out = []
     for image in permutations(range(1, k + 1)):
@@ -179,11 +180,18 @@ def enumerate_group(k, guard=ENUMERATION_GUARD):
     return tuple(out)
 
 
-def _order(k):
+def group_order(k):
+    """|W(C_k)| = 2^k k!."""
     n = 1
     for i in range(1, k + 1):
         n *= 2 * i
     return n
+
+
+def is_dominant(vec):
+    """An integer weight is dominant for W(C_k) iff it is nonnegative and
+    weakly decreasing."""
+    return all(a >= 0 for a in vec) and all(a >= b for a, b in zip(vec, vec[1:]))
 
 
 def simple_reflections(k):
@@ -250,7 +258,7 @@ def alternating_monomial_sum(vars_, mu, offset, k, guard=ENUMERATION_GUARD):
             acc[e] = s
         else:
             del acc[e]
-    return Poly(vars_, {e: Fraction(c) for e, c in acc.items()}, prune=False)
+    return Poly(vars_, acc, prune=False)
 
 
 def _doubled_rho(k, group):
@@ -296,4 +304,4 @@ def character(lam, group):
         raise AssertionError("Weyl character formula failed to divide")
     if any(a % 2 for e in quot.terms for a in e):
         raise AssertionError("character has a non-integral exponent")
-    return tuple((tuple(a // 2 for a in e[1:]), c.numerator) for e, c in quot.terms.items())
+    return tuple((tuple(a // 2 for a in e[1:]), c) for e, c in quot.terms.items())

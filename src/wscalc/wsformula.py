@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import lcm
 
 from .ratfun import LinearForm, PoleError, Poly, RatFun, zeta_of
-from .weyl import character, enumerate_group, straighten_weight
+from .weyl import character, enumerate_group, is_dominant, straighten_weight
 from .zetafactors import (
     b_factor,
     b_factor_poly,
@@ -65,19 +65,16 @@ _G_OFF = 1  # x-variables start at slot 1 of the exponent tuple
 
 def require_dominant(vec, what):
     vec = tuple(int(a) for a in vec)
-    if any(a < 0 for a in vec):
-        raise ValueError("%s not dominant: negative entry in %r" % (what, vec))
-    if any(vec[i] < vec[i + 1] for i in range(len(vec) - 1)):
-        raise ValueError("%s not dominant: %r is not weakly decreasing" % (what, vec))
+    if not is_dominant(vec):
+        why = "negative entry in %r" if any(a < 0 for a in vec) else "%r is not weakly decreasing"
+        raise ValueError("%s not dominant: %s" % (what, why % (vec,)))
     return vec
 
 
 @lru_cache(maxsize=None)
 def _b_terms_int(ctx):
     """b(chi, xi) expanded, as a tuple of (exponent, int coefficient)."""
-    return tuple(
-        (e, c.numerator) for e, c in sorted(b_factor_poly(ctx).terms.items())
-    )
+    return tuple(sorted(b_factor_poly(ctx).terms.items()))
 
 
 def _character_form(ctx, d, f):
@@ -128,7 +125,7 @@ def _expand(ctx, coeffs, shift=0):
                 for k, c in vpoly:
                     key = (k + shift,) + exy
                     acc[key] = get(key, 0) + c * cxy
-    return Poly(ctx.vars, {e: Fraction(c) for e, c in acc.items() if c}, prune=False)
+    return Poly(ctx.vars, {e: c for e, c in acc.items() if c}, prune=False)
 
 
 def weyl_sum(ctx, d, f):
@@ -223,6 +220,20 @@ def _v_divmod(a, b):
     return q, r
 
 
+@lru_cache(maxsize=None)
+def _constant_v(ctx):
+    """C(v) = zeta(1)^m prod zeta^-1(2i), a polynomial in v, as a coefficient
+    list with the constant term first."""
+    closed = normalization_constant_closed(ctx)
+    den, rem = _v_divmod(
+        *(_v_list({e[0]: c for e, c in p.terms.items()})
+          for p in (closed.numerator_poly(), closed.denominator_poly()))
+    )
+    if rem:
+        raise AssertionError("normalization constant is not a polynomial in v")
+    return tuple(den)
+
+
 def L_value(ctx, d, f):
     """The normalized integrated Whittaker-Shintani value L(d, f).
 
@@ -236,13 +247,7 @@ def L_value(ctx, d, f):
     in lowest terms.
     """
     coeffs = {key: _v_list(dict(vpoly)) for key, vpoly in _character_form(ctx, d, f)}
-    closed = normalization_constant_closed(ctx)
-    den, rem = _v_divmod(
-        *(_v_list({e[0]: c for e, c in p.terms.items()})
-          for p in (closed.numerator_poly(), closed.denominator_poly()))
-    )
-    if rem:
-        raise AssertionError("normalization constant is not a polynomial in v")
+    den = _constant_v(ctx)
     g = den
     for p in coeffs.values():
         while p and len(g) > 1:
@@ -256,7 +261,7 @@ def L_value(ctx, d, f):
         [(key, [(k, int(c * scale)) for k, c in enumerate(p) if c]) for key, p in coeffs.items()],
         shift,
     )
-    den = Poly(ctx.vars, {ctx.vars.v_exp(k): c * scale for k, c in enumerate(den)})
+    den = Poly(ctx.vars, {ctx.vars.v_exp(k): int(c * scale) for k, c in enumerate(den)})
     return RatFun.from_poly(num) / RatFun.from_poly(den)
 
 
@@ -371,12 +376,6 @@ class InvarianceReport:
         }
 
 
-def _root_label(root):
-    if root.kind == "short":
-        return "e%d-e%d" % (root.index, root.index + 1)
-    return "2e%d" % root.index
-
-
 def invariance_report(ctx, d, f, mode="exact", samples=10, seed=0, q=3, radius=0.7,
                       tol=1e-9):
     """Check that the unnormalized pairing value over Gamma(chi, xi) is
@@ -409,7 +408,7 @@ def invariance_report(ctx, d, f, mode="exact", samples=10, seed=0, q=3, radius=0
                 remap
             )
             ok = reflected == base
-            results.append((group, _root_label(root), ok, None))
+            results.append((group, root.label, ok, None))
         return InvarianceReport(ctx, d, f, "exact", results)
 
     if mode != "numeric":
@@ -444,5 +443,5 @@ def invariance_report(ctx, d, f, mode="exact", samples=10, seed=0, q=3, radius=0
             dev = abs(ratio - base_ratio)
             per_gen_dev[idx] = max(dev, per_gen_dev[idx] or 0.0)
     for (group, root, w), dev in zip(gens, per_gen_dev):
-        results.append((group, _root_label(root), dev is not None and dev < tol, dev))
+        results.append((group, root.label, dev is not None and dev < tol, dev))
     return InvarianceReport(ctx, d, f, "numeric", results, skipped=skipped)

@@ -22,6 +22,7 @@ __all__ = [
     "d_factor",
     "dprime_factor",
     "b_factor",
+    "require_b_expandable",
     "gamma_big",
     "c_w",
     "c_tilde_w",
@@ -77,6 +78,13 @@ class SimpleRoot:
             raise ValueError("group must be G or M")
         if self.kind not in ("short", "long"):
             raise ValueError("kind must be short or long")
+
+    @property
+    def label(self):
+        """"e<i>-e<i+1>" for a short root, "2e<rank>" for the long one."""
+        if self.kind == "short":
+            return "e%d-e%d" % (self.index, self.index + 1)
+        return "2e%d" % self.index
 
     def rank_of(self, ctx):
         return ctx.n if self.group == "G" else ctx.m
@@ -172,9 +180,25 @@ def b_factor(ctx):
     return _prod(ctx.vars, [zeta_inv_of(s) for s in b_linear_forms(ctx)])
 
 
+# b has 2nm factors; at (4,3) its 24 expand to 765,904 terms (about 6 s and
+# 270 MB on a 2-vCPU machine), and the count grows exponentially with the rank
+B_EXPANSION_MAX_N = 4
+
+
+def require_b_expandable(ctx):
+    """Refuse a rank whose b(chi, xi) is too large to expand: n > 4."""
+    if ctx.n > B_EXPANSION_MAX_N:
+        raise ValueError(
+            "b(chi, xi) is expanded only for n <= %d (at (4,3) it has 765,904 "
+            "terms); rank n = %d, m = %d is out of range"
+            % (B_EXPANSION_MAX_N, ctx.n, ctx.m)
+        )
+
+
 @lru_cache(maxsize=None)
 def b_factor_poly(ctx):
     """b(chi, xi) expanded as a Poly (it has trivial denominator)."""
+    require_b_expandable(ctx)
     return b_factor(ctx).numerator_poly()
 
 

@@ -171,12 +171,12 @@ def test_exit_code_contract_on_failure(capsys, monkeypatch):
     assert doc["report"]["witness"] == "forced failure"
 
 
-def _run_subprocess(*argv):
+def _run_subprocess(*argv, timeout=60):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
         [sys.executable, "-m", "wscalc.cli"] + list(argv),
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=timeout, env=env,
     )
 
 
@@ -206,6 +206,26 @@ def test_zero_work_verify_is_config_error(argv):
     proc = _run_subprocess("verify", *argv, "--n", "2", "--m", "1")
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"]["type"] == "config"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--f", "1,0,0,0,0,0,0", "--mode", "numeric"],
+        ["eval", "--f", "1,0,0,0,0,0,0", "--mode", "exact"],
+        ["series", "--K", "1"],
+        ["verify", "constant"],
+        ["verify", "invariance", "--mode", "numeric"],
+        ["verify", "shintani", "--K", "1"],
+    ],
+)
+def test_b_expansion_beyond_rank_4_is_config_error(argv):
+    """At (7,6) both modes used to start expanding b and never finish; the
+    rank is refused before any expansion starts."""
+    proc = _run_subprocess(*argv, "--n", "7", "--m", "6", timeout=10)
+    assert proc.returncode == 2
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "config" and "n = 7" in error["message"]
 
 
 def test_verify_gauss_names_failing_case(monkeypatch):

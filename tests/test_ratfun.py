@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from wscalc.ratfun import (
     Poly,
     RatFun,
     Vars,
+    canonical_factor,
     zeta_of,
     zeta_inv_of,
 )
@@ -219,3 +221,81 @@ def test_zero_denominator_rejected():
         RatFun.from_num_den(Poly.constant(V1, 1), Poly.zero(V1))
     with pytest.raises(ZeroDivisionError):
         RatFun.zero(V1).inverse()
+
+
+# -- coefficient types: int when integral, Fraction otherwise, never float -----
+
+mixed_coeff = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+)
+
+
+def mixed_poly(vars_):
+    """Sparse Laurent polys whose coefficients are ints and Fractions, some
+    of the Fractions integral."""
+    term = st.tuples(st.tuples(*[small_exp for _ in range(vars_.size)]), mixed_coeff)
+    return st.lists(term, min_size=0, max_size=4).map(
+        lambda items: Poly(vars_, {e: c for e, c in items if c}, prune=False)
+    )
+
+
+def _all_fraction(p):
+    return Poly(p.vars, {e: Fraction(c) for e, c in p.terms.items()}, prune=False)
+
+
+def _exact_types(p, integral_inputs):
+    """No float anywhere; only ints when every input coefficient was an int."""
+    allowed = (int,) if integral_inputs else (int, Fraction)
+    return all(type(c) in allowed for c in p.terms.values())
+
+
+def _ints(*polys):
+    return all(type(c) is int for p in polys for c in p.terms.values())
+
+
+def _check_canonical(p):
+    coeff, mono, key = canonical_factor(p)
+    assert all(type(c) is int for _, c in key)
+    assert math.gcd(*(c for _, c in key)) == 1
+    assert max(key)[1] > 0
+    assert all(min(col) == 0 for col in zip(*(e for e, _ in key)))
+    assert Poly(p.vars, dict(key), prune=False).shift(mono).scale(coeff) == p
+    assert (coeff, mono, key) == canonical_factor(_all_fraction(p))
+
+
+@given(mixed_poly(V1), mixed_poly(V1), mixed_coeff)
+@settings(max_examples=200, deadline=None)
+def test_integer_coefficients_stay_exact(a, b, c):
+    fa, fb = _all_fraction(a), _all_fraction(b)
+    ints = _ints(a, b)
+    for got, ref in ((a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb)):
+        assert _exact_types(got, ints)
+        assert got == ref
+    scaled = a.scale(c)
+    assert _exact_types(scaled, ints and type(c) is int)
+    assert scaled == fa.scale(Fraction(c))
+    if b:
+        # a*b / b takes the integral branch when both have integral
+        # coefficients and the branch over Q otherwise
+        prod = a * b
+        q = prod.divide_exact(b)
+        assert q is not None and q == a
+        assert _exact_types(q, ints)
+        r = a.divide_exact(b)
+        assert r == fa.divide_exact(fb)
+        if r is not None:
+            assert _exact_types(r, False)
+    for p in (a, b, a * b, a + b):
+        if p:
+            _check_canonical(p)
+
+
+def test_division_over_q_pinned():
+    # (3x^2 + 2x + 1/3) / (3x + 1) = x + 1/3: integer remainder terms over an
+    # integer leading coefficient must divide as Fractions, never as floats
+    num = Poly(V1, {(0, 2): 3, (0, 1): 2, (0, 0): Fraction(1, 3)})
+    den = Poly(V1, {(0, 1): 3, (0, 0): 1})
+    q = num.divide_exact(den)
+    assert q == Poly(V1, {(0, 1): 1, (0, 0): Fraction(1, 3)})
+    assert type(q.terms[(0, 1)]) is int and type(q.terms[(0, 0)]) is Fraction

@@ -98,6 +98,12 @@ def test_b_factor_empty_products():
     assert b_factor(C10) == RatFun.one(C10.vars)
 
 
+def test_b_expansion_refused_beyond_rank_4():
+    # the library refuses as the command line does, before expanding anything
+    with pytest.raises(ValueError, match="n = 5"):
+        b_factor_poly(Context(5, 1))
+
+
 def test_b_factor_3_1_index_count():
     # brute-force count of the index sets: 2 (first) + 0 (second) + 1 + 3 = 6
     n, m = 3, 1
