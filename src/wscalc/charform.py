@@ -28,7 +28,6 @@ __all__ = [
     "so_char",
     "satake_multiset",
     "elementary_sym",
-    "SeriesInT",
     "lhs_series",
     "rhs_series",
     "shintani_verify",
@@ -85,42 +84,8 @@ def elementary_sym(vars_, monomials, r):
     return RatFun.from_poly(Poly(vars_, acc))
 
 
-class SeriesInT:
-    """A truncated power series in T = |p|^s with RatFun coefficients."""
-
-    def __init__(self, coeffs):
-        self.coeffs = list(coeffs)
-
-    @property
-    def truncation(self):
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, l):
-        return self.coeffs[l]
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __eq__(self, other):
-        return len(self.coeffs) == len(other.coeffs) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
-
-    def mul_truncated(self, other, K):
-        vars_ = self.coeffs[0].vars
-        out = []
-        for k in range(K + 1):
-            acc = RatFun.zero(vars_)
-            for i in range(k + 1):
-                j = k - i
-                if i < len(self.coeffs) and j < len(other.coeffs):
-                    acc = acc + self.coeffs[i] * other.coeffs[j]
-            out.append(acc.reduced())
-        return SeriesInT(out)
-
-
 def lhs_series(ctx, K):
-    """Coefficients of sum_l W0(p^(l,0,...,0)) |p|^(l(s-m-1)) up to T^K.
+    """The list of coefficients of sum_l W0(p^(l,0,...,0)) |p|^(l(s-m-1)) up to T^K.
 
     Requires n = m+1.  The coefficient of T^l is ws_torus at (l,0,...,0)
     times v^(-2l(m+1)): the |t|^(-m-1) normalization exactly undoes the
@@ -137,12 +102,13 @@ def lhs_series(ctx, K):
         f = (l,) + (0,) * (ctx.n - 1)
         comp = RatFun.monomial(V, V.v_exp(-2 * l * (ctx.m + 1)))
         out.append(ws_torus(ctx, f) * comp)
-    return SeriesInT(out)
+    return out
 
 
 def rhs_series(ctx, K):
-    """Coefficients of (sum_a T_{m+1}((a,0,..); z_pi) T^a) * prod(1 - q^-g T)
-    up to T^K, with the product over the 2m Satake monomials q^-g."""
+    """The list of coefficients of
+    (sum_a T_{m+1}((a,0,..); z_pi) T^a) * prod(1 - q^-g T) up to T^K, with
+    the product over the 2m Satake monomials q^-g."""
     if ctx.n != ctx.m + 1:
         raise ValueError("the series identity needs n = m+1")
     if K < 0:
@@ -157,8 +123,8 @@ def rhs_series(ctx, K):
             lam = (k - r,) + (0,) * ctx.m
             term = elementary_sym(V, gammas, r) * so_char(V, lam) * sign
             acc = acc + term
-        out.append(acc.reduced())
-    return SeriesInT(out)
+        out.append(acc)
+    return out
 
 
 class ShintaniReport:

@@ -10,11 +10,11 @@ from three layers:
     coefficients: an ``int`` when integral, else a ``Fraction``, so that
     integer inputs (every factor key, character and value here) are
     multiplied, added and divided in plain integer arithmetic;
-  * ``RatFun`` -- a quotient, kept in partially factored form: a scalar unit
+  * ``RatFun`` -- a lazy quotient, kept in factored form: a scalar unit
     times a product of canonical polynomial factors over another such
     product.  Multiplication and division never expand anything; addition
-    expands numerators over a shared denominator and then cancels factors
-    by exact trial division.
+    expands numerators over a shared denominator.  Equal factors cancel;
+    nothing is trial-divided, so a value is exact but not reduced.
 
 All values are immutable after construction and safe to share.
 """
@@ -270,40 +270,25 @@ class Poly:
     def divide_exact(self, divisor):
         """Exact division: return self/divisor as a Poly, or None if not divisible.
 
-        Works on the Laurent grid; exactness is decided, not assumed.  The
-        arithmetic runs on plain integers whenever both operands have
-        integral coefficients (a primitive divisor's exact quotient is
-        integral by Gauss's lemma; the divisor content is scaled back in),
-        and over Q otherwise.
+        Works on the Laurent grid; exactness is decided, not assumed.  Both
+        operands are split by ``canonical_factor`` into content, monomial and
+        primitive integer key; the keys are divided in integers and the
+        quotient is shifted and scaled back.  By Gauss's lemma the keys divide
+        in Z exactly when the operands divide over Q, so one integer routine
+        serves every coefficient type.
         """
         _check_same(self, divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero():
             return self
-        integral = all(c.denominator == 1 for c in self.terms.values()) and all(
-            c.denominator == 1 for c in divisor.terms.values()
-        )
-        if integral:
-            rem = {e: c.numerator for e, c in self.terms.items()}
-            div = {e: c.numerator for e, c in divisor.terms.items()}
-            div_content = 0
-            for c in div.values():
-                div_content = gcd(div_content, abs(c))
-            if div_content > 1:
-                div = {e: c // div_content for e, c in div.items()}
-            else:
-                div_content = 1
-            quot = laurent_div_exact(rem, div, fractions=False)
-            if quot is None:
-                return None
-            if div_content > 1:
-                quot = {e: _exact(Fraction(c, div_content)) for e, c in quot.items()}
-            return Poly(self.vars, quot, prune=False)
-        quot = laurent_div_exact(dict(self.terms), dict(divisor.terms), fractions=True)
+        coeff, mono, key = canonical_factor(self)
+        dcoeff, dmono, dkey = canonical_factor(divisor)
+        quot = laurent_div_exact(dict(key), dict(dkey))
         if quot is None:
             return None
-        return Poly(self.vars, {e: _exact(c) for e, c in quot.items()}, prune=False)
+        quot = Poly(self.vars, quot, prune=False)
+        return quot.shift(tuple(map(sub, mono, dmono))).scale(coeff / dcoeff)
 
     def eval_at(self, point):
         """Evaluate at a complex point (tuple in canonical variable order)."""
@@ -346,48 +331,24 @@ def _frac_text(c):
     return "%d/%d" % (c.numerator, c.denominator)
 
 
-def laurent_div_exact(rem, div, fractions=False):
-    """Exact division of sparse Laurent dicts {exp tuple: coeff}.
+def laurent_div_exact(rem, div):
+    """Exact division of sparse integer dicts {exp tuple: int}.
 
-    Consumes ``rem``; returns the quotient dict or None when the division is
-    not exact.  Both dicts are shifted to nonnegative exponents internally;
-    the leading term is tracked with a lazy max-heap.  With
-    ``fractions=False`` the coefficients must be ints and a non-integral
-    quotient step proves inexactness (primitive divisor assumed); with
-    ``fractions=True`` each quotient coefficient is a Fraction, never a
-    float, whatever the operand types.
+    Both operands are polynomials with nonnegative exponents and ``div`` is
+    primitive (a canonical factor key), so an exact quotient is an integer
+    polynomial and a non-integral quotient step, a negative exponent or a
+    nonzero remainder each prove inexactness.  Consumes both dicts; returns
+    the quotient dict or None.  The leading term is tracked with a lazy
+    max-heap.
     """
     import heapq
 
     if not div:
         raise ZeroDivisionError("polynomial division by zero")
-    if not rem:
-        return {}
-    smin = None
-    for e in rem:
-        if smin is None:
-            smin = list(e)
-        else:
-            for i, a in enumerate(e):
-                if a < smin[i]:
-                    smin[i] = a
-    dmin = None
-    for e in div:
-        if dmin is None:
-            dmin = list(e)
-        else:
-            for i, a in enumerate(e):
-                if a < dmin[i]:
-                    dmin[i] = a
-    rem = {tuple(a - b for a, b in zip(e, smin)): c for e, c in rem.items()}
-    div = {tuple(a - b for a, b in zip(e, dmin)): c for e, c in div.items()}
     lead_e = max(div)
     lead_c = div.pop(lead_e)
     tail = list(div.items())
-    back = tuple(b - a for a, b in zip(smin, dmin))
-    heap = list(rem)
-    for i, e in enumerate(heap):
-        heap[i] = tuple(-a for a in e)
+    heap = [tuple(-a for a in e) for e in rem]
     heapq.heapify(heap)
     quot = {}
     while heap:
@@ -398,12 +359,9 @@ def laurent_div_exact(rem, div, fractions=False):
         qe = tuple(a - b for a, b in zip(re, lead_e))
         if any(a < 0 for a in qe):
             return None
-        if fractions:
-            qc = Fraction(rc) / lead_c
-        else:
-            qc, residue = divmod(rc, lead_c)
-            if residue:
-                return None
+        qc, residue = divmod(rc, lead_c)
+        if residue:
+            return None
         quot[qe] = qc
         for de, dc in tail:
             e = tuple(a + b for a, b in zip(qe, de))
@@ -419,8 +377,6 @@ def laurent_div_exact(rem, div, fractions=False):
                     del rem[e]
     if rem:
         return None
-    if any(back):
-        return {tuple(a - b for a, b in zip(e, back)): c for e, c in quot.items()}
     return quot
 
 
@@ -454,37 +410,36 @@ def _key_to_poly(vars_, key):
     return Poly(vars_, dict(key), prune=False)
 
 
-def _key_is_monomial(key):
-    return len(key) == 1
+def _factors(key):
+    """The factor tuple of a canonical key: empty for the monomial key, which
+    is always 1 (one term, exponent 0, coefficient 1)."""
+    return () if len(key) == 1 else (key,)
 
 
 class RatFun:
     """Exact rational function, value = coeff * X^mono * prod(nfac) / prod(dfac).
 
-    ``nfac`` and ``dfac`` are sorted tuples of canonical factor keys; equal
-    keys in numerator and denominator are cancelled on construction, and the
-    expanded numerator is trial-divided by each denominator factor so that
-    e.g. (1-x^2)/(1-x) built from explicit numerator and denominator comes
-    out as 1+x.  The denominator is never zero.
+    ``nfac`` and ``dfac`` are sorted tuples of canonical factor keys.  The
+    quotient is lazy: products only concatenate factor lists, and
+    ``from_num_den``, addition, multiplication and substitution cancel
+    equal keys in numerator and denominator, nothing more.  No polynomial is
+    trial-divided, so a value need not be in lowest terms (e.g. (1-x^2)/(1-x)
+    stays as built); equality is exact all the same.  ``wsformula.L_value``
+    reduces in the character basis before it builds its RatFun, so its
+    values are in lowest terms.  The denominator is never zero.
     """
 
     __slots__ = ("vars", "coeff", "mono", "nfac", "dfac")
 
-    def __init__(self, vars_, coeff, mono, nfac, dfac, reduce_=True):
+    def __init__(self, vars_, coeff, mono, nfac, dfac):
         coeff = Fraction(coeff)
+        self.vars = vars_
         if not coeff:
-            self.vars = vars_
             self.coeff = _ZERO
             self.mono = vars_.zero_exp()
             self.nfac = ()
             self.dfac = ()
             return
-        if reduce_:
-            nfac, dfac = _cancel_multisets(nfac, dfac)
-            coeff, mono, nfac, dfac = _reduce_by_division(
-                vars_, coeff, mono, nfac, dfac
-            )
-        self.vars = vars_
         self.coeff = coeff
         self.mono = tuple(mono)
         self.nfac = tuple(sorted(nfac))
@@ -494,63 +449,51 @@ class RatFun:
 
     @classmethod
     def zero(cls, vars_):
-        return cls(vars_, 0, vars_.zero_exp(), (), (), reduce_=False)
+        return cls(vars_, 0, vars_.zero_exp(), (), ())
 
     @classmethod
     def one(cls, vars_):
-        return cls(vars_, 1, vars_.zero_exp(), (), (), reduce_=False)
+        return cls(vars_, 1, vars_.zero_exp(), (), ())
 
     @classmethod
     def constant(cls, vars_, c):
-        return cls(vars_, c, vars_.zero_exp(), (), (), reduce_=False)
+        return cls(vars_, c, vars_.zero_exp(), (), ())
 
     @classmethod
     def monomial(cls, vars_, exp, c=1):
-        return cls(vars_, c, tuple(exp), (), (), reduce_=False)
+        return cls(vars_, c, tuple(exp), (), ())
 
     @classmethod
     def from_poly(cls, poly):
         if poly.is_zero():
             return cls.zero(poly.vars)
         coeff, mono, key = canonical_factor(poly)
-        if _key_is_monomial(key):
-            e, c = key[0]
-            return cls(poly.vars, coeff * c, exp_mul(mono, e), (), (), reduce_=False)
-        return cls(poly.vars, coeff, mono, (key,), (), reduce_=False)
+        return cls(poly.vars, coeff, mono, _factors(key), ())
 
     @classmethod
     def from_num_den(cls, num, den):
-        """Build num/den from Polys (den may be a Poly or an iterable of Polys)."""
+        """Build num/den from Polys (den may be a Poly or an iterable of Polys).
+
+        Equal factor keys cancel; nothing is trial-divided, so num/den is
+        kept as given even where den divides num.
+        """
         if isinstance(den, Poly):
             den = (den,)
         vars_ = num.vars
         coeff, mono = _ONE, vars_.zero_exp()
-        dfac = []
+        dfac = ()
         for d in den:
             if d.is_zero():
                 raise ZeroDivisionError("zero denominator")
             c, e, key = canonical_factor(d)
             coeff /= c
-            mono = tuple(a - b for a, b in zip(mono, e))
-            if _key_is_monomial(key):
-                ke, kc = key[0]
-                coeff /= kc
-                mono = tuple(a - b for a, b in zip(mono, ke))
-            else:
-                dfac.append(key)
+            mono = tuple(map(sub, mono, e))
+            dfac += _factors(key)
         if num.is_zero():
             return cls.zero(vars_)
         c, e, key = canonical_factor(num)
-        coeff *= c
-        mono = exp_mul(mono, e)
-        nfac = []
-        if _key_is_monomial(key):
-            ke, kc = key[0]
-            coeff *= kc
-            mono = exp_mul(mono, ke)
-        else:
-            nfac.append(key)
-        return cls(vars_, coeff, mono, tuple(nfac), tuple(dfac))
+        nfac, dfac = _cancel_multisets(_factors(key), dfac)
+        return cls(vars_, coeff * c, exp_mul(mono, e), nfac, dfac)
 
     # -- predicates and views ------------------------------------------
 
@@ -577,10 +520,7 @@ class RatFun:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RatFun(
-                self.vars, self.coeff * other, self.mono, self.nfac, self.dfac,
-                reduce_=False,
-            )
+            return RatFun(self.vars, self.coeff * other, self.mono, self.nfac, self.dfac)
         _check_same(self, other)
         if self.is_zero() or other.is_zero():
             return RatFun.zero(self.vars)
@@ -593,7 +533,6 @@ class RatFun:
             exp_mul(self.mono, other.mono),
             nfac,
             dfac,
-            reduce_=False,
         )
 
     __rmul__ = __mul__
@@ -601,10 +540,7 @@ class RatFun:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return RatFun(
-            self.vars, 1 / self.coeff, exp_neg(self.mono), self.dfac, self.nfac,
-            reduce_=False,
-        )
+        return RatFun(self.vars, 1 / self.coeff, exp_neg(self.mono), self.dfac, self.nfac)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -625,9 +561,9 @@ class RatFun:
             other = RatFun.constant(self.vars, other)
         _check_same(self, other)
         if self.is_zero():
-            return other.reduced()
+            return other
         if other.is_zero():
-            return self.reduced()
+            return self
         common, amore, bmore = _split_common(self.dfac, other.dfac)
         na = self.numerator_poly()
         for key in bmore:
@@ -639,12 +575,8 @@ class RatFun:
         if num.is_zero():
             return RatFun.zero(self.vars)
         c, e, key = canonical_factor(num)
-        nfac = () if _key_is_monomial(key) else (key,)
-        if _key_is_monomial(key):
-            ke, kc = key[0]
-            c *= kc
-            e = exp_mul(e, ke)
-        return RatFun(self.vars, c, e, nfac, common + amore + bmore)
+        nfac, dfac = _cancel_multisets(_factors(key), common + amore + bmore)
+        return RatFun(self.vars, c, e, nfac, dfac)
 
     __radd__ = __add__
 
@@ -678,26 +610,11 @@ class RatFun:
         return diff.numerator_poly() == diff.denominator_poly()
 
     def __hash__(self):
-        # hash through the reduced expanded form; equal values built along
-        # different factor splits may collide, which is all hashing needs
+        # every factor key is primitive with a positive leading coefficient,
+        # and so is every product of keys (Gauss's lemma), so coeff is the
+        # same for each representation of a value, reduced or not: hashing
+        # (vars, coeff) agrees with ==
         return hash((self.vars, self.coeff))
-
-    def reduced(self):
-        """Collapse the numerator factors and cancel what divides exactly.
-
-        Multiplication and division are lazy (they only concatenate factor
-        lists); this expands the numerator into a single polynomial and
-        trial-divides it by each denominator factor, the canonical form the
-        addition path already produces.
-        """
-        if self.is_zero() or not self.nfac or (len(self.nfac) == 1 and not self.dfac):
-            return self
-        num = self.numerator_poly()
-        c, e, key = canonical_factor(num)
-        if _key_is_monomial(key):
-            ke, kc = key[0]
-            return RatFun(self.vars, c * kc, exp_mul(e, ke), (), self.dfac)
-        return RatFun(self.vars, c, e, (key,), self.dfac)
 
     # -- substitution and evaluation -------------------------------------
 
@@ -705,30 +622,19 @@ class RatFun:
         """Apply a lattice automorphism (e.g. a Weyl substitution) exactly."""
         coeff = self.coeff
         mono = remap(self.mono)
-        nfac = []
-        dfac = []
-        for keys, out, inv in ((self.nfac, nfac, False), (self.dfac, dfac, True)):
-            for key in keys:
-                p = _key_to_poly(self.vars, key).substitute_exponents(remap)
-                c, e, k = canonical_factor(p)
-                if inv:
-                    coeff /= c
-                    mono = tuple(a - b for a, b in zip(mono, e))
-                else:
-                    coeff *= c
-                    mono = exp_mul(mono, e)
-                if _key_is_monomial(k):
-                    ke, kc = k[0]
-                    if inv:
-                        coeff /= kc
-                        mono = tuple(a - b for a, b in zip(mono, ke))
-                    else:
-                        coeff *= kc
-                        mono = exp_mul(mono, ke)
-                else:
-                    out.append(k)
-        nfac, dfac = _cancel_multisets(tuple(nfac), tuple(dfac))
-        return RatFun(self.vars, coeff, mono, nfac, dfac, reduce_=False)
+        nfac = dfac = ()
+        for key in self.nfac:
+            c, e, k = canonical_factor(_key_to_poly(self.vars, key).substitute_exponents(remap))
+            coeff *= c
+            mono = exp_mul(mono, e)
+            nfac += _factors(k)
+        for key in self.dfac:
+            c, e, k = canonical_factor(_key_to_poly(self.vars, key).substitute_exponents(remap))
+            coeff /= c
+            mono = tuple(map(sub, mono, e))
+            dfac += _factors(k)
+        nfac, dfac = _cancel_multisets(nfac, dfac)
+        return RatFun(self.vars, coeff, mono, nfac, dfac)
 
     def eval_at(self, point, tol=1e-12):
         """Evaluate at a complex point; raise PoleError near a denominator zero."""
@@ -790,91 +696,6 @@ def _cancel_multisets(nfac, dfac):
         return tuple(nfac), tuple(dfac)
     common, nonly, donly = _split_common(tuple(nfac), tuple(dfac))
     return nonly, donly
-
-
-def _binomial_halves(vars_, key):
-    """Split a canonical binomial x^E - k^2 (E all even) as (x^(E/2) -+ k).
-
-    Returns the two canonical half keys, or None when the factor is not a
-    rational difference of squares.
-    """
-    if len(key) != 2:
-        return None
-    (e0, c0), (e1, c1) = key
-    if any(e0):
-        return None
-    if c1 != 1 or c0 >= 0:
-        return None
-    if any(a % 2 for a in e1):
-        return None
-    k = _isqrt_exact(-c0)
-    if k is None:
-        return None
-    half = tuple(a // 2 for a in e1)
-    zero = tuple(0 for _ in e1)
-    minus = tuple(sorted(((zero, -k), (half, 1))))
-    plus = tuple(sorted(((zero, k), (half, 1))))
-    return minus, plus
-
-
-def _isqrt_exact(n):
-    if n < 0:
-        return None
-    r = int(n ** 0.5)
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c * c == n:
-            return c
-    return None
-
-
-def _reduce_by_division(vars_, coeff, mono, nfac, dfac):
-    """Cancel denominator factors that exactly divide the expanded numerator.
-
-    Only runs when there is a single expanded numerator blob (the common case
-    after addition); products of untouched factors are left alone, so pure
-    multiplicative pipelines never expand.  A denominator binomial that is a
-    difference of squares is split when one half cancels (so e.g. a residual
-    (1-v^4) against a numerator divisible by 1-v^2 leaves only 1+v^2).
-    """
-    if not dfac or len(nfac) != 1:
-        return coeff, mono, tuple(nfac), tuple(dfac)
-    num = _key_to_poly(vars_, nfac[0])
-    dleft = list(dfac)
-    changed = False
-    progress = True
-    while progress:
-        progress = False
-        for key in list(dict.fromkeys(dleft)):
-            q = num.divide_exact(_key_to_poly(vars_, key))
-            if q is not None:
-                num = q
-                dleft.remove(key)
-                changed = True
-                progress = True
-                continue
-            halves = _binomial_halves(vars_, key)
-            if halves is None:
-                continue
-            for which, half in enumerate(halves):
-                q = num.divide_exact(_key_to_poly(vars_, half))
-                if q is not None:
-                    num = q
-                    dleft.remove(key)
-                    dleft.append(halves[1 - which])
-                    changed = True
-                    progress = True
-                    break
-    if not changed:
-        return coeff, mono, tuple(nfac), tuple(dfac)
-    c, e, key = canonical_factor(num)
-    coeff *= c
-    mono = exp_mul(mono, e)
-    if _key_is_monomial(key):
-        ke, kc = key[0]
-        coeff *= kc
-        mono = exp_mul(mono, ke)
-        return coeff, mono, (), tuple(dleft)
-    return coeff, mono, (key,), tuple(dleft)
 
 
 # -- linear forms in (chi, xi) with half-integer constants -----------------

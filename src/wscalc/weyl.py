@@ -1,5 +1,5 @@
-"""Hyperoctahedral Weyl groups W(C_k): signed permutations, antisymmetrizers
-and the Weyl characters of the dual groups.
+"""Hyperoctahedral Weyl groups W(C_k): signed permutations, alternants and
+the Weyl characters of the dual groups.
 
 An element w = (image, flips) sends the i-th coordinate to the image(i)-th,
 with a sign flip where flips[image(i)] = -1.  Substituting w into variables
@@ -19,10 +19,7 @@ from .ratfun import Poly, Vars
 __all__ = [
     "SignedPerm",
     "enumerate_group",
-    "simple_reflections",
-    "antisymmetrize",
     "alternating_monomial_sum",
-    "is_regular",
     "straighten",
     "straighten_weight",
     "character",
@@ -194,19 +191,6 @@ def is_dominant(vec):
     return all(a >= 0 for a in vec) and all(a >= b for a, b in zip(vec, vec[1:]))
 
 
-def simple_reflections(k):
-    """The simple reflections of C_k: s_i swaps i,i+1; s_k flips the last sign."""
-    out = []
-    for i in range(1, k):
-        image = list(range(1, k + 1))
-        image[i - 1], image[i] = image[i], image[i - 1]
-        out.append(SignedPerm(image, (1,) * k))
-    flips = [1] * k
-    flips[k - 1] = -1
-    out.append(SignedPerm(tuple(range(1, k + 1)), tuple(flips)))
-    return out
-
-
 def straighten(mu):
     """Reflect an integer pattern into the dominant chamber of W(C_k).
 
@@ -224,25 +208,6 @@ def straighten(mu):
             if a < b:
                 sign = -sign
     return sign, tuple(sorted(mags, reverse=True))
-
-
-def is_regular(mu):
-    """An exponent pattern is regular iff its |entries| are distinct and nonzero."""
-    return straighten(mu) is not None
-
-
-def antisymmetrize(fn, k, guard=ENUMERATION_GUARD):
-    """Signed sum over W(C_k): sum_w sgn(w) * fn(w).
-
-    ``fn`` receives each group element and returns a value supporting + and
-    scalar * (typically a RatFun built from the transformed variables).
-    Reduction follows the enumeration order, so results are reproducible.
-    """
-    total = None
-    for w in enumerate_group(k, guard=guard):
-        term = fn(w) * w.sgn()
-        total = term if total is None else total + term
-    return total
 
 
 def alternating_monomial_sum(vars_, mu, offset, k, guard=ENUMERATION_GUARD):

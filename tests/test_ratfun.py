@@ -45,7 +45,6 @@ def test_add_zero_canonicalizes_common_factor():
     f = RatFun.from_num_den(num, den)
     g = f + RatFun.zero(V1)
     assert g == RatFun.from_poly(Poly.constant(V1, 1) + Poly.monomial(V1, (0, 1)))
-    assert not g.dfac
 
 
 def test_mul_examples():
@@ -100,11 +99,16 @@ def test_evaluate_numeric_examples():
 
 
 def test_evaluate_canonical_form_at_former_pole():
-    # (1-x^2)/(1-x) canonicalizes to 1+x, which evaluates fine at x=1
+    # (1-x^2)/(1-x) is kept as built: it equals 1+x and evaluates as 1+x
+    # away from x = 1, but its stored denominator still vanishes at x = 1
     num = Poly.constant(V1, 1) - Poly.monomial(V1, (0, 2))
     den = Poly.constant(V1, 1) - Poly.monomial(V1, (0, 1))
     f = RatFun.from_num_den(num, den)
-    assert abs(f.eval_at((0.3, 1.0)) - 2.0) < 1e-12
+    assert f == RatFun.from_poly(Poly.constant(V1, 1) + Poly.monomial(V1, (0, 1)))
+    for x in (0.0, 0.5, 2.0, -3.0, 0.3 + 0.4j):
+        assert abs(f.eval_at((0.3, x)) - (1 + x)) < 1e-12
+    with pytest.raises(PoleError):
+        f.eval_at((0.3, 1.0))
 
 
 def test_near_pole_reports_magnitude():
@@ -153,6 +157,18 @@ def test_cancellation_soundness(f, g):
     rf = RatFun.from_poly(f)
     rg = RatFun.from_poly(g)
     assert (rf * rg) / rg == rf
+
+
+@given(poly_strategy(V1), poly_strategy(V1), poly_strategy(V1))
+@settings(max_examples=100, deadline=None)
+def test_unreduced_forms_compare_and_hash_equal(f, g, h):
+    # the same value reached reduced and unreduced: equal and equally hashed
+    if g.is_zero() or h.is_zero():
+        return
+    F, G = RatFun.from_poly(f), RatFun.from_num_den(h, g)
+    for other in (RatFun.from_poly(f * g) / RatFun.from_poly(g), (F + G) - G):
+        assert other == F
+        assert hash(other) == hash(F)
 
 
 def test_exact_division():
@@ -276,8 +292,8 @@ def test_integer_coefficients_stay_exact(a, b, c):
     assert _exact_types(scaled, ints and type(c) is int)
     assert scaled == fa.scale(Fraction(c))
     if b:
-        # a*b / b takes the integral branch when both have integral
-        # coefficients and the branch over Q otherwise
+        # a*b / b divides the canonical integer keys, whether the operands
+        # have integral coefficients or not
         prod = a * b
         q = prod.divide_exact(b)
         assert q is not None and q == a
