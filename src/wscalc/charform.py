@@ -85,7 +85,8 @@ def elementary_sym(vars_, monomials, r):
 
 
 def lhs_series(ctx, K):
-    """The list of coefficients of sum_l W0(p^(l,0,...,0)) |p|^(l(s-m-1)) up to T^K.
+    """The list of coefficients of sum_l W0(p^(l,0,...,0)) |p|^(l(s-m-1))
+    up to T^K.
 
     Requires n = m+1.  The coefficient of T^l is ws_torus at (l,0,...,0)
     times v^(-2l(m+1)): the |t|^(-m-1) normalization exactly undoes the
