@@ -7,9 +7,11 @@ the alternant ratio
     T_N(lam; x) = A(x^(lam+rho)) / A(x^rho),   rho = (N-1/2, ..., 1/2),
 
 computed with doubled exponents so the half-integers stay on the integer
-lattice; the division is exact.  An arbitrary lam is first straightened into
-the dominant chamber (``weyl.straighten_weight``), so only dominant
-characters are ever divided out, once each.  The series machinery expands
+lattice.  A(x^rho) is the product of the binomials x^(alpha/2) - x^(-alpha/2)
+over the positive roots, and ``weyl.character`` divides by them one at a
+time, each division exact and checked.  An arbitrary lam is first
+straightened into the dominant chamber (``weyl.straighten_weight``), so
+only dominant characters are ever computed, once each.  The series machinery expands
 both sides of the torus-integral identity
 
     sum_l W0(p^(l,0,..,0)) |p|^(l(s-m-1))

@@ -123,19 +123,7 @@ def cmd_eval(cfg):
             doc["value"] = value.text()
         else:
             point = wsformula.sample_points(ctx, 1, cfg.seed, q=cfg.q)[0]
-            s = wsformula.weyl_sum_numeric(ctx, d, f, point)
-            pref = wsformula.normalization_constant_closed(ctx).eval_at(point)
-            from .zetafactors import delta_half_G, delta_half_MJ
-
-            mono = 1 + 0j
-            exps = tuple(
-                a + b
-                for a, b in zip(delta_half_G(ctx, f), delta_half_MJ(ctx, d))
-            )
-            for base, k in zip(point, exps):
-                if k:
-                    mono *= base ** k
-            value = s * mono / pref
+            value = wsformula.L_value_numeric(ctx, d, f, point)
             doc["point"] = {"v": _cplx(point[0]),
                             "x": [_cplx(z) for z in point[1 : 1 + ctx.n]],
                             "y": [_cplx(z) for z in point[1 + ctx.n :]]}

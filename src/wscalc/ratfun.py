@@ -9,12 +9,13 @@ from three layers:
   * ``Poly`` -- a sparse Laurent polynomial with exact rational
     coefficients: an ``int`` when integral, else a ``Fraction``, so that
     integer inputs (every factor key, character and value here) are
-    multiplied, added and divided in plain integer arithmetic;
+    multiplied and added in plain integer arithmetic.  No polynomial is
+    ever divided by another;
   * ``RatFun`` -- a lazy quotient, kept in factored form: a scalar unit
     times a product of canonical polynomial factors over another such
     product.  Multiplication and division never expand anything; addition
     expands numerators over a shared denominator.  Equal factors cancel;
-    nothing is trial-divided, so a value is exact but not reduced.
+    nothing is divided, so a value is exact but not reduced.
 
 All values are immutable after construction and safe to share.
 """
@@ -30,6 +31,7 @@ __all__ = [
     "LinearForm",
     "zeta_of",
     "zeta_inv_of",
+    "eval_terms",
     "PoleError",
     "ContextMismatchError",
 ]
@@ -140,7 +142,7 @@ class Poly:
     coefficient, an int when integral and a Fraction otherwise.
 
     Integer inputs stay integers through every operation; a Fraction enters
-    only with a non-integral constant, scale or quotient.  An integral result
+    only with a non-integral constant or scale.  An integral result
     of Fraction arithmetic may stay a Fraction: the two compare and hash
     equal, so keys, equality and hashes do not depend on the type.
     """
@@ -262,44 +264,9 @@ class Poly:
         cs = self.terms.values()
         return Fraction(gcd(*(c.numerator for c in cs)), lcm(*(c.denominator for c in cs)))
 
-    def leading(self):
-        """(exponent, coefficient) of the lexicographically largest term."""
-        e = max(self.terms)
-        return e, self.terms[e]
-
-    def divide_exact(self, divisor):
-        """Exact division: return self/divisor as a Poly, or None if not divisible.
-
-        Works on the Laurent grid; exactness is decided, not assumed.  Both
-        operands are split by ``canonical_factor`` into content, monomial and
-        primitive integer key; the keys are divided in integers and the
-        quotient is shifted and scaled back.  By Gauss's lemma the keys divide
-        in Z exactly when the operands divide over Q, so one integer routine
-        serves every coefficient type.
-        """
-        _check_same(self, divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return self
-        coeff, mono, key = canonical_factor(self)
-        dcoeff, dmono, dkey = canonical_factor(divisor)
-        quot = laurent_div_exact(dict(key), dict(dkey))
-        if quot is None:
-            return None
-        quot = Poly(self.vars, quot, prune=False)
-        return quot.shift(tuple(map(sub, mono, dmono))).scale(coeff / dcoeff)
-
     def eval_at(self, point):
         """Evaluate at a complex point (tuple in canonical variable order)."""
-        total = 0j
-        for e, c in self.terms.items():
-            val = complex(c)
-            for base, k in zip(point, e):
-                if k:
-                    val *= base ** k
-            total += val
-        return total
+        return eval_terms(self.terms.items(), point, [{} for _ in point])
 
     def substitute_exponents(self, remap):
         """Apply an exponent-tuple remap (a bijection of the monomial lattice)."""
@@ -325,59 +292,28 @@ class Poly:
         return "Poly(%s)" % self.text()
 
 
+def eval_terms(terms, point, powers):
+    """The sum of c * X^e over the (e, c) pairs ``terms`` at a complex point,
+    one coordinate per slot of e.  ``powers`` holds one dict per coordinate,
+    {k: base ** k}, filled on first use and shared by every call that
+    evaluates at the same point, so each power is computed once."""
+    total = 0j
+    for e, c in terms:
+        val = complex(c)
+        for base, table, k in zip(point, powers, e):
+            if k:
+                p = table.get(k)
+                if p is None:
+                    p = table[k] = base ** k
+                val *= p
+        total += val
+    return total
+
+
 def _frac_text(c):
     if c.denominator == 1:
         return str(c.numerator)
     return "%d/%d" % (c.numerator, c.denominator)
-
-
-def laurent_div_exact(rem, div):
-    """Exact division of sparse integer dicts {exp tuple: int}.
-
-    Both operands are polynomials with nonnegative exponents and ``div`` is
-    primitive (a canonical factor key), so an exact quotient is an integer
-    polynomial and a non-integral quotient step, a negative exponent or a
-    nonzero remainder each prove inexactness.  Consumes both dicts; returns
-    the quotient dict or None.  The leading term is tracked with a lazy
-    max-heap.
-    """
-    import heapq
-
-    if not div:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead_e = max(div)
-    lead_c = div.pop(lead_e)
-    tail = list(div.items())
-    heap = [tuple(-a for a in e) for e in rem]
-    heapq.heapify(heap)
-    quot = {}
-    while heap:
-        re = tuple(-a for a in heapq.heappop(heap))
-        rc = rem.pop(re, None)
-        if rc is None:
-            continue  # stale heap entry
-        qe = tuple(a - b for a, b in zip(re, lead_e))
-        if any(a < 0 for a in qe):
-            return None
-        qc, residue = divmod(rc, lead_c)
-        if residue:
-            return None
-        quot[qe] = qc
-        for de, dc in tail:
-            e = tuple(a + b for a, b in zip(qe, de))
-            old = rem.get(e)
-            if old is None:
-                rem[e] = -qc * dc
-                heapq.heappush(heap, tuple(-a for a in e))
-            else:
-                s = old - qc * dc
-                if s:
-                    rem[e] = s
-                else:
-                    del rem[e]
-    if rem:
-        return None
-    return quot
 
 
 # -- canonical factors ----------------------------------------------------
@@ -390,7 +326,11 @@ def laurent_div_exact(rem, div):
 
 
 def canonical_factor(poly):
-    """Split ``poly`` into (coeff, mono, key) with poly == coeff * X^mono * key."""
+    """Split ``poly`` into (coeff, mono, key) with poly == coeff * X^mono * key.
+
+    Two polynomials that differ by a unit and a monomial get the same key, so
+    ``RatFun`` cancels factors by comparing keys; a key is never divided.
+    """
     if poly.is_zero():
         raise ZeroDivisionError("zero polynomial cannot be a factor")
     mins = poly.min_exponents()
@@ -423,10 +363,10 @@ class RatFun:
     quotient is lazy: products only concatenate factor lists, and
     ``from_num_den``, addition, multiplication and substitution cancel
     equal keys in numerator and denominator, nothing more.  No polynomial is
-    trial-divided, so a value need not be in lowest terms (e.g. (1-x^2)/(1-x)
+    divided, so a value need not be in lowest terms (e.g. (1-x^2)/(1-x)
     stays as built); equality is exact all the same.  ``wsformula.L_value``
-    reduces in the character basis before it builds its RatFun, so its
-    values are in lowest terms.  The denominator is never zero.
+    reduces in the character basis, by a gcd in Z[v], before it builds its
+    RatFun, so its values are in lowest terms.  The denominator is never zero.
     """
 
     __slots__ = ("vars", "coeff", "mono", "nfac", "dfac")
@@ -474,7 +414,7 @@ class RatFun:
     def from_num_den(cls, num, den):
         """Build num/den from Polys (den may be a Poly or an iterable of Polys).
 
-        Equal factor keys cancel; nothing is trial-divided, so num/den is
+        Equal factor keys cancel; nothing is divided, so num/den is
         kept as given even where den divides num.
         """
         if isinstance(den, Poly):
@@ -640,15 +580,13 @@ class RatFun:
         """Evaluate at a complex point; raise PoleError near a denominator zero."""
         if len(point) != self.vars.size:
             raise ContextMismatchError("point shape does not match context")
-        num = complex(self.coeff)
-        for base, k in zip(point, self.mono):
-            if k:
-                num *= base ** k
+        powers = [{} for _ in point]
+        num = eval_terms(((self.mono, self.coeff),), point, powers)
         for key in self.nfac:
-            num *= _key_to_poly(self.vars, key).eval_at(point)
+            num *= eval_terms(key, point, powers)
         den = 1 + 0j
         for key in self.dfac:
-            den *= _key_to_poly(self.vars, key).eval_at(point)
+            den *= eval_terms(key, point, powers)
         if abs(den) < tol:
             raise PoleError(
                 "evaluation within %g of a pole (|denominator| = %g)"

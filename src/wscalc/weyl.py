@@ -8,7 +8,10 @@ tuples is ``act_on_exponents``.  The sign character is the determinant of
 the reflection representation: parity of the permutation times (-1)^#flips.
 
 W(C_k) is also the Weyl group of SO(2k+1) (type B) and of Sp(2k) (type C),
-so one alternant serves both character formulas; they differ only in rho.
+so one alternant serves both character formulas; they differ only in rho
+and in the long roots, e_i or 2e_i.  A character is the alternant of
+lam + rho divided by the Weyl denominator, one positive-root binomial
+x^(alpha/2) - x^(-alpha/2) at a time, in integers.
 """
 
 from functools import lru_cache
@@ -25,6 +28,7 @@ __all__ = [
     "character",
     "group_order",
     "is_dominant",
+    "positive_roots",
 ]
 
 ENUMERATION_GUARD = 6
@@ -251,22 +255,67 @@ def straighten_weight(lam, group):
     return sign, tuple((a - r) // 2 for a, r in zip(mu, rho2))
 
 
+def positive_roots(k, group):
+    """The positive roots of SO(2k+1) (group "so") or Sp(2k) (group "sp") as
+    integer k-tuples: e_i or 2e_i, then e_a - e_b and e_a + e_b for a < b."""
+    long_ = {"so": 1, "sp": 2}[group]
+    roots = [tuple(long_ * (t == i) for t in range(k)) for i in range(k)]
+    return roots + [
+        tuple((t == a) + s * (t == b) for t in range(k))
+        for a in range(k) for b in range(a + 1, k) for s in (-1, 1)
+    ]
+
+
+def _divide_binomial(poly, alpha):
+    """The quotient of ``poly`` ({exponent k-tuple: int}) by X^alpha - X^-alpha,
+    or None when the division is inexact.
+
+    Each line e + Z*alpha is walked from the top: with P = Q*(X^alpha -
+    X^-alpha), Q(e - alpha) = P(e) + Q(e + alpha).  The division is exact
+    exactly when the last two carries of every line, at its lowest exponent
+    and one step below it, are zero.
+    """
+    i = next(i for i, a in enumerate(alpha) if a)
+    step = alpha[i]
+    lines = {}
+    for e, c in poly.items():
+        t = e[i] // step
+        lines.setdefault(tuple([a - t * b for a, b in zip(e, alpha)]), {})[t] = c
+    quot = {}
+    for base, line in lines.items():
+        lo = min(line)
+        above = cur = 0  # Q at t + 1 and at t, walking t downwards
+        for t in range(max(line), lo - 1, -1):
+            above, cur = cur, line.get(t, 0) + above
+            if cur:
+                quot[tuple([a + (t - 1) * b for a, b in zip(base, alpha)])] = cur
+        if above or cur:
+            return None
+    return quot
+
+
 @lru_cache(maxsize=None)
 def character(lam, group):
     """The irreducible character of dominant highest weight lam of SO(2k+1)
     (group "so") or Sp(2k) (group "sp"), k = len(lam), as a tuple of
-    (exponent k-tuple of x_1..x_k, integer multiplicity) pairs.
+    (exponent k-tuple of x_1..x_k, integer multiplicity) pairs, exponents in
+    descending order.
 
     Weyl's formula A(x^(lam+rho)) / A(x^rho), on doubled exponents so that
-    rho is integral; the division is exact and asserted.
+    rho is integral.  By the Weyl denominator formula A(x^rho) is the product
+    of x^(alpha/2) - x^(-alpha/2) over the positive roots, so the alternant is
+    divided by one binomial at a time; every division is exact and asserted.
+    Dividing by the roots e_i or 2e_i first keeps the quotients on the way
+    small.
     """
     k = len(lam)
-    V = Vars(k, 0)
     rho2 = _doubled_rho(k, group)
-    num = alternating_monomial_sum(V, (0,) + tuple(2 * a + r for a, r in zip(lam, rho2)), 1, k)
-    quot = num.divide_exact(alternating_monomial_sum(V, (0,) + rho2, 1, k))
-    if quot is None:
-        raise AssertionError("Weyl character formula failed to divide")
-    if any(a % 2 for e in quot.terms for a in e):
+    alt = alternating_monomial_sum(Vars(k, 0), (0,) + tuple(2 * a + r for a, r in zip(lam, rho2)), 1, k)
+    quot = {e[1:]: c for e, c in alt.terms.items()}
+    for alpha in positive_roots(k, group):
+        quot = _divide_binomial(quot, alpha)
+        if quot is None:
+            raise AssertionError("Weyl character formula failed to divide")
+    if any(a % 2 for e in quot for a in e):
         raise AssertionError("character has a non-integral exponent")
-    return tuple((tuple(a // 2 for a in e[1:]), c) for e, c in quot.terms.items())
+    return tuple((tuple(a // 2 for a in e), quot[e]) for e in sorted(quot, reverse=True))

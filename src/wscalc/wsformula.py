@@ -15,11 +15,13 @@ Sp(2m), so the Weyl sum of one term c v^k x^a y^b of b is a product of
 characters, c v^k chi^B_(f-a)(x) chi^C_(d-b)(y) (the Brauer-Klimyk rule).
 A character of a non-dominant weight is straightened by the dot action:
 lam + rho is reflected into the dominant chamber with sign sgn(w), and
-dropped when it is singular.  The engine therefore computes S as a short
-integer combination of characters, the character form, and expands it
-through characters cached by highest weight; no rational function is
-divided.  L applies its prefactor to the coefficient polynomials in v of
-the form before anything is expanded.
+dropped when it is singular.  b is grouped by weight, so each distinct
+x-exponent a and y-exponent b is straightened once per (d, f).  The engine
+therefore computes S as a short integer combination of characters, the
+character form, and expands it through characters cached by highest
+weight; no rational function is divided.  L applies its prefactor to the
+integer coefficient polynomials in v of the form, reduced by a gcd in Z[v],
+before anything is expanded.
 
 The numeric sum at a sample point (``weyl_sum_numeric``) evaluates the same
 character form: characters are Laurent polynomials, so it meets no pole and
@@ -29,11 +31,10 @@ term-by-term rational-function sum (``weyl_sum_direct``) is kept as an
 independent cross-check.
 """
 
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd
 
-from .ratfun import LinearForm, PoleError, Poly, RatFun, zeta_of
+from .ratfun import LinearForm, PoleError, Poly, RatFun, eval_terms, zeta_of
 from .weyl import character, enumerate_group, is_dominant, straighten_weight
 from .zetafactors import (
     b_factor,
@@ -53,6 +54,7 @@ __all__ = [
     "weyl_sum_direct",
     "weyl_sum_numeric",
     "L_value",
+    "L_value_numeric",
     "ws_torus",
     "normalization_constant",
     "normalization_constant_closed",
@@ -72,9 +74,23 @@ def require_dominant(vec, what):
 
 
 @lru_cache(maxsize=None)
-def _b_terms_int(ctx):
-    """b(chi, xi) expanded, as a tuple of (exponent, int coefficient)."""
-    return tuple(sorted(b_factor_poly(ctx).terms.items()))
+def _b_grouped(ctx):
+    """b(chi, xi) expanded and grouped by x-exponent, as (ys, blocks): ys are
+    the distinct y-exponents, and each block (a, js, ks, cs) holds the terms
+    c v^k x^a y^ys[j] in three parallel tuples of ints, 24 bytes a term."""
+    n = ctx.n
+    index = {}
+    blocks = {}
+    for e, c in b_factor_poly(ctx).terms.items():
+        j = index.setdefault(e[_G_OFF + n :], len(index))
+        a = e[_G_OFF : _G_OFF + n]
+        cols = blocks.get(a)
+        if cols is None:
+            cols = blocks[a] = ([], [], [])
+        cols[0].append(j)
+        cols[1].append(e[0])
+        cols[2].append(c)
+    return tuple(index), tuple((a, *map(tuple, cols)) for a, cols in blocks.items())
 
 
 def _character_form(ctx, d, f):
@@ -83,7 +99,9 @@ def _character_form(ctx, d, f):
     v^k chi^B_lam(x) chi^C_mu(y).
 
     Each term c v^k x^a y^b of b contributes c v^k chi^B_(f-a) chi^C_(d-b),
-    straightened by the dot action (Brauer-Klimyk).  The form is built once
+    straightened by the dot action (Brauer-Klimyk).  Straightening works on
+    b grouped by weight: f - a once per x-exponent, a singular one skipping
+    its whole block, and d - b once per y-exponent.  The form is built once
     per (ctx, d, f) and shared by the exact and the numeric sum.
     """
     return _straightened_b(ctx, require_dominant(d, "d"), require_dominant(f, "f"))
@@ -94,20 +112,27 @@ def _straightened_b(ctx, d, f):
     n, m = ctx.n, ctx.m
     if len(f) != n or len(d) != m:
         raise ValueError("shape mismatch: need |f| = n, |d| = m")
+    ys, blocks = _b_grouped(ctx)
+    st_y = [straighten_weight(tuple(di - bi for di, bi in zip(d, b)), "sp") for b in ys]
     form = {}
-    for e, c in _b_terms_int(ctx):
-        st_b = straighten_weight(tuple(a - b for a, b in zip(f, e[_G_OFF : _G_OFF + n])), "so")
-        st_c = st_b and straighten_weight(tuple(a - b for a, b in zip(d, e[_G_OFF + n :])), "sp")
-        if not st_c:
+    for a, js, ks, cs in blocks:
+        st_b = straighten_weight(tuple(fi - ai for fi, ai in zip(f, a)), "so")
+        if st_b is None:
             continue
-        (sx, lam), (sy, mu) = st_b, st_c
-        vpoly = form.setdefault((lam, mu), {})
-        s = vpoly.get(e[0], 0) + sx * sy * c
-        if s:
-            vpoly[e[0]] = s
-        else:
-            del vpoly[e[0]]
-    return tuple((key, tuple(sorted(vpoly.items()))) for key, vpoly in sorted(form.items()) if vpoly)
+        sx, lam = st_b
+        for j, k, c in zip(js, ks, cs):
+            st_c = st_y[j]
+            if st_c is None:
+                continue
+            sy, mu = st_c
+            acc = form.setdefault((lam, mu), {})
+            acc[k] = acc.get(k, 0) + sx * sy * c
+    out = []
+    for key, acc in sorted(form.items()):
+        vpoly = tuple((k, c) for k, c in sorted(acc.items()) if c)
+        if vpoly:
+            out.append((key, vpoly))
+    return tuple(out)
 
 
 def _expand(ctx, coeffs, shift=0):
@@ -202,16 +227,20 @@ def _v_list(terms):
     constant term first."""
     if min(terms) < 0:
         raise AssertionError("negative power of v")
-    return [Fraction(terms.get(k, 0)) for k in range(max(terms) + 1)]
+    return [terms.get(k, 0) for k in range(max(terms) + 1)]
 
 
 def _v_divmod(a, b):
-    """Quotient and remainder of polynomials in v over Q, as coefficient
-    lists with the constant term first and a nonzero last entry."""
+    """Quotient and remainder in Z[v], as coefficient lists with the constant
+    term first and a nonzero last entry.  Every step of the quotient must be
+    divisible by b's leading coefficient; that is asserted, not assumed."""
     a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    q = [0] * max(len(a) - len(b) + 1, 0)
     for i in range(len(q) - 1, -1, -1):
-        c = q[i] = a[i + len(b) - 1] / b[-1]
+        c, r = divmod(a[i + len(b) - 1], b[-1])
+        if r:
+            raise AssertionError("quotient in v is not integral")
+        q[i] = c
         for j, bj in enumerate(b):
             a[i + j] -= c * bj
     r = a[: len(b) - 1]
@@ -220,18 +249,41 @@ def _v_divmod(a, b):
     return q, r
 
 
+def _v_exact_quotient(a, b):
+    """a / b in Z[v]; that b divides a is asserted."""
+    q, r = _v_divmod(a, b)
+    if r:
+        raise AssertionError("polynomial in v does not divide")
+    return q
+
+
+def _v_primitive(a):
+    """The primitive part of a in Z[v], with a positive leading coefficient."""
+    g = gcd(*a) if a[-1] > 0 else -gcd(*a)
+    return [c // g for c in a]
+
+
+def _v_gcd(a, b):
+    """The gcd of two nonzero polynomials in Z[v], primitive with a positive
+    leading coefficient: by Gauss's lemma the primitive parts of the
+    pseudo-remainder sequence stay in Z[v]."""
+    a, b = _v_primitive(a), _v_primitive(b)
+    while len(b) > 1:
+        scale = b[-1] ** max(len(a) - len(b) + 1, 0)
+        r = _v_divmod([scale * c for c in a], b)[1]
+        a, b = b, r and _v_primitive(r)
+    return b if b else a
+
+
 @lru_cache(maxsize=None)
 def _constant_v(ctx):
-    """C(v) = zeta(1)^m prod zeta^-1(2i), a polynomial in v, as a coefficient
-    list with the constant term first."""
+    """C(v) = zeta(1)^m prod zeta^-1(2i), a monic polynomial in v, as a
+    coefficient list with the constant term first."""
     closed = normalization_constant_closed(ctx)
-    den, rem = _v_divmod(
+    return tuple(_v_exact_quotient(
         *(_v_list({e[0]: c for e, c in p.terms.items()})
           for p in (closed.numerator_poly(), closed.denominator_poly()))
-    )
-    if rem:
-        raise AssertionError("normalization constant is not a polynomial in v")
-    return tuple(den)
+    ))
 
 
 def L_value(ctx, d, f):
@@ -241,27 +293,28 @@ def L_value(ctx, d, f):
     reciprocal of the normalization constant, so L(0, 0) = 1 is a theorem
     about the Weyl sum, not a convention.
 
-    The constant C(v) and the coefficient polynomials in v of the character
-    form are divided by their common gcd before anything is expanded.  The
-    products chi_lam chi_mu are a basis of the invariants, so the result is
-    in lowest terms.
+    The constant C(v) and the integer coefficient polynomials in v of the
+    character form are divided by their common gcd, taken in Z[v], before
+    anything is expanded.  C(v) is monic, so the gcd is monic and every
+    quotient is integral.  The products chi_lam chi_mu are a basis of the
+    invariants, so the result is in lowest terms.
     """
     coeffs = {key: _v_list(dict(vpoly)) for key, vpoly in _character_form(ctx, d, f)}
     den = _constant_v(ctx)
     g = den
     for p in coeffs.values():
-        while p and len(g) > 1:
-            g, p = p, _v_divmod(g, p)[1]
-    den = _v_divmod(den, g)[0]
-    coeffs = {key: _v_divmod(p, g)[0] for key, p in coeffs.items()}
-    scale = lcm(*(c.denominator for p in (den, *coeffs.values()) for c in p))
+        if len(g) == 1:
+            break
+        g = _v_gcd(g, p)
+    den = _v_exact_quotient(den, g)
     shift = delta_half_G(ctx, f)[0] + delta_half_MJ(ctx, d)[0]
     num = _expand(
         ctx,
-        [(key, [(k, int(c * scale)) for k, c in enumerate(p) if c]) for key, p in coeffs.items()],
+        [(key, [(k, c) for k, c in enumerate(_v_exact_quotient(p, g)) if c])
+         for key, p in coeffs.items()],
         shift,
     )
-    den = Poly(ctx.vars, {ctx.vars.v_exp(k): int(c * scale) for k, c in enumerate(den)})
+    den = Poly(ctx.vars, {ctx.vars.v_exp(k): c for k, c in enumerate(den)})
     return RatFun.from_poly(num) / RatFun.from_poly(den)
 
 
@@ -273,38 +326,41 @@ def ws_torus(ctx, f):
 # -- numeric backend ---------------------------------------------------------
 
 
-def _character_at(lam, group, zs):
-    """The cached character chi_lam of SO(2k+1) or Sp(2k) at the point zs."""
-    total = 0j
-    for e, c in character(lam, group):
-        term = c
-        for z, a in zip(zs, e):
-            if a:
-                term *= z ** a
-        total += term
-    return total
-
-
 def weyl_sum_numeric(ctx, d, f, point):
     """S(d, f) at a numeric point, from its character form:
     sum of c v^k chi^B_lam(x) chi^C_mu(y).
 
     Characters are Laurent polynomials, so there is no pole to meet and no
-    cancellation against the Weyl denominators; each character is evaluated
-    once per call.
+    cancellation against the Weyl denominators; each character, and each
+    power of a coordinate, is evaluated once per call.
     """
     n = ctx.n
     v, xs, ys = point[0], point[1 : 1 + n], point[1 + n :]
+    powers_x, powers_y = [{} for _ in xs], [{} for _ in ys]
     chi_x = {}
     chi_y = {}
     total = 0j
     for (lam, mu), vpoly in _character_form(ctx, d, f):
         if lam not in chi_x:
-            chi_x[lam] = _character_at(lam, "so", xs)
+            chi_x[lam] = eval_terms(character(lam, "so"), xs, powers_x)
         if mu not in chi_y:
-            chi_y[mu] = _character_at(mu, "sp", ys)
+            chi_y[mu] = eval_terms(character(mu, "sp"), ys, powers_y)
         total += sum(c * v ** k for k, c in vpoly) * chi_x[lam] * chi_y[mu]
     return total
+
+
+def L_value_numeric(ctx, d, f, point):
+    """L(d, f) at a numeric point: ``weyl_sum_numeric`` times the monomial
+    delta_G^(1/2)(p^f) delta_MJ^(1/2)(p^d), over the closed-form normalization
+    constant at the point."""
+    s = weyl_sum_numeric(ctx, d, f, point)
+    pref = normalization_constant_closed(ctx).eval_at(point)
+    mono = 1 + 0j
+    exps = tuple(a + b for a, b in zip(delta_half_G(ctx, f), delta_half_MJ(ctx, d)))
+    for base, k in zip(point, exps):
+        if k:
+            mono *= base ** k
+    return s * mono / pref
 
 
 def sample_points(ctx, count, seed, q=3, radius=0.7):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .ratfun import LinearForm, Poly, RatFun, Vars, zeta_of, zeta_inv_of
-from .weyl import SignedPerm
+from .weyl import SignedPerm, positive_roots
 
 __all__ = [
     "Context",
@@ -195,9 +195,9 @@ def require_b_expandable(ctx):
         )
 
 
-@lru_cache(maxsize=None)
 def b_factor_poly(ctx):
-    """b(chi, xi) expanded as a Poly (it has trivial denominator)."""
+    """b(chi, xi) expanded as a Poly (it has trivial denominator).  Not
+    cached: its one caller in the engine keeps b grouped by weight instead."""
     require_b_expandable(ctx)
     return b_factor(ctx).numerator_poly()
 
@@ -242,24 +242,6 @@ def gamma_big(ctx):
 # -- Gindikin-Karpelevich factors ------------------------------------------
 
 
-def _positive_roots(k):
-    """Positive roots of C_k as integer vectors: e_a-e_b, e_a+e_b (a<b), 2e_i."""
-    roots = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            va = [0] * k
-            va[a], va[b] = 1, -1
-            roots.append(tuple(va))
-            vs = [0] * k
-            vs[a], vs[b] = 1, 1
-            roots.append(tuple(vs))
-    for i in range(k):
-        vt = [0] * k
-        vt[i] = 2
-        roots.append(tuple(vt))
-    return roots
-
-
 def _is_negative_root(vec):
     for a in vec:
         if a:
@@ -279,7 +261,7 @@ def _weight_action(w, vec):
 
 def inversion_set(w):
     """Positive roots sent to negative roots by w."""
-    return [r for r in _positive_roots(w.k) if _is_negative_root(_weight_action(w, r))]
+    return [r for r in positive_roots(w.k, "sp") if _is_negative_root(_weight_action(w, r))]
 
 
 def _coroot_pairing_chi(ctx, root):

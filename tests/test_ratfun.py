@@ -118,14 +118,6 @@ def test_near_pole_reports_magnitude():
     assert err.value.magnitude is not None
 
 
-def _random_poly(rng, vars_, nterms=4, span=2):
-    terms = {}
-    for _ in range(nterms):
-        e = tuple(rng.randint(-span, span) for _ in range(vars_.size))
-        terms[e] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-    return Poly(vars_, terms)
-
-
 small_coeff = st.integers(min_value=-4, max_value=4)
 small_exp = st.integers(min_value=-2, max_value=2)
 
@@ -169,30 +161,6 @@ def test_unreduced_forms_compare_and_hash_equal(f, g, h):
     for other in (RatFun.from_poly(f * g) / RatFun.from_poly(g), (F + G) - G):
         assert other == F
         assert hash(other) == hash(F)
-
-
-def test_exact_division():
-    rng = random.Random(1)
-    for _ in range(30):
-        f = _random_poly(rng, V)
-        g = _random_poly(rng, V)
-        if g.is_zero():
-            continue
-        prod = f * g
-        q = prod.divide_exact(g)
-        assert q is not None and q == f
-    # and a certain non-divisibility
-    one = Poly.constant(V1, 1)
-    x = Poly.monomial(V1, (0, 1))
-    assert (one - x).divide_exact(one - x * Poly.monomial(V1, (0, 1))) is None
-
-
-def test_division_by_scaled_divisor():
-    # a non-primitive divisor still divides over the field
-    x = Poly.monomial(V1, (0, 1))
-    two_x = x.scale(2)
-    q = x.divide_exact(two_x)
-    assert q == Poly.constant(V1, Fraction(1, 2))
 
 
 def test_numeric_symbolic_agreement():
@@ -291,27 +259,6 @@ def test_integer_coefficients_stay_exact(a, b, c):
     scaled = a.scale(c)
     assert _exact_types(scaled, ints and type(c) is int)
     assert scaled == fa.scale(Fraction(c))
-    if b:
-        # a*b / b divides the canonical integer keys, whether the operands
-        # have integral coefficients or not
-        prod = a * b
-        q = prod.divide_exact(b)
-        assert q is not None and q == a
-        assert _exact_types(q, ints)
-        r = a.divide_exact(b)
-        assert r == fa.divide_exact(fb)
-        if r is not None:
-            assert _exact_types(r, False)
     for p in (a, b, a * b, a + b):
         if p:
             _check_canonical(p)
-
-
-def test_division_over_q_pinned():
-    # (3x^2 + 2x + 1/3) / (3x + 1) = x + 1/3: integer remainder terms over an
-    # integer leading coefficient must divide as Fractions, never as floats
-    num = Poly(V1, {(0, 2): 3, (0, 1): 2, (0, 0): Fraction(1, 3)})
-    den = Poly(V1, {(0, 1): 3, (0, 0): 1})
-    q = num.divide_exact(den)
-    assert q == Poly(V1, {(0, 1): 1, (0, 0): Fraction(1, 3)})
-    assert type(q.terms[(0, 1)]) is int and type(q.terms[(0, 0)]) is Fraction

@@ -1,13 +1,20 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wscalc import weyl
 from wscalc.ratfun import Poly, Vars
 from wscalc.weyl import (
     SignedPerm,
+    _divide_binomial,
     alternating_monomial_sum,
+    character,
     enumerate_group,
+    is_dominant,
     straighten,
 )
 from wscalc.zetafactors import Context, simple_roots_G
@@ -144,3 +151,103 @@ def test_antisymmetry_of_composed_function():
             composed = alternating_monomial_sum(V, remap(mu), 1, 2)
             expect = base if w.sgn() == 1 else -base
             assert composed == expect
+
+
+# -- Weyl characters --------------------------------------------------------
+
+
+def _rho2(k, group):
+    """Doubled rho: (2k-1, ..., 1) for SO(2k+1), (2k, ..., 2) for Sp(2k)."""
+    return tuple(2 * (k - i) - (group == "so") for i in range(k))
+
+
+def _dominant_weights(k, bound=3):
+    return [lam for lam in product(range(bound + 1), repeat=k) if is_dominant(lam)]
+
+
+def _weyl_dimension(lam, group):
+    """prod over positive roots of <lam+rho, alpha> / <rho, alpha>; the long or
+    short roots e_i, 2e_i give the same ratio, (lam+rho)_i / rho_i."""
+    rho = [Fraction(r, 2) for r in _rho2(len(lam), group)]
+    top = [a + r for a, r in zip(lam, rho)]
+    dim = Fraction(1)
+    for i in range(len(lam)):
+        dim *= top[i] / rho[i]
+        for j in range(i + 1, len(lam)):
+            dim *= (top[i] - top[j]) * (top[i] + top[j]) / ((rho[i] - rho[j]) * (rho[i] + rho[j]))
+    return dim
+
+
+@pytest.mark.parametrize("group", ["so", "sp"])
+def test_character_times_denominator_is_the_alternant(group):
+    """chi_lam * A(x^rho) == A(x^(lam+rho)) by multiplication, on doubled
+    exponents, and chi_lam(1) is Weyl's dimension, for k <= 3 and every
+    dominant lam with entries <= 3."""
+    for k in (1, 2, 3):
+        V = Vars(k, 0)
+        rho2 = _rho2(k, group)
+        denom = alternating_monomial_sum(V, (0,) + rho2, 1, k)
+        for lam in _dominant_weights(k):
+            chi = character(lam, group)
+            doubled = Poly(V, {(0,) + tuple(2 * a for a in e): c for e, c in chi})
+            top = (0,) + tuple(2 * a + r for a, r in zip(lam, rho2))
+            assert doubled * denom == alternating_monomial_sum(V, top, 1, k)
+            assert sum(c for _, c in chi) == _weyl_dimension(lam, group)
+
+
+@pytest.fixture
+def clean_characters():
+    """Clear the character cache around a test that corrupts its input."""
+    character.cache_clear()
+    yield
+    character.cache_clear()
+
+
+@pytest.mark.parametrize("group", ["so", "sp"])
+def test_corrupted_alternant_fails_to_divide(group, monkeypatch, clean_characters):
+    """One wrong coefficient of A(x^(lam+rho)) makes every binomial division
+    inexact, and ``character`` raises instead of returning a character."""
+    k, lam = 3, (2, 1, 0)
+    V = Vars(k, 0)
+    top = (0,) + tuple(2 * a + r for a, r in zip(lam, _rho2(k, group)))
+    alt = {e[1:]: c for e, c in alternating_monomial_sum(V, top, 1, k).terms.items()}
+    bad = dict(alt)
+    bad[max(bad)] += 1
+    for alpha in weyl.positive_roots(k, group):
+        assert _divide_binomial(alt, alpha) is not None
+        assert _divide_binomial(bad, alpha) is None
+
+    def corrupted(vars_, mu, offset, k_):
+        poly = alternating_monomial_sum(vars_, mu, offset, k_)
+        if mu != top:
+            return poly
+        terms = dict(poly.terms)
+        terms[max(terms)] += 1
+        return Poly(vars_, terms)
+
+    monkeypatch.setattr(weyl, "alternating_monomial_sum", corrupted)
+    with pytest.raises(AssertionError):
+        character(lam, group)
+
+
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda k: st.tuples(
+            st.sampled_from(weyl.positive_roots(k, "so") + weyl.positive_roots(k, "sp")),
+            st.dictionaries(
+                st.tuples(*[st.integers(-3, 3)] * k), st.integers(-4, 4), max_size=6
+            ),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_binomial_division_inverts_multiplication(case):
+    """(Q * (X^alpha - X^-alpha)) / (X^alpha - X^-alpha) == Q, with the product
+    formed by Poly multiplication."""
+    alpha, q = case
+    k = len(alpha)
+    V = Vars(k, 0)
+    quot = Poly(V, {(0,) + e: c for e, c in q.items()})
+    binomial = Poly(V, {(0,) + alpha: 1, (0,) + tuple(-a for a in alpha): -1})
+    prod = {e[1:]: c for e, c in (quot * binomial).terms.items()}
+    assert _divide_binomial(prod, alpha) == {e[1:]: c for e, c in quot.terms.items()}

@@ -1,14 +1,20 @@
 import cmath
 import random
+from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wscalc import wsformula
 from wscalc.ratfun import PoleError, Poly, RatFun
-from wscalc.weyl import alternating_monomial_sum, enumerate_group
-from wscalc.zetafactors import Context, b_factor, d_factor, dprime_factor
+from wscalc.weyl import alternating_monomial_sum, enumerate_group, is_dominant, straighten_weight
+from wscalc.zetafactors import Context, b_factor, b_factor_poly, d_factor, dprime_factor
 from wscalc.wsformula import (
     L_value,
+    L_value_numeric,
     invariance_report,
     normalization_constant,
     normalization_constant_closed,
@@ -210,21 +216,10 @@ def test_numeric_sum_is_well_conditioned_near_coincident_angles():
 
 
 def test_L_regression_pin_and_numeric_cross_check():
-    from wscalc.zetafactors import delta_half_G, delta_half_MJ
-
     L = L_value(C21, (1,), (1, 1))
     assert L.text() == L_PINNED_2_1
-    pref = normalization_constant_closed(C21)
-    exps = tuple(
-        a + b for a, b in zip(delta_half_G(C21, (1, 1)), delta_half_MJ(C21, (1,)))
-    )
     for pt in sample_points(C21, 5, seed=42):
-        s = weyl_sum_numeric(C21, (1,), (1, 1), pt)
-        mono = 1 + 0j
-        for base, k in zip(pt, exps):
-            if k:
-                mono *= base ** k
-        assert abs(L.eval_at(pt) - s * mono / pref.eval_at(pt)) < 1e-10
+        assert abs(L.eval_at(pt) - L_value_numeric(C21, (1,), (1, 1), pt)) < 1e-10
 
 
 def test_symmetrizer_identity():
@@ -285,3 +280,107 @@ def test_identity_generator_deviation_zero():
 def test_sample_points_deterministic():
     assert sample_points(C32, 4, seed=9) == sample_points(C32, 4, seed=9)
     assert sample_points(C32, 4, seed=9) != sample_points(C32, 4, seed=10)
+
+
+# -- the character form against the per-term straightening --------------------
+
+
+@lru_cache(maxsize=None)
+def _b_terms(ctx):
+    return tuple(b_factor_poly(ctx).terms.items())
+
+
+def _reference_form(ctx, d, f):
+    """The character form straightened one term of b at a time: each term
+    c v^k x^a y^b contributes c v^k chi^B_(f-a) chi^C_(d-b)."""
+    n = ctx.n
+    form = {}
+    for e, c in _b_terms(ctx):
+        st_b = straighten_weight(tuple(x - y for x, y in zip(f, e[_G_OFF : _G_OFF + n])), "so")
+        st_c = st_b and straighten_weight(tuple(x - y for x, y in zip(d, e[_G_OFF + n :])), "sp")
+        if not st_c:
+            continue
+        (sx, lam), (sy, mu) = st_b, st_c
+        vpoly = form.setdefault((lam, mu), {})
+        vpoly[e[0]] = vpoly.get(e[0], 0) + sx * sy * c
+    out = []
+    for key, vpoly in sorted(form.items()):
+        terms = tuple((k, c) for k, c in sorted(vpoly.items()) if c)
+        if terms:
+            out.append((key, terms))
+    return tuple(out)
+
+
+def _dominant(k, bound):
+    return [v for v in product(range(bound + 1), repeat=k) if is_dominant(v)]
+
+
+def _form_cases():
+    """Every (d, f) that the tests and the golden files evaluate at (2,1),
+    (3,1) and (3,2): all dominant pairs with small entries, and the series
+    weights (l, 0, ...) at d = 0."""
+    for ctx, dbound, fbound in ((C21, 3, 3), (C31, 2, 2), (C32, 1, 2)):
+        pairs = {(d, f) for d in _dominant(ctx.m, dbound) for f in _dominant(ctx.n, fbound)}
+        pairs |= {((0,) * ctx.m, (l,) + (0,) * (ctx.n - 1)) for l in range(9)}
+        for d, f in sorted(pairs):
+            yield ctx, d, f
+
+
+def test_grouped_straightening_matches_per_term_loop():
+    for ctx, d, f in _form_cases():
+        assert wsformula._character_form(ctx, d, f) == _reference_form(ctx, d, f), (ctx, d, f)
+
+
+# -- the gcd in Z[v] against the gcd over Q ------------------------------------
+
+
+def _q_divmod(a, b):
+    a = list(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = a[i + len(b) - 1] / b[-1]
+        for j, bj in enumerate(b):
+            a[i + j] -= c * bj
+    r = a[: len(b) - 1]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _q_gcd_monic(a, b):
+    """Euclid's algorithm on Fraction coefficient lists, made monic."""
+    g, p = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while p and len(g) > 1:
+        g, p = p, _q_divmod(g, p)[1]
+    return [c / g[-1] for c in g] if len(g) > 1 else [Fraction(1)]
+
+
+def _v_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+v_poly = st.lists(st.integers(-6, 6), min_size=1, max_size=5).filter(lambda p: p[-1] != 0)
+
+
+@given(v_poly, v_poly, v_poly)
+@settings(max_examples=200, deadline=None)
+def test_integer_gcd_agrees_with_rational_gcd(g, p, q):
+    """On products g*p and g*q of random integer polynomials in v, the Z[v]
+    gcd equals the Q[v] gcd up to a unit, and divides both in Z[v]."""
+    a, b = _v_mul(g, p), _v_mul(g, q)
+    got = wsformula._v_gcd(a, b)
+    assert all(type(c) is int for c in got)
+    assert [Fraction(c, got[-1]) for c in got] == _q_gcd_monic(a, b)
+    for x in (a, b):
+        assert _v_mul(wsformula._v_exact_quotient(x, got), got) == x
+
+
+def test_inexact_division_in_v_is_reported():
+    with pytest.raises(AssertionError):
+        wsformula._v_exact_quotient([1, 0, 1], [1, 1])  # 1 + v^2 by 1 + v
+    with pytest.raises(AssertionError):
+        wsformula._v_exact_quotient([0, 2], [1, 3])  # 2v by 1 + 3v: no integral step
