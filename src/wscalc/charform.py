@@ -11,25 +11,37 @@ lattice.  A(x^rho) is the product of the binomials x^(alpha/2) - x^(-alpha/2)
 over the positive roots, and ``weyl.character`` divides by them one at a
 time, each division exact and checked.  An arbitrary lam is first
 straightened into the dominant chamber (``weyl.straighten_weight``), so
-only dominant characters are ever computed, once each.  The series machinery expands
-both sides of the torus-integral identity
+only dominant characters are ever computed, once each.
+
+For n = m+1 the torus-integral identity
 
     sum_l W0(p^(l,0,..,0)) |p|^(l(s-m-1))
         = L(pi, s) / (L_psi(sigma~, s+1/2) zeta(2s))
 
-in the formal variable T = |p|^s and compares coefficients exactly.
+is decided coefficient by coefficient in the formal variable T = |p|^s, in
+the character basis chi^B_lam chi^C_mu, where both sides are short integer
+combinations.  The coefficient of T^l on the right is
+
+    sum_{r <= min(l, 2m)} (-1)^r v^r chi^B_(l-r,0,..) chi^C(Lambda^r),
+
+the v^r chi^C(Lambda^r) being the r-th elementary symmetric function of the
+2m Satake monomials v y_j^(+-1).  The exterior power of the standard
+representation of Sp(2m) decomposes as Lambda^r = sum of V(1^s) over
+s = r (mod 2), s <= min(r, 2m-r) (Fulton-Harris, Representation Theory,
+section 17.2).  On the left, C(v) times the coefficient of T^l is the
+character form of the Weyl sum at d = 0, f = (l, 0, .., 0): delta^(1/2)(p^f)
+= v^(2l(m+1)) cancels the series' normalization v^(-2l(m+1)).  No character
+is expanded and no rational function is compared.
 """
 
-from itertools import combinations
-
+from . import wsformula
 from .ratfun import Poly, RatFun
 from .weyl import character, straighten_weight
 from .wsformula import ws_torus
+from .zetafactors import delta_half_G
 
 __all__ = [
     "so_char",
-    "satake_multiset",
-    "elementary_sym",
     "lhs_series",
     "rhs_series",
     "shintani_verify",
@@ -57,33 +69,25 @@ def so_char(vars_, lam):
     return RatFun.from_poly(Poly(vars_, terms, prune=False))
 
 
-def satake_multiset(ctx):
-    """The multiset q^(-gamma) for gamma in {xi_j + 1/2, -xi_j + 1/2}:
-    the 2m monomials v*y_j and v*y_j^-1, as exponent tuples."""
-    V = ctx.vars
-    out = []
-    for j in range(1, ctx.m + 1):
-        for sign in (1, -1):
-            e = [0] * V.size
-            e[0] = 1
-            e[ctx.n + j] = sign
-            out.append(tuple(e))
-    return out
+def _require_series(ctx, K):
+    if ctx.n != ctx.m + 1:
+        raise ValueError("the series identity needs n = m+1")
+    if K < 0:
+        raise ValueError("truncation must be nonnegative")
 
 
-def elementary_sym(vars_, monomials, r):
-    """The r-th elementary symmetric polynomial of a multiset of monomials."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    if r == 0:
-        return RatFun.one(vars_)
-    if r > len(monomials):
-        return RatFun.zero(vars_)
-    acc = {}
-    for subset in combinations(monomials, r):
-        e = tuple(sum(col) for col in zip(*subset))
-        acc[e] = acc.get(e, 0) + 1
-    return RatFun.from_poly(Poly(vars_, acc))
+def _rhs_form(ctx, l):
+    """The coefficient of T^l of the right-hand side in the character basis,
+    in the format of ``wsformula._character_form``:
+    sum over r <= min(l, 2m) and s = r (mod 2), s <= min(r, 2m-r), of
+    (-1)^r v^r chi^B_(l-r,0,..) chi^C_(1^s,0,..)."""
+    m = ctx.m
+    form = []
+    for r in range(min(l, 2 * m) + 1):
+        lam = (l - r,) + (0,) * m
+        for s in range(r % 2, min(r, 2 * m - r) + 1, 2):
+            form.append(((lam, (1,) * s + (0,) * (m - s)), ((r, (-1) ** r),)))
+    return tuple(sorted(form))
 
 
 def lhs_series(ctx, K):
@@ -95,10 +99,7 @@ def lhs_series(ctx, K):
     modulus character delta^(1/2)(diag(t, I, t^-1)) = |t|^(m+1) carried by
     the Whittaker-Shintani value, and both factors are kept explicit.
     """
-    if ctx.n != ctx.m + 1:
-        raise ValueError("the series identity needs n = m+1")
-    if K < 0:
-        raise ValueError("truncation must be nonnegative")
+    _require_series(ctx, K)
     V = ctx.vars
     out = []
     for l in range(K + 1):
@@ -109,25 +110,10 @@ def lhs_series(ctx, K):
 
 
 def rhs_series(ctx, K):
-    """The list of coefficients of
-    (sum_a T_{m+1}((a,0,..); z_pi) T^a) * prod(1 - q^-g T) up to T^K, with
-    the product over the 2m Satake monomials q^-g."""
-    if ctx.n != ctx.m + 1:
-        raise ValueError("the series identity needs n = m+1")
-    if K < 0:
-        raise ValueError("truncation must be nonnegative")
-    V = ctx.vars
-    gammas = satake_multiset(ctx)
-    out = []
-    for k in range(K + 1):
-        acc = RatFun.zero(V)
-        for r in range(0, min(k, 2 * ctx.m) + 1):
-            sign = -1 if r % 2 else 1
-            lam = (k - r,) + (0,) * ctx.m
-            term = elementary_sym(V, gammas, r) * so_char(V, lam) * sign
-            acc = acc + term
-        out.append(acc)
-    return out
+    """The list of coefficients of L(pi, s) / (L_psi(sigma~, s+1/2) zeta(2s))
+    up to T^K, each the expansion of its character form."""
+    _require_series(ctx, K)
+    return [RatFun.from_poly(wsformula._expand(ctx, _rhs_form(ctx, l))) for l in range(K + 1)]
 
 
 class ShintaniReport:
@@ -152,12 +138,35 @@ class ShintaniReport:
         }
 
 
+def _times_v(vpoly, poly):
+    """The polynomial in v, ((k, c), ...), times poly, a coefficient list with
+    the constant term first."""
+    acc = {}
+    for k, c in vpoly:
+        for i, ci in enumerate(poly):
+            acc[k + i] = acc.get(k + i, 0) + c * ci
+    return tuple((k, c) for k, c in sorted(acc.items()) if c)
+
+
 def shintani_verify(ctx, K):
-    """Compare lhs_series and rhs_series coefficientwise, exactly.
+    """Compare both sides of the series identity coefficientwise, exactly,
+    in the character basis: C(v) times the coefficient of T^l on the left is
+    the character form at d = 0, f = (l, 0, .., 0), shifted by
+    delta^(1/2)(p^f) v^(-2l(m+1)) = 1, and on the right it is C(v) times
+    ``_rhs_form``.  The products chi^B_lam chi^C_mu of dominant weights are
+    linearly independent, so the sides agree exactly when the dicts do.
 
     A failing coefficient is a reported result, not an exception.
     """
-    lhs = lhs_series(ctx, K)
-    rhs = rhs_series(ctx, K)
-    results = [(l, lhs[l] == rhs[l]) for l in range(K + 1)]
+    _require_series(ctx, K)
+    const = wsformula._constant_v(ctx)
+    zero = (0,) * ctx.m
+    results = []
+    for l in range(K + 1):
+        f = (l,) + zero
+        shift = delta_half_G(ctx, f)[0] - 2 * l * (ctx.m + 1)
+        lhs = {key: tuple((k + shift, c) for k, c in vpoly)
+               for key, vpoly in wsformula._character_form(ctx, zero, f)}
+        rhs = {key: _times_v(vpoly, const) for key, vpoly in _rhs_form(ctx, l)}
+        results.append((l, lhs == rhs))
     return ShintaniReport(ctx, K, results)

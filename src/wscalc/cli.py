@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -36,27 +35,6 @@ from .zetafactors import (
 )
 
 SCHEMA = 1
-
-
-@dataclass
-class RunConfig:
-    """Parsed, validated run parameters; n >= m+1 is enforced at parse time."""
-
-    n: int
-    m: int
-    mode: str = "exact"
-    q: int = 3
-    K: int = 4
-    seed: int = 0
-    samples: int = 10
-    bound: int = 3
-    count: int = 1000
-    out: str = None
-    d: tuple = None
-    f: tuple = None
-    a: tuple = None
-    r: tuple = None
-    csv: bool = False
 
 
 def _int_vector(text):
@@ -89,10 +67,6 @@ def _error(message, out_path=None, kind="config", code=2):
     return _emit(doc, out_path, code)
 
 
-def _context(cfg):
-    return Context(cfg.n, cfg.m)
-
-
 def _base_doc(command, cfg):
     return {
         "schema": SCHEMA,
@@ -109,10 +83,9 @@ def _base_doc(command, cfg):
 # -- eval ---------------------------------------------------------------------
 
 
-def cmd_eval(cfg):
-    ctx = _context(cfg)
+def cmd_eval(cfg, ctx):
     d = cfg.d if cfg.d is not None else (0,) * cfg.m
-    f = cfg.f if cfg.f is not None else (0,) * cfg.n
+    f = cfg.f
     doc = _base_doc("eval", cfg)
     doc["inputs"]["d"] = list(d)
     doc["inputs"]["f"] = list(f)
@@ -354,15 +327,14 @@ _VERIFIERS = {
 }
 
 
-def cmd_verify(cfg, which):
+def cmd_verify(cfg, ctx):
     doc = _base_doc("verify", cfg)
-    doc["check"] = which
-    if which == "shintani":
+    doc["check"] = cfg.which
+    if cfg.which == "shintani":
         doc["inputs"]["K"] = cfg.K
     t0 = time.time()
-    ctx = _context(cfg)
     try:
-        ok, report = _VERIFIERS[which](cfg, ctx)
+        ok, report = _VERIFIERS[cfg.which](cfg, ctx)
     except (ValueError, PoleError) as exc:
         doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
         return _emit(doc, cfg.out, 1)
@@ -375,7 +347,7 @@ def cmd_verify(cfg, which):
 # -- reduce -------------------------------------------------------------------
 
 
-def cmd_reduce(cfg):
+def cmd_reduce(cfg, ctx):
     doc = _base_doc("reduce", cfg)
     doc["inputs"].update({"d": list(cfg.d), "a": list(cfg.a), "r": list(cfg.r)})
     try:
@@ -401,43 +373,25 @@ def cmd_reduce(cfg):
 # -- series -------------------------------------------------------------------
 
 
-def cmd_series(cfg):
+def cmd_series(cfg, ctx):
     doc = _base_doc("series", cfg)
     doc["inputs"]["K"] = cfg.K
-    ctx = _context(cfg)
     t0 = time.time()
     try:
+        lhs = charform.lhs_series(ctx, cfg.K)
+        rhs = charform.rhs_series(ctx, cfg.K)
         if cfg.mode == "exact":
-            lhs = charform.lhs_series(ctx, cfg.K)
-            rhs = charform.rhs_series(ctx, cfg.K)
-            rows = []
-            for l in range(cfg.K + 1):
-                diff = lhs[l] - rhs[l]
-                rows.append(
-                    {
-                        "l": l,
-                        "lhs": lhs[l].text(),
-                        "rhs": rhs[l].text(),
-                        "diff": diff.text(),
-                    }
-                )
-            equal = all(row["diff"] == "0" for row in rows)
+            equal = charform.shintani_verify(ctx, cfg.K).ok
+            rows = [
+                {"l": l, "lhs": a.text(), "rhs": b.text(), "diff": (a - b).text()}
+                for l, (a, b) in enumerate(zip(lhs, rhs))
+            ]
         else:
             point = wsformula.sample_points(ctx, 1, cfg.seed, q=cfg.q)[0]
-            lhs = charform.lhs_series(ctx, cfg.K)
-            rhs = charform.rhs_series(ctx, cfg.K)
             rows = []
-            for l in range(cfg.K + 1):
-                lv = lhs[l].eval_at(point)
-                rv = rhs[l].eval_at(point)
-                rows.append(
-                    {
-                        "l": l,
-                        "lhs": _cplx(lv),
-                        "rhs": _cplx(rv),
-                        "diff": abs(lv - rv),
-                    }
-                )
+            for l, (a, b) in enumerate(zip(lhs, rhs)):
+                lv, rv = a.eval_at(point), b.eval_at(point)
+                rows.append({"l": l, "lhs": _cplx(lv), "rhs": _cplx(rv), "diff": abs(lv - rv)})
             equal = all(row["diff"] < 1e-9 for row in rows)
     except (ValueError, PoleError) as exc:
         doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
@@ -472,7 +426,8 @@ def _add_common(sp):
         choices=("exact", "numeric"),
         default="exact",
         help="exact symbolic arithmetic (default) or complex evaluation of "
-        "the same character form at a seeded sample point; both expand b "
+        "the same character form at a seeded sample point (eval, series and "
+        "verify invariance only); both expand b "
         "once per rank, which dominates at n = 4 and is refused from n = 5 on",
     )
     sp.add_argument("--q", type=int, default=3, help="residue cardinality for numeric mode")
@@ -516,32 +471,24 @@ def build_parser():
     return ap
 
 
+_COMMANDS = {"eval": cmd_eval, "verify": cmd_verify, "reduce": cmd_reduce, "series": cmd_series}
+
+# the commands that evaluate the character form at a sample point in numeric mode
+_NUMERIC = {("eval", None), ("series", None), ("verify", "invariance")}
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    cfg = build_parser().parse_args(argv)
+    which = getattr(cfg, "which", None)
     try:
-        cfg = RunConfig(
-            n=args.n,
-            m=args.m,
-            mode=args.mode,
-            q=args.q,
-            seed=args.seed,
-            out=args.out,
-            K=getattr(args, "K", 4),
-            d=getattr(args, "d", None),
-            f=getattr(args, "f", None),
-            a=getattr(args, "a", None),
-            r=getattr(args, "r", None),
-            samples=getattr(args, "samples", 10),
-            bound=getattr(args, "bound", 3),
-            count=getattr(args, "count", 1000),
-            csv=getattr(args, "csv", False),
-        )
         ctx = Context(cfg.n, cfg.m)  # rank validation up front
-        if cfg.mode == "numeric" and cfg.q < 2:
-            raise ValueError("numeric mode requires a concrete q >= 2")
-        which = getattr(args, "which", None)
-        if args.command in ("eval", "series") or which in ("constant", "invariance", "shintani"):
+        if cfg.mode == "numeric":
+            if (cfg.command, which) not in _NUMERIC:
+                name = cfg.command if which is None else "verify " + which
+                raise ValueError("%s has no numeric mode" % name)
+            if cfg.q < 2:
+                raise ValueError("numeric mode requires a concrete q >= 2")
+        if cfg.command in ("eval", "series") or which in ("constant", "invariance", "shintani"):
             require_b_expandable(ctx)
         if which == "padic" and not _is_prime(cfg.q):
             raise ValueError("verify padic needs a prime q below 2^31, got %d" % cfg.q)
@@ -555,16 +502,8 @@ def main(argv=None):
                 % (cfg.count, cfg.bound)
             )
     except ValueError as exc:
-        return _error(str(exc), getattr(args, "out", None))
-    if args.command == "eval":
-        return cmd_eval(cfg)
-    if args.command == "verify":
-        return cmd_verify(cfg, args.which)
-    if args.command == "reduce":
-        return cmd_reduce(cfg)
-    if args.command == "series":
-        return cmd_series(cfg)
-    return 2
+        return _error(str(exc), cfg.out)
+    return _COMMANDS[cfg.command](cfg, ctx)
 
 
 if __name__ == "__main__":

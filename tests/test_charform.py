@@ -1,21 +1,50 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from wscalc import wsformula
+from wscalc import charform, wsformula
 from wscalc.ratfun import Poly, RatFun, Vars
-from wscalc.weyl import enumerate_group
+from wscalc.weyl import character, enumerate_group
 from wscalc.zetafactors import Context
-from wscalc.charform import (
-    elementary_sym,
-    lhs_series,
-    rhs_series,
-    satake_multiset,
-    shintani_verify,
-    so_char,
-)
+from wscalc.charform import lhs_series, rhs_series, shintani_verify, so_char
 
 C21 = Context(2, 1)
+C32 = Context(3, 2)
+
+
+# The right-hand side through the 2m Satake monomials v y_j^(+-1): an
+# independent reference for the Lambda^r decomposition that
+# ``charform._rhs_form`` uses.
+
+
+def satake_multiset(ctx):
+    """The multiset q^(-gamma) for gamma in {xi_j + 1/2, -xi_j + 1/2}:
+    the 2m monomials v*y_j and v*y_j^-1, as exponent tuples."""
+    V = ctx.vars
+    out = []
+    for j in range(1, ctx.m + 1):
+        for sign in (1, -1):
+            e = [0] * V.size
+            e[0] = 1
+            e[ctx.n + j] = sign
+            out.append(tuple(e))
+    return out
+
+
+def elementary_sym(vars_, monomials, r):
+    """The r-th elementary symmetric polynomial of a multiset of monomials."""
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    if r == 0:
+        return RatFun.one(vars_)
+    if r > len(monomials):
+        return RatFun.zero(vars_)
+    acc = {}
+    for subset in combinations(monomials, r):
+        e = tuple(sum(col) for col in zip(*subset))
+        acc[e] = acc.get(e, 0) + 1
+    return RatFun.from_poly(Poly(vars_, acc))
 
 
 def test_so_char_trivial_weight():
@@ -84,13 +113,33 @@ def test_elementary_sym():
     assert elementary_sym(V, items, 3).is_zero()
 
 
+def test_exterior_powers_of_sp_standard():
+    """Lambda^r of the standard representation of Sp(2m) is the sum of
+    V(1^s) over s = r (mod 2), s <= min(r, 2m-r): its character is
+    e_r(y_1^(+-1), .., y_m^(+-1)) for every r <= 2m, and e_r = 0 beyond."""
+    for m in (1, 2, 3):
+        V = Vars(0, m)
+        ys = [tuple(sign if i == j else 0 for i in range(V.size)) for j in range(1, m + 1)
+              for sign in (1, -1)]
+        for r in range(2 * m + 2):
+            decomposed = {}
+            for s in range(r % 2, min(r, 2 * m - r) + 1, 2):
+                for e, c in character((1,) * s + (0,) * (m - s), "sp"):
+                    decomposed[(0,) + e] = decomposed.get((0,) + e, 0) + c
+            assert RatFun.from_poly(Poly(V, decomposed)) == elementary_sym(V, ys, r)
+
+
 def test_series_truncation_guards():
     with pytest.raises(ValueError):
         lhs_series(Context(3, 1), 2)  # needs n = m+1
     with pytest.raises(ValueError):
         rhs_series(Context(3, 1), 2)
     with pytest.raises(ValueError):
+        shintani_verify(Context(3, 1), 2)
+    with pytest.raises(ValueError):
         lhs_series(C21, -1)
+    with pytest.raises(ValueError):
+        shintani_verify(C21, -1)
 
 
 def test_series_k0():
@@ -154,11 +203,61 @@ def test_branching_consistency_product_form():
     assert mul_truncated(char_series, poly_coeffs) == rhs_series(C21, K)
 
 
-def test_failing_coefficient_is_reported_not_raised():
-    rep = shintani_verify(C21, 2)
-    # sanity: the report shape supports per-coefficient inspection
-    assert [l for l, _ in rep.results] == [0, 1, 2]
-    assert rep.as_dict()["pass"] is True
+def rhs_form_corrupted_at(l_bad):
+    """charform._rhs_form with its first coefficient at T^l_bad multiplied
+    by 1 + v^2."""
+    rhs_form = charform._rhs_form
+
+    def corrupted(ctx, l):
+        form = rhs_form(ctx, l)
+        if l != l_bad:
+            return form
+        (key, vpoly), rest = form[0], form[1:]
+        doubled = {}
+        for k, c in vpoly:
+            for j in (k, k + 2):
+                doubled[j] = doubled.get(j, 0) + c
+        return ((key, tuple(sorted(doubled.items()))),) + rest
+
+    return corrupted
+
+
+def test_failing_coefficient_is_reported_not_raised(monkeypatch):
+    monkeypatch.setattr(charform, "_rhs_form", rhs_form_corrupted_at(2))
+    for ctx in (C21, C32):
+        rep = shintani_verify(ctx, 4)
+        assert [l for l, eq in rep.results if not eq] == [2]
+        assert rep.as_dict()["pass"] is False
+
+
+def test_corrupted_coefficient_fails_verify_and_series(monkeypatch, capsys):
+    """`verify shintani` and `series` share the one equality decision: both
+    exit 1 on a corrupted coefficient, with l = 2 as the witness."""
+    import json
+
+    from wscalc.cli import main
+
+    monkeypatch.setattr(charform, "_rhs_form", rhs_form_corrupted_at(2))
+    assert main(["verify", "shintani", "--n", "2", "--m", "1", "--K", "4"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False and doc["report"]["failing"] == [2]
+    assert main(["series", "--n", "2", "--m", "1", "--K", "4"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False
+    assert [row["l"] for row in doc["rows"] if row["diff"] != "0"] == [2]
+
+
+@pytest.mark.parametrize("ctx", [C21, C32], ids=["21", "32"])
+def test_wrong_constant_fails_every_coefficient(monkeypatch, ctx):
+    const = wsformula._constant_v
+
+    def scaled(ctx):
+        c = const(ctx)
+        return tuple(a + b for a, b in zip(c + (0, 0), (0, 0) + c))
+
+    monkeypatch.setattr(wsformula, "_constant_v", scaled)
+    rep = shintani_verify(ctx, 4)
+    assert not any(eq for _, eq in rep.results)
 
 
 # Casselman-Shalika: at m = 0 the value is the SO(2n+1) character of f,

@@ -228,6 +228,27 @@ def test_b_expansion_beyond_rank_4_is_config_error(argv):
     assert error["type"] == "config" and "n = 7" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "--d", "0", "--a", "0", "--r", "1"],
+        ["verify", "constant"],
+        ["verify", "gamma"],
+        ["verify", "shintani"],
+        ["verify", "cone"],
+        ["verify", "padic"],
+        ["verify", "gauss"],
+    ],
+)
+def test_numeric_mode_without_numeric_path_is_config_error(argv):
+    """These commands have no numeric path; they used to accept --mode
+    numeric and run exactly."""
+    proc = _run_subprocess(*argv, "--n", "2", "--m", "1", "--mode", "numeric")
+    assert proc.returncode == 2
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "config" and "no numeric mode" in error["message"]
+
+
 def test_verify_gauss_names_failing_case(monkeypatch):
     import wscalc.cli as cli_mod
     from wscalc import padic

@@ -28,6 +28,7 @@ CASES = [
     ("verify_invariance_32.json", ["verify", "invariance", "--n", "3", "--m", "2"], 0),
     ("verify_shintani_32_K6.json", ["verify", "shintani", "--n", "3", "--m", "2", "--K", "6"], 0),
     ("series_21_K5.json", ["series", "--n", "2", "--m", "1", "--K", "5"], 0),
+    ("series_32_K5.json", ["series", "--n", "3", "--m", "2", "--K", "5"], 0),
     ("series_21_K5.csv", ["series", "--n", "2", "--m", "1", "--K", "5", "--csv"], 0),
     ("reduce_32.json", ["reduce", "--n", "3", "--m", "2", "--d", "0,0", "--a", "2", "--r", "3,1"], 0),
     ("verify_cone_32.json", ["verify", "cone", "--n", "3", "--m", "2", "--count", "50", "--bound", "2"], 0),
