@@ -14,8 +14,8 @@ y_j = q^(-xi_j).
 from .ratfun import LinearForm, Poly, RatFun, Vars, zeta_of, zeta_inv_of
 from .weyl import SignedPerm, enumerate_group
 from .zetafactors import Context
-from .wsformula import L_value, invariance_report, normalization_constant, ws_torus
-from .charform import lhs_series, rhs_series, shintani_verify, so_char
+from .wsformula import L_value, LValue, invariance_report, normalization_constant, ws_torus
+from .charform import lhs_series, rhs_series, shintani_verify
 from .cone import ConeTriple, WSPair, normal_form, ws_leq
 
 __version__ = "0.1.0"
@@ -24,6 +24,7 @@ __all__ = [
     "Context",
     "ConeTriple",
     "L_value",
+    "LValue",
     "LinearForm",
     "Poly",
     "RatFun",
@@ -37,7 +38,6 @@ __all__ = [
     "normalization_constant",
     "rhs_series",
     "shintani_verify",
-    "so_char",
     "ws_leq",
     "ws_torus",
     "zeta_inv_of",

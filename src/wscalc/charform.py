@@ -1,17 +1,8 @@
-"""Odd orthogonal Weyl characters and the local L-function series identity.
+"""The local L-function series identity, in the character basis.
 
-T_N(lam; x) is the SO_{2N+1}(C) character value at
-diag(x_1..x_N, 1, x_N^-1..x_1^-1), extended to arbitrary integer lam through
-the alternant ratio
-
-    T_N(lam; x) = A(x^(lam+rho)) / A(x^rho),   rho = (N-1/2, ..., 1/2),
-
-computed with doubled exponents so the half-integers stay on the integer
-lattice.  A(x^rho) is the product of the binomials x^(alpha/2) - x^(-alpha/2)
-over the positive roots, and ``weyl.character`` divides by them one at a
-time, each division exact and checked.  An arbitrary lam is first
-straightened into the dominant chamber (``weyl.straighten_weight``), so
-only dominant characters are ever computed, once each.
+chi^B_lam is the SO_{2N+1}(C) character at diag(x_1..x_N, 1, x_N^-1..x_1^-1)
+and chi^C_mu the Sp(2m) character, both of dominant highest weight and both
+from ``weyl.character``.
 
 For n = m+1 the torus-integral identity
 
@@ -35,38 +26,15 @@ is expanded and no rational function is compared.
 """
 
 from . import wsformula
-from .ratfun import Poly, RatFun
-from .weyl import character, straighten_weight
+from .ratfun import RatFun
 from .wsformula import ws_torus
 from .zetafactors import delta_half_G
 
 __all__ = [
-    "so_char",
     "lhs_series",
     "rhs_series",
     "shintani_verify",
 ]
-
-
-def so_char(vars_, lam):
-    """The SO_{2N+1} character T_N(lam; x_1..x_N), N = len(lam), lam in Z^N.
-
-    For dominant lam this is the trace of the irreducible representation
-    with highest weight lam; an arbitrary integer lam is first straightened
-    by the dot action (sign and dominant weight, or 0 when lam+rho is
-    non-regular) and the cached dominant character is reused.
-    """
-    lam = tuple(int(a) for a in lam)
-    N = len(lam)
-    if N > vars_.n:
-        raise ValueError("not enough x variables for rank %d" % N)
-    st = straighten_weight(lam, "so")
-    if st is None:
-        return RatFun.zero(vars_)
-    sign, dom = st
-    pad = (0,) * (vars_.size - 1 - N)
-    terms = {(0,) + e + pad: sign * c for e, c in character(dom, "so")}
-    return RatFun.from_poly(Poly(vars_, terms, prune=False))
 
 
 def _require_series(ctx, K):
@@ -105,7 +73,7 @@ def lhs_series(ctx, K):
     for l in range(K + 1):
         f = (l,) + (0,) * (ctx.n - 1)
         comp = RatFun.monomial(V, V.v_exp(-2 * l * (ctx.m + 1)))
-        out.append(ws_torus(ctx, f) * comp)
+        out.append(ws_torus(ctx, f).ratfun() * comp)
     return out
 
 

@@ -92,11 +92,10 @@ def cmd_eval(cfg, ctx):
     t0 = time.time()
     try:
         if cfg.mode == "exact":
-            value = wsformula.L_value(ctx, d, f)
-            doc["value"] = value.text()
+            doc["value"] = wsformula.L_value(ctx, d, f).ratfun().text()
         else:
             point = wsformula.sample_points(ctx, 1, cfg.seed, q=cfg.q)[0]
-            value = wsformula.L_value_numeric(ctx, d, f, point)
+            value = wsformula.L_value(ctx, d, f).eval_at(point)
             doc["point"] = {"v": _cplx(point[0]),
                             "x": [_cplx(z) for z in point[1 : 1 + ctx.n]],
                             "y": [_cplx(z) for z in point[1 + ctx.n :]]}
@@ -435,8 +434,17 @@ def _add_common(sp):
     sp.add_argument("--out", help="write the report to this path instead of stdout")
 
 
+class _UsageError(ValueError):
+    """A command line that argparse cannot parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="wscalc",
         description="Exact calculator and verifier for Whittaker-Shintani "
         "functions of p-adic symplectic groups.",
@@ -478,10 +486,17 @@ _NUMERIC = {("eval", None), ("series", None), ("verify", "invariance")}
 
 
 def main(argv=None):
-    cfg = build_parser().parse_args(argv)
+    try:
+        cfg = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _error(str(exc))
     which = getattr(cfg, "which", None)
     try:
         ctx = Context(cfg.n, cfg.m)  # rank validation up front
+        if cfg.command == "eval" or which == "invariance":
+            for name, vec, size in (("f", cfg.f, ctx.n), ("d", cfg.d, ctx.m)):
+                if vec is not None and len(vec) != size:
+                    raise ValueError("--%s must have length %d, got %d" % (name, size, len(vec)))
         if cfg.mode == "numeric":
             if (cfg.command, which) not in _NUMERIC:
                 name = cfg.command if which is None else "verify " + which

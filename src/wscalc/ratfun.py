@@ -365,8 +365,8 @@ class RatFun:
     equal keys in numerator and denominator, nothing more.  No polynomial is
     divided, so a value need not be in lowest terms (e.g. (1-x^2)/(1-x)
     stays as built); equality is exact all the same.  ``wsformula.L_value``
-    reduces in the character basis, by a gcd in Z[v], before it builds its
-    RatFun, so its values are in lowest terms.  The denominator is never zero.
+    reduces in the character basis, by a gcd in Z[v], so its RatFun view
+    (``LValue.ratfun``) is in lowest terms.  The denominator is never zero.
     """
 
     __slots__ = ("vars", "coeff", "mono", "nfac", "dfac")

@@ -18,25 +18,31 @@ lam + rho is reflected into the dominant chamber with sign sgn(w), and
 dropped when it is singular.  b is grouped by weight, so each distinct
 x-exponent a and y-exponent b is straightened once per (d, f).  The engine
 therefore computes S as a short integer combination of characters, the
-character form, and expands it through characters cached by highest
-weight; no rational function is divided.  L applies its prefactor to the
-integer coefficient polynomials in v of the form, reduced by a gcd in Z[v],
-before anything is expanded.
+character form; no rational function is divided.
 
-The numeric sum at a sample point (``weyl_sum_numeric``) evaluates the same
-character form: characters are Laurent polynomials, so it meets no pole and
-no cancellation against the Weyl denominators, which the 384 terms of the
-literal sum at (3,2) suffer where two angles nearly coincide.  The literal
-term-by-term rational-function sum (``weyl_sum_direct``) is kept as an
-independent cross-check.
+L(d, f) is held in that basis, as an ``LValue``: the shift v^k of
+delta^(1/2), the monic denominator den(v) and the form's integer
+coefficient polynomials in v, divided by their common gcd in Z[v].  It is
+evaluated there, each distinct character once per point, and expanded into
+a ``RatFun`` only as a view, for printing and for rational-function
+arithmetic (``LValue.ratfun``).
+
+The numeric sum at a sample point (``weyl_sum_numeric``) evaluates the
+unreduced character form with the same evaluator: characters are Laurent
+polynomials, so it meets no pole and no cancellation against the Weyl
+denominators, which the 384 terms of the literal sum at (3,2) suffer where
+two angles nearly coincide.  The literal term-by-term rational-function sum
+(``weyl_sum_direct``) is kept as an independent cross-check.
 """
 
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
-from .ratfun import LinearForm, PoleError, Poly, RatFun, eval_terms, zeta_of
+from .ratfun import ContextMismatchError, LinearForm, PoleError, Poly, RatFun, eval_terms, zeta_of
 from .weyl import character, enumerate_group, is_dominant, straighten_weight
 from .zetafactors import (
+    Context,
     b_factor,
     b_factor_poly,
     d_factor,
@@ -54,7 +60,7 @@ __all__ = [
     "weyl_sum_direct",
     "weyl_sum_numeric",
     "L_value",
-    "L_value_numeric",
+    "LValue",
     "ws_torus",
     "normalization_constant",
     "normalization_constant_closed",
@@ -286,18 +292,63 @@ def _constant_v(ctx):
     ))
 
 
+class LValue(NamedTuple):
+    """L(d, f) in the character basis:
+
+        v^shift / den(v) * sum over ((lam, mu), ((k, c), ...)) in form of
+                           c v^k chi^B_lam(x) chi^C_mu(y),
+
+    with den a monic polynomial in v (a coefficient tuple, constant term
+    first) sharing no factor with the integer coefficient polynomials of
+    ``form``, which has the format of ``_character_form``.  The products
+    chi^B_lam chi^C_mu of dominant weights are a basis of the invariants, so
+    the form is the value's canonical expression.  ``eval_at`` evaluates it
+    there; ``ratfun`` expands it, which is needed only to print it or to do
+    rational-function arithmetic with it.
+    """
+
+    ctx: Context
+    shift: int
+    den: tuple
+    form: tuple
+
+    def eval_at(self, point, tol=1e-12):
+        """Evaluate at a complex point (v, x_1..x_n, y_1..y_m); raise
+        PoleError where |den(v)| < tol."""
+        if len(point) != self.ctx.vars.size:
+            raise ContextMismatchError("point shape does not match context")
+        v = point[0]
+        den = 0j
+        for c in reversed(self.den):
+            den = den * v + c
+        if abs(den) < tol:
+            raise PoleError(
+                "evaluation within %g of a pole (|denominator| = %g)" % (tol, abs(den)),
+                magnitude=abs(den),
+            )
+        return v ** self.shift * _eval_form(self.form, point, self.ctx.n) / den
+
+    def ratfun(self):
+        """The value as a RatFun: the form expanded through the cached
+        characters, over den(v).  In lowest terms, since the form is."""
+        V = self.ctx.vars
+        num = _expand(self.ctx, self.form, self.shift)
+        den = Poly(V, {V.v_exp(k): c for k, c in enumerate(self.den)})
+        return RatFun.from_poly(num) / RatFun.from_poly(den)
+
+
 def L_value(ctx, d, f):
-    """The normalized integrated Whittaker-Shintani value L(d, f).
+    """The normalized integrated Whittaker-Shintani value L(d, f), exactly,
+    as an ``LValue`` in the character basis.
 
     Exact for dominant d in Z^m, f in Z^n; the prefactor is the closed-form
     reciprocal of the normalization constant, so L(0, 0) = 1 is a theorem
     about the Weyl sum, not a convention.
 
     The constant C(v) and the integer coefficient polynomials in v of the
-    character form are divided by their common gcd, taken in Z[v], before
-    anything is expanded.  C(v) is monic, so the gcd is monic and every
-    quotient is integral.  The products chi_lam chi_mu are a basis of the
-    invariants, so the result is in lowest terms.
+    character form are divided by their common gcd, taken in Z[v].  C(v) is
+    monic, so the gcd is monic and every quotient is integral, and the
+    reduced form is canonical.  Nothing is expanded.
     """
     coeffs = {key: _v_list(dict(vpoly)) for key, vpoly in _character_form(ctx, d, f)}
     den = _constant_v(ctx)
@@ -306,16 +357,12 @@ def L_value(ctx, d, f):
         if len(g) == 1:
             break
         g = _v_gcd(g, p)
-    den = _v_exact_quotient(den, g)
-    shift = delta_half_G(ctx, f)[0] + delta_half_MJ(ctx, d)[0]
-    num = _expand(
-        ctx,
-        [(key, [(k, c) for k, c in enumerate(_v_exact_quotient(p, g)) if c])
-         for key, p in coeffs.items()],
-        shift,
+    form = tuple(
+        (key, tuple((k, c) for k, c in enumerate(_v_exact_quotient(p, g)) if c))
+        for key, p in coeffs.items()
     )
-    den = Poly(ctx.vars, {ctx.vars.v_exp(k): c for k, c in enumerate(den)})
-    return RatFun.from_poly(num) / RatFun.from_poly(den)
+    shift = delta_half_G(ctx, f)[0] + delta_half_MJ(ctx, d)[0]
+    return LValue(ctx, shift, tuple(_v_exact_quotient(den, g)), form)
 
 
 def ws_torus(ctx, f):
@@ -326,21 +373,20 @@ def ws_torus(ctx, f):
 # -- numeric backend ---------------------------------------------------------
 
 
-def weyl_sum_numeric(ctx, d, f, point):
-    """S(d, f) at a numeric point, from its character form:
+def _eval_form(form, point, n):
+    """The character form ((lam, mu), ((k, c), ...)), ... at a complex point:
     sum of c v^k chi^B_lam(x) chi^C_mu(y).
 
     Characters are Laurent polynomials, so there is no pole to meet and no
-    cancellation against the Weyl denominators; each character, and each
-    power of a coordinate, is evaluated once per call.
+    cancellation against the Weyl denominators; each distinct character, and
+    each power of a coordinate, is evaluated once per call.
     """
-    n = ctx.n
     v, xs, ys = point[0], point[1 : 1 + n], point[1 + n :]
     powers_x, powers_y = [{} for _ in xs], [{} for _ in ys]
     chi_x = {}
     chi_y = {}
     total = 0j
-    for (lam, mu), vpoly in _character_form(ctx, d, f):
+    for (lam, mu), vpoly in form:
         if lam not in chi_x:
             chi_x[lam] = eval_terms(character(lam, "so"), xs, powers_x)
         if mu not in chi_y:
@@ -349,18 +395,10 @@ def weyl_sum_numeric(ctx, d, f, point):
     return total
 
 
-def L_value_numeric(ctx, d, f, point):
-    """L(d, f) at a numeric point: ``weyl_sum_numeric`` times the monomial
-    delta_G^(1/2)(p^f) delta_MJ^(1/2)(p^d), over the closed-form normalization
-    constant at the point."""
-    s = weyl_sum_numeric(ctx, d, f, point)
-    pref = normalization_constant_closed(ctx).eval_at(point)
-    mono = 1 + 0j
-    exps = tuple(a + b for a, b in zip(delta_half_G(ctx, f), delta_half_MJ(ctx, d)))
-    for base, k in zip(point, exps):
-        if k:
-            mono *= base ** k
-    return s * mono / pref
+def weyl_sum_numeric(ctx, d, f, point):
+    """S(d, f) at a numeric point: its unreduced character form, evaluated by
+    the evaluator of ``LValue``."""
+    return _eval_form(_character_form(ctx, d, f), point, ctx.n)
 
 
 def sample_points(ctx, count, seed, q=3, radius=0.7):

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wscalc.cli import main
 
@@ -48,6 +53,21 @@ def test_eval_numeric_mode(capsys):
     )
     assert code == 0
     assert "point" in doc and isinstance(doc["value"], list)
+
+
+def test_eval_numeric_pole_exits_1(capsys, monkeypatch):
+    """At v = i the reduced denominator 1 + v^2 of L((1), (1,1)) vanishes:
+    a PoleError, reported with exit 1."""
+    from wscalc import wsformula
+
+    monkeypatch.setattr(
+        wsformula, "sample_points", lambda ctx, count, seed, q: [(1j, 0.7, 0.7j, -0.7)]
+    )
+    code, doc = run_json(
+        capsys, "eval", "--n", "2", "--m", "1", "--f", "1,1", "--d", "1", "--mode", "numeric"
+    )
+    assert code == 1
+    assert doc["error"]["type"] == "PoleError"
 
 
 def test_rank_constraint_rejected_at_parse(capsys):
@@ -265,3 +285,66 @@ def test_verify_gauss_names_failing_case(monkeypatch):
     assert report["failures"] == [
         {"q": q, "i": i, "j": i + 1} for q in (3, 5) for i in range(-4, 4)
     ]
+
+
+# -- the eval contract ----------------------------------------------------------
+
+MALFORMED = ("a", "1,,2", "1.5", "1;2", "x,0", "1,", ",")
+# the exit code of each kind of eval input; "none" is drawn twice as often
+FAULTS = {"none": 0, "order": 1, "sign": 1, "length": 2, "malformed": 2, "rank": 2, "big": 2}
+
+
+@st.composite
+def eval_argv(draw):
+    """An eval command line over small ranks, with dominant --f and --d or
+    one fault: an entry out of order or negative, a wrong length, malformed
+    text, a rank outside n >= m+1 >= 1, or n >= 5.  Returns the argv and the
+    exit code that the contract demands of it."""
+    fault = draw(st.sampled_from(("none",) + tuple(FAULTS)))
+    n = draw(st.integers(5, 7) if fault == "big" else st.integers(1 + (fault == "order"), 3))
+    m = draw(st.sampled_from((-1, n, n + 1)) if fault == "rank" else st.integers(0, n - 1))
+
+    def dominant(k):
+        return sorted(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)), reverse=True)
+
+    vecs = {"f": dominant(n), "d": dominant(max(m, 0))}
+    need = {"order": 2, "sign": 1}.get(fault, 0)
+    which = draw(st.sampled_from([k for k in ("f", "d") if len(vecs[k]) >= need]))
+    vec = vecs[which]
+    if fault == "order":
+        vec[-1] = vec[0] + 1
+    elif fault == "sign":
+        vec[draw(st.integers(0, len(vec) - 1))] = -draw(st.integers(1, 2))
+    elif fault == "length":
+        vec[:] = vec[:-1] if vec and draw(st.booleans()) else vec + [0]
+    text = {k: ",".join(map(str, v)) for k, v in vecs.items()}
+    if fault == "malformed":
+        text[which] = draw(st.sampled_from(MALFORMED))
+    argv = ["eval", "--n=%d" % n, "--m=%d" % m, "--f=" + text["f"],
+            "--mode=" + draw(st.sampled_from(("exact", "numeric")))]
+    if which == "d" and fault != "none" or draw(st.booleans()):
+        argv.append("--d=" + text["d"])
+    return argv, FAULTS[fault]
+
+
+@given(eval_argv())
+@settings(max_examples=150, deadline=None)
+def test_eval_contract(case):
+    """A bad config (malformed or wrong-length vectors, a rank outside
+    n >= m+1 >= 1 or n >= 5) exits 2; a weight that is not dominant is a
+    structured error with exit 1, as ``tests/golden/eval_non_dominant.json``
+    pins; a valid input exits 0.  Nothing raises, and each run is quick."""
+    argv, code = case
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        got = main(argv)
+    assert time.perf_counter() - t0 < 0.5
+    doc = json.loads(out.getvalue())
+    assert got == code, (argv, doc)
+    if code == 2:
+        assert doc["error"]["type"] == "config"
+    elif code == 1:
+        assert "not dominant" in doc["error"]["message"]
+    else:
+        assert "value" in doc and "error" not in doc

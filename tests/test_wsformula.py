@@ -11,10 +11,17 @@ from hypothesis import strategies as st
 from wscalc import wsformula
 from wscalc.ratfun import PoleError, Poly, RatFun
 from wscalc.weyl import alternating_monomial_sum, enumerate_group, is_dominant, straighten_weight
-from wscalc.zetafactors import Context, b_factor, b_factor_poly, d_factor, dprime_factor
+from wscalc.zetafactors import (
+    Context,
+    b_factor,
+    b_factor_poly,
+    d_factor,
+    delta_half_G,
+    delta_half_MJ,
+    dprime_factor,
+)
 from wscalc.wsformula import (
     L_value,
-    L_value_numeric,
     invariance_report,
     normalization_constant,
     normalization_constant_closed,
@@ -90,7 +97,7 @@ def test_normalization_constant_closed_forms():
 
 def test_L_at_origin_is_one():
     for ctx in (C10, C21, C31, C32):
-        assert L_value(ctx, (0,) * ctx.m, (0,) * ctx.n) == 1
+        assert L_value(ctx, (0,) * ctx.m, (0,) * ctx.n).ratfun() == 1
 
 
 def test_rank_one_closed_form():
@@ -100,7 +107,7 @@ def test_rank_one_closed_form():
         expect = Poly.zero(V)
         for k in range(-f, f + 1):
             expect = expect + Poly.monomial(V, (2 * f, k))
-        assert ws_torus(C10, (f,)) == RatFun.from_poly(expect)
+        assert ws_torus(C10, (f,)).ratfun() == RatFun.from_poly(expect)
 
 
 def test_torus_value_2_1():
@@ -111,7 +118,7 @@ def test_torus_value_2_1():
         expect = expect + Poly.monomial(V, e)
     for e in [(5, 0, 0, 1), (5, 0, 0, -1)]:
         expect = expect - Poly.monomial(V, e)
-    assert ws_torus(C21, (1, 0)) == RatFun.from_poly(expect)
+    assert ws_torus(C21, (1, 0)).ratfun() == RatFun.from_poly(expect)
 
 
 def test_non_dominant_rejected():
@@ -215,11 +222,103 @@ def test_numeric_sum_is_well_conditioned_near_coincident_angles():
     assert not _close(_reference_numeric(C32, d, f, pt), exact)
 
 
+def _L_numeric_reference(ctx, d, f, point):
+    """L at a point by a route that shares no reduction with ``L_value``: the
+    unreduced numeric Weyl sum, times delta^(1/2)(p^f) delta_MJ^(1/2)(p^d),
+    over the closed-form constant C evaluated as a RatFun."""
+    k = delta_half_G(ctx, f)[0] + delta_half_MJ(ctx, d)[0]
+    const = normalization_constant_closed(ctx).eval_at(point)
+    return weyl_sum_numeric(ctx, d, f, point) * point[0] ** k / const
+
+
 def test_L_regression_pin_and_numeric_cross_check():
     L = L_value(C21, (1,), (1, 1))
-    assert L.text() == L_PINNED_2_1
+    assert L.ratfun().text() == L_PINNED_2_1
     for pt in sample_points(C21, 5, seed=42):
-        assert abs(L.eval_at(pt) - L_value_numeric(C21, (1,), (1, 1), pt)) < 1e-10
+        assert abs(L.eval_at(pt) - _L_numeric_reference(C21, (1,), (1, 1), pt)) < 1e-10
+
+
+# -- L in the character basis against its RatFun view --------------------------
+
+
+def _L_pairs():
+    """Every dominant (d, f) with entries <= 4 at (2,1) and <= 2 at (3,1), and
+    the (3,2) pairs of the golden eval files."""
+    for ctx, bound in ((C21, 4), (C31, 2)):
+        for f in _dominant(ctx.n, bound):
+            for d in _dominant(ctx.m, bound):
+                yield ctx, d, f
+    yield C32, (0, 0), (6, 0, 0)
+    yield C32, (1, 0), (2, 1, 0)
+
+
+@lru_cache(maxsize=None)
+def _L_cases():
+    """(L, its RatFun view, seeded points) for each pair of ``_L_pairs``."""
+    cases = []
+    for ctx, d, f in _L_pairs():
+        L = L_value(ctx, d, f)
+        cases.append((L, L.ratfun(), sample_points(ctx, 3, seed=sum(f) + 7)))
+    return tuple(cases)
+
+
+def _views_agree(L, R, pts):
+    return all(_close(L.eval_at(p), R.eval_at(p)) for p in pts)
+
+
+def test_L_eval_matches_its_ratfun_view():
+    cases = _L_cases()
+    assert len(cases) == 15 * 5 + 10 * 3 + 2
+    for L, R, pts in cases:
+        assert _views_agree(L, R, pts), (L.ctx, L.form)
+
+
+def _bump_first_coefficient(L):
+    (key, vpoly), *rest = L.form
+    (k, c), *more = vpoly
+    return L._replace(form=((key, ((k, c + 1), *more)), *rest))
+
+
+@pytest.mark.parametrize(
+    "mutate", [_bump_first_coefficient, lambda L: L._replace(shift=L.shift + 1)],
+    ids=["coefficient", "shift"],
+)
+def test_corrupted_L_fails_the_view_check(mutate):
+    """The check above can fail: one form coefficient + 1, or the shift off
+    by one, evaluates away from the RatFun of the true value.  Values below
+    the 1e-9 floor of the check (large shifts) cannot tell, so the mutation
+    must fail it at every case with |L| > 1e-6 at its points."""
+    told = 0
+    cases = _L_cases()
+    for L, R, pts in cases:
+        if min(abs(R.eval_at(p)) for p in pts) > 1e-6:
+            assert not _views_agree(mutate(L), R, pts), (L.ctx, L.form)
+            told += 1
+    assert told > len(cases) // 2
+
+
+def test_L_path_expands_nothing(monkeypatch):
+    """L_value and LValue.eval_at never multiply out characters."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the form was expanded")
+
+    monkeypatch.setattr(wsformula, "_expand", refuse)
+    for ctx, d, f in ((C21, (1,), (1, 1)), (C31, (2,), (2, 2, 1)), (C32, (1, 0), (2, 1, 0))):
+        L = L_value(ctx, d, f)
+        L.eval_at(sample_points(ctx, 1, seed=3)[0])
+    with pytest.raises(AssertionError):
+        L.ratfun()
+
+
+def test_L_eval_raises_pole_error_at_a_root_of_den():
+    L = L_value(C21, (1,), (1, 1))
+    assert L.den == (1, 0, 1)  # C(v) = 1 + v^2 shares no factor with this form
+    pt = (1j,) + sample_points(C21, 1, seed=0)[0][1:]
+    with pytest.raises(PoleError):
+        L.eval_at(pt)
+    with pytest.raises(PoleError):
+        L.ratfun().eval_at(pt)
 
 
 def test_symmetrizer_identity():
