@@ -39,6 +39,9 @@ __all__ = [
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Numeric evaluation raises PoleError where |denominator| falls below this.
+POLE_TOL = 1e-12
+
 
 def _exact(c):
     """An exact coefficient: an int when c is integral, else a Fraction."""
@@ -576,7 +579,7 @@ class RatFun:
         nfac, dfac = _cancel_multisets(nfac, dfac)
         return RatFun(self.vars, coeff, mono, nfac, dfac)
 
-    def eval_at(self, point, tol=1e-12):
+    def eval_at(self, point, tol=POLE_TOL):
         """Evaluate at a complex point; raise PoleError near a denominator zero."""
         if len(point) != self.vars.size:
             raise ContextMismatchError("point shape does not match context")

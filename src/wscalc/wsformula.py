@@ -37,9 +37,17 @@ two angles nearly coincide.  The literal term-by-term rational-function sum
 
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
 
-from .ratfun import ContextMismatchError, LinearForm, PoleError, Poly, RatFun, eval_terms, zeta_of
+from .ratfun import (
+    POLE_TOL,
+    ContextMismatchError,
+    LinearForm,
+    PoleError,
+    Poly,
+    RatFun,
+    eval_terms,
+    zeta_of,
+)
 from .weyl import character, enumerate_group, is_dominant, straighten_weight
 from .zetafactors import (
     Context,
@@ -292,7 +300,7 @@ def _constant_v(ctx):
     ))
 
 
-class LValue(NamedTuple):
+class LValue:
     """L(d, f) in the character basis:
 
         v^shift / den(v) * sum over ((lam, mu), ((k, c), ...)) in form of
@@ -305,25 +313,41 @@ class LValue(NamedTuple):
     the form is the value's canonical expression.  ``eval_at`` evaluates it
     there; ``ratfun`` expands it, which is needed only to print it or to do
     rational-function arithmetic with it.
+
+    An LValue is immutable and is not a number: arithmetic and comparison
+    with it raise TypeError, so a caller that wants either takes
+    ``ratfun()`` first.
     """
 
-    ctx: Context
-    shift: int
-    den: tuple
-    form: tuple
+    __slots__ = ("ctx", "shift", "den", "form")
 
-    def eval_at(self, point, tol=1e-12):
+    def __init__(self, ctx, shift, den, form):
+        for name, value in zip(self.__slots__, (ctx, shift, den, form)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError("LValue is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        raise TypeError("an LValue does not compare; compare its ratfun()")
+
+    def __repr__(self):
+        return "LValue(shift=%r, den=%r, form=%r)" % (self.shift, self.den, self.form)
+
+    def eval_at(self, point):
         """Evaluate at a complex point (v, x_1..x_n, y_1..y_m); raise
-        PoleError where |den(v)| < tol."""
+        PoleError where |den(v)| < POLE_TOL."""
         if len(point) != self.ctx.vars.size:
             raise ContextMismatchError("point shape does not match context")
         v = point[0]
         den = 0j
         for c in reversed(self.den):
             den = den * v + c
-        if abs(den) < tol:
+        if abs(den) < POLE_TOL:
             raise PoleError(
-                "evaluation within %g of a pole (|denominator| = %g)" % (tol, abs(den)),
+                "evaluation within %g of a pole (|denominator| = %g)" % (POLE_TOL, abs(den)),
                 magnitude=abs(den),
             )
         return v ** self.shift * _eval_form(self.form, point, self.ctx.n) / den

@@ -1,0 +1,64 @@
+"""Reference constructions for the tests, kept outside the library.
+
+Each builds, the slow and literal way, a quantity that the engine computes
+through the character basis, so a test can compare the two.
+"""
+
+from itertools import combinations
+
+from wscalc.ratfun import Poly, RatFun
+from wscalc.weyl import character, straighten_weight
+
+
+def so_char(vars_, lam):
+    """The SO_{2N+1} character T_N(lam; x_1..x_N), N = len(lam), lam in Z^N,
+    as a RatFun: the alternant ratio A(x^(lam+rho)) / A(x^rho), so an
+    arbitrary lam is straightened by the dot action (sign and dominant
+    weight, or 0 when lam+rho is singular) onto the cached dominant
+    character.  A reference for the character basis that the engine works in.
+    """
+    lam = tuple(int(a) for a in lam)
+    N = len(lam)
+    if N > vars_.n:
+        raise ValueError("not enough x variables for rank %d" % N)
+    st = straighten_weight(lam, "so")
+    if st is None:
+        return RatFun.zero(vars_)
+    sign, dom = st
+    pad = (0,) * (vars_.size - 1 - N)
+    terms = {(0,) + e + pad: sign * c for e, c in character(dom, "so")}
+    return RatFun.from_poly(Poly(vars_, terms, prune=False))
+
+
+# The right-hand side through the 2m Satake monomials v y_j^(+-1): an
+# independent reference for the Lambda^r decomposition that
+# ``charform._rhs_form`` uses.
+
+
+def satake_multiset(ctx):
+    """The multiset q^(-gamma) for gamma in {xi_j + 1/2, -xi_j + 1/2}:
+    the 2m monomials v*y_j and v*y_j^-1, as exponent tuples."""
+    V = ctx.vars
+    out = []
+    for j in range(1, ctx.m + 1):
+        for sign in (1, -1):
+            e = [0] * V.size
+            e[0] = 1
+            e[ctx.n + j] = sign
+            out.append(tuple(e))
+    return out
+
+
+def elementary_sym(vars_, monomials, r):
+    """The r-th elementary symmetric polynomial of a multiset of monomials."""
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    if r == 0:
+        return RatFun.one(vars_)
+    if r > len(monomials):
+        return RatFun.zero(vars_)
+    acc = {}
+    for subset in combinations(monomials, r):
+        e = tuple(sum(col) for col in zip(*subset))
+        acc[e] = acc.get(e, 0) + 1
+    return RatFun.from_poly(Poly(vars_, acc))

@@ -25,7 +25,7 @@ from wscalc.zetafactors import (
     simple_roots_M,
 )
 
-from test_charform import so_char
+from references import so_char
 
 CONTEXTS = [Context(1, 0), Context(2, 1), Context(3, 1), Context(3, 2)]
 

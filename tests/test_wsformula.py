@@ -22,6 +22,7 @@ from wscalc.zetafactors import (
 )
 from wscalc.wsformula import (
     L_value,
+    LValue,
     invariance_report,
     normalization_constant,
     normalization_constant_closed,
@@ -276,11 +277,15 @@ def test_L_eval_matches_its_ratfun_view():
 def _bump_first_coefficient(L):
     (key, vpoly), *rest = L.form
     (k, c), *more = vpoly
-    return L._replace(form=((key, ((k, c + 1), *more)), *rest))
+    return LValue(L.ctx, L.shift, L.den, ((key, ((k, c + 1), *more)), *rest))
+
+
+def _bump_shift(L):
+    return LValue(L.ctx, L.shift + 1, L.den, L.form)
 
 
 @pytest.mark.parametrize(
-    "mutate", [_bump_first_coefficient, lambda L: L._replace(shift=L.shift + 1)],
+    "mutate", [_bump_first_coefficient, _bump_shift],
     ids=["coefficient", "shift"],
 )
 def test_corrupted_L_fails_the_view_check(mutate):
@@ -319,6 +324,28 @@ def test_L_eval_raises_pole_error_at_a_root_of_den():
         L.eval_at(pt)
     with pytest.raises(PoleError):
         L.ratfun().eval_at(pt)
+
+
+def test_L_is_not_a_number():
+    """Arithmetic and comparison with an LValue raise instead of acting on
+    its fields; the RatFun view is the value to compute with."""
+    L = L_value(C21, (0,), (0, 0))
+    for op in (
+        lambda: L + L,
+        lambda: L * 2,
+        lambda: 1 + L,
+        lambda: L == 1,
+        lambda: L != L,
+        lambda: L.ratfun() == L,
+        lambda: {L},
+    ):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(AttributeError):
+        L.shift = 1
+    with pytest.raises(AttributeError):
+        del L.form
+    assert L.ratfun() == 1
 
 
 def test_symmetrizer_identity():
