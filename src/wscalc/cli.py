@@ -17,7 +17,6 @@ import json
 import sys
 import time
 from fractions import Fraction
-from math import isqrt
 
 from . import charform, cone, padic, wsformula
 from .ratfun import PoleError
@@ -45,6 +44,23 @@ def _int_vector(text):
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError("expected comma-separated integers, got %r" % text)
+
+
+# the options that take an _int_vector
+_VECTOR_OPTIONS = ("--f", "--d", "--a", "--r")
+
+
+def _glue_negative_vectors(argv):
+    """argparse reads a value such as -1,0 as an unknown option, so a vector
+    that starts with a negative entry is glued to its option: --f -1,0
+    becomes --f=-1,0 and reaches the same checks."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _VECTOR_OPTIONS and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _emit(doc, out_path, exit_code):
@@ -292,13 +308,6 @@ def _verify_padic(cfg, ctx):
     }
 
 
-def _is_prime(q):
-    """Trial division; q is capped at 2^31 so that the check stays instant."""
-    if not 2 <= q < 2 ** 31:
-        return False
-    return all(q % k for k in range(2, isqrt(q) + 1))
-
-
 def _verify_gauss(cfg, ctx=None):
     from itertools import product as iproduct
 
@@ -487,7 +496,9 @@ _NUMERIC = {("eval", None), ("series", None), ("verify", "invariance")}
 
 def main(argv=None):
     try:
-        cfg = build_parser().parse_args(argv)
+        cfg = build_parser().parse_args(
+            _glue_negative_vectors(sys.argv[1:] if argv is None else argv)
+        )
     except _UsageError as exc:
         return _error(str(exc))
     which = getattr(cfg, "which", None)
@@ -505,7 +516,7 @@ def main(argv=None):
                 raise ValueError("numeric mode requires a concrete q >= 2")
         if cfg.command in ("eval", "series") or which in ("constant", "invariance", "shintani"):
             require_b_expandable(ctx)
-        if which == "padic" and not _is_prime(cfg.q):
+        if which == "padic" and not padic.is_prime(cfg.q):
             raise ValueError("verify padic needs a prime q below 2^31, got %d" % cfg.q)
         # a verifier that checks nothing must not report a pass
         sampled = which == "padic" or (which == "invariance" and cfg.mode == "numeric")

@@ -1,13 +1,15 @@
 """Concrete matrix-level calculus over Q with the p-adic absolute value.
 
-Everything here is exact: matrices have Fraction entries, minors are exact
-determinants, and p-adic sizes are tracked through valuations.  The dense
-subfield Q of Q_p suffices because every identity tested (minor invariance,
-torus equivariance, the open-cell kernel formula) is polynomial or
-valuation-theoretic.  Matrix products skip zero entries, since the factory
-elements are mostly identity.  The Gauss-shell oracle sums its character
-over integer residues: the p-adic fractional part it needs is a modular
-inverse over a power of p.
+Everything here is exact: a matrix is held as integer rows over one common
+denominator, products and the form check run on those integers, minors are
+fraction-free integer determinants, and p-adic sizes are tracked through
+valuations.  The dense subfield Q of Q_p suffices because every identity
+tested (minor invariance, torus equivariance, the open-cell kernel formula)
+is polynomial or valuation-theoretic.  Matrix products skip zero entries,
+since the factory elements are mostly identity.  The Gauss-shell oracle sums
+its character over integer residues: the p-adic fractional part it needs is
+a residue over a power of p, summed over the units directly because
+inverting them only permutes them.
 
 The symplectic group Sp_2n is realized with respect to the form
 S[i, 2n+1-i] = 1 for i <= n and -1 for i > n (1-indexed), the convention
@@ -20,10 +22,12 @@ J(x, y, z) take the block shape [[1, x, y, z], [0, 1, 0, y^t],
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import inf
+from itertools import chain
+from math import gcd, inf, isqrt, lcm
 
 __all__ = [
     "PValued",
+    "is_prime",
     "valuation",
     "SympMatrix",
     "symplectic_form",
@@ -53,6 +57,13 @@ __all__ = [
     "gauss_shell",
     "gauss_shell_numeric",
 ]
+
+
+def is_prime(q):
+    """Trial division; q is capped at 2^31 so that the check stays instant."""
+    if not 2 <= q < 2 ** 31:
+        return False
+    return all(q % k for k in range(2, isqrt(q) + 1))
 
 
 def valuation(x, p):
@@ -127,21 +138,29 @@ def symplectic_form(n):
     N = 2 * n
     rows = []
     for i in range(1, N + 1):
-        row = [Fraction(0)] * N
-        row[N - i] = Fraction(1) if i <= n else Fraction(-1)
+        row = [0] * N
+        row[N - i] = 1 if i <= n else -1
         rows.append(tuple(row))
     return tuple(rows)
 
 
+def _over_common_den(values):
+    """Rationals as integers over their least common denominator.  The pair
+    is gcd-reduced: every prime power of the denominator divides some
+    value's own denominator in full, whose numerator it does not divide."""
+    values = [Fraction(v) for v in values]
+    den = lcm(1, *(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _mat_mul(a, b):
-    """The exact product a*b, touching only nonzero entries: factory elements
-    are mostly identity plus a few entries, so dense products waste most of
-    their Fraction operations on zeros."""
+    """The integer product a*b, touching only nonzero entries: factory
+    elements are mostly identity plus a few entries, so dense products
+    waste most of their operations on zeros."""
     N = len(b[0])
-    zero = Fraction(0)
     out = []
     for ra in a:
-        row = [zero] * N
+        row = [0] * N
         for k, x in enumerate(ra):
             if x:
                 for j, y in enumerate(b[k]):
@@ -151,66 +170,99 @@ def _mat_mul(a, b):
     return tuple(out)
 
 
-class SympMatrix:
-    """A 2n x 2n matrix of exact rationals, checked against the form.
+def _scaled_identity(N, den):
+    """den * I_N as mutable integer rows, for the factories to fill in."""
+    return [[den if i == j else 0 for j in range(N)] for i in range(N)]
 
-    Factory-built elements are verified on construction; raw matrices may
-    skip the check with check=False (needed e.g. for non-group scratch
-    matrices in the minor-expansion lemma).
+
+def _frozen(rows):
+    return tuple(map(tuple, rows))
+
+
+class SympMatrix:
+    """A 2n x 2n rational matrix, checked against the form.
+
+    The matrix is held as integer rows over one positive common denominator,
+    gcd-reduced so that equal matrices hold equal pairs; products, the form
+    check and minors run on the integers.  ``entries`` and 1-indexed
+    ``g[i, j]`` give the exact Fraction view.  Factory-built elements are
+    verified on construction; raw matrices may skip the check with
+    check=False (needed e.g. for the non-group matrices of the
+    minor-expansion lemma).
     """
 
-    __slots__ = ("n", "p", "entries")
+    __slots__ = ("n", "p", "rows", "den")
 
     def __init__(self, n, entries, p, check=True):
-        self.n = n
-        self.p = p
         N = 2 * n
-        # products arrive as Fractions already; re-wrapping them would cost
-        # as much as a sparse product
-        entries = tuple(
-            tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in entries
-        )
+        entries = [tuple(row) for row in entries]
         if len(entries) != N or any(len(row) != N for row in entries):
             raise ValueError("entries must form a 2n x 2n matrix")
-        self.entries = entries
+        flat, den = _over_common_den(chain.from_iterable(entries))
+        self._set(n, tuple(tuple(flat[i : i + N]) for i in range(0, N * N, N)), den, p, check)
+
+    @classmethod
+    def _from_rows(cls, n, rows, den, p, check=True):
+        """The integer path: rows over den, already gcd-reduced."""
+        g = cls.__new__(cls)
+        g._set(n, rows, den, p, check)
+        return g
+
+    def _set(self, n, rows, den, p, check):
+        self.n = n
+        self.p = p
+        self.rows = rows
+        self.den = den
         if check and not self.preserves_form():
             raise ValueError("matrix does not preserve the symplectic form")
 
+    @property
+    def entries(self):
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.rows)
+
     def preserves_form(self):
-        """g^T S g == S, with S g formed by permuting rows: S g is g's rows
-        reversed, the lower half negated."""
+        """g^T S g == S, as num^T S num == den^2 S on the integer rows, with
+        S num formed by permuting rows: num's rows reversed, the lower half
+        negated."""
         n = self.n
-        g = self.entries
+        g = self.rows
         rev = g[::-1]
         sg = rev[:n] + tuple(tuple(-x for x in row) for row in rev[n:])
-        return _mat_mul(tuple(zip(*g)), sg) == symplectic_form(n)
+        form = symplectic_form(n)
+        if self.den != 1:
+            d2 = self.den * self.den
+            form = tuple(tuple(d2 * x for x in row) for row in form)
+        return _mat_mul(tuple(zip(*g)), sg) == form
 
     @classmethod
     def identity(cls, n, p):
-        N = 2 * n
-        return cls(
-            n,
-            [[Fraction(1) if i == j else Fraction(0) for j in range(N)] for i in range(N)],
-            p,
-            check=False,
-        )
+        return cls._from_rows(n, _frozen(_scaled_identity(2 * n, 1)), 1, p, check=False)
 
     def __mul__(self, other):
         if not isinstance(other, SympMatrix):
             return NotImplemented
         if self.n != other.n or self.p != other.p:
             raise ValueError("size or prime mismatch")
-        return SympMatrix(self.n, _mat_mul(self.entries, other.entries), self.p, check=False)
+        rows = _mat_mul(self.rows, other.rows)
+        den = self.den * other.den
+        if den != 1:
+            c = gcd(den, *chain.from_iterable(rows))
+            if c != 1:
+                rows = tuple(tuple(x // c for x in row) for row in rows)
+                den //= c
+        return SympMatrix._from_rows(self.n, rows, den, self.p, check=False)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i - 1][j - 1]  # 1-indexed access
+        return Fraction(self.rows[i - 1][j - 1], self.den)  # 1-indexed access
 
     def __eq__(self, other):
         return (
             isinstance(other, SympMatrix)
             and self.n == other.n
-            and self.entries == other.entries
+            and self.den == other.den
+            and self.rows == other.rows
         )
 
     def __repr__(self):
@@ -228,24 +280,25 @@ def d_torus(n, ts, p):
         raise ValueError("too many torus entries")
     N = 2 * n
     diag = [Fraction(1)] * (n - k) + ts
-    diag = diag + [Fraction(1) / t for t in reversed(diag)]
-    ent = [[diag[i] if i == j else Fraction(0) for j in range(N)] for i in range(N)]
-    return SympMatrix(n, ent, p)
+    diag, den = _over_common_den(diag + [1 / t for t in reversed(diag)])
+    rows = tuple(tuple(diag[i] if i == j else 0 for j in range(N)) for i in range(N))
+    return SympMatrix._from_rows(n, rows, den, p)
 
 
 def w0_element(n, p):
     """The longest Weyl element, realized as the form matrix itself."""
-    return SympMatrix(n, symplectic_form(n), p)
+    return SympMatrix._from_rows(n, symplectic_form(n), 1, p)
 
 
 def j_elem(n, m, x, y, z, p):
     """J(x, y, z) of the Heisenberg group inside H = Sp_{2m+2} inside G."""
-    x = [Fraction(a) for a in x]
-    y = [Fraction(a) for a in y]
+    x, y = list(x), list(y)
     if len(x) != m or len(y) != m:
         raise ValueError("x and y must have length m")
+    vals, den = _over_common_den(x + y + [z])
+    x, y, z = vals[:m], vals[m : 2 * m], vals[2 * m]
     N = 2 * n
-    ent = [[Fraction(1) if i == j else Fraction(0) for j in range(N)] for i in range(N)]
+    ent = _scaled_identity(N, den)
     row = n - m - 1  # 0-indexed row n-m
     for j in range(m):
         ent[row][n - m + j] = x[j]
@@ -254,8 +307,8 @@ def j_elem(n, m, x, y, z, p):
         # antidiagonal form (so the element is actually symplectic)
         ent[n - m + j][n + m] = y[m - 1 - j]
         ent[n + j][n + m] = -x[m - 1 - j]
-    ent[row][n + m] = Fraction(z)
-    return SympMatrix(n, ent, p)
+    ent[row][n + m] = z
+    return SympMatrix._from_rows(n, _frozen(ent), den, p)
 
 
 def x_elem(n, m, xs, p):
@@ -283,16 +336,16 @@ def weyl_matrix(n, w, p):
     form survives (checked on construction).
     """
     N = 2 * n
-    ent = [[Fraction(0)] * N for _ in range(N)]
+    ent = [[0] * N for _ in range(N)]
     for i in range(1, n + 1):
         j = w.image[i - 1]
         if w.flips[j - 1] == 1:
-            ent[j - 1][i - 1] = Fraction(1)
-            ent[N - j][N - i] = Fraction(1)
+            ent[j - 1][i - 1] = 1
+            ent[N - j][N - i] = 1
         else:
-            ent[N - j][i - 1] = Fraction(1)
-            ent[j - 1][N - i] = Fraction(-1)
-    return SympMatrix(n, ent, p)
+            ent[N - j][i - 1] = 1
+            ent[j - 1][N - i] = -1
+    return SympMatrix._from_rows(n, _frozen(ent), 1, p)
 
 
 def positive_roots_sp(n, lo=1, hi=None):
@@ -313,7 +366,9 @@ def root_generator(n, root, t, p):
     """The one-parameter root subgroup element E_root(t) of Sp_2n."""
     t = Fraction(t)
     N = 2 * n
-    ent = [[Fraction(1) if i == j else Fraction(0) for j in range(N)] for i in range(N)]
+    den = t.denominator
+    t = t.numerator  # E_root(t) = (den * I + t * E) / den
+    ent = _scaled_identity(N, den)
     kind = root[0]
     if kind in ("minus", "neg_minus"):
         _, i, j = root
@@ -337,7 +392,7 @@ def root_generator(n, root, t, p):
         ent[N - i][i - 1] += t
     else:
         raise ValueError("unknown root kind %r" % (kind,))
-    return SympMatrix(n, ent, p)
+    return SympMatrix._from_rows(n, _frozen(ent), den, p)
 
 
 # -- seeded random elements --------------------------------------------------
@@ -416,43 +471,35 @@ def random_cell_element(n, m, rng, p):
 # -- minors and the cell calculus ---------------------------------------------
 
 
-def _det(rows):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    k = len(rows)
-    if k == 0:
-        return Fraction(1)
-    a = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(k):
-        piv = None
-        for r in range(col, k):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, k):
-            if a[r][col]:
-                factor = a[r][col] * inv
-                for c in range(col, k):
-                    a[r][c] -= factor * a[col][c]
-    return det
-
-
 def minor(g, I, J):
-    """Delta_{I,J}(g) = det of the submatrix with rows I, columns J (1-indexed)."""
-    if len(I) != len(J):
+    """Delta_{I,J}(g) = det of the submatrix with rows I, columns J (1-indexed).
+
+    One fraction-free (Bareiss) elimination on the integer rows: every
+    division below is exact, and the determinant of the k x k integer block
+    is den^k times the minor."""
+    k = len(I)
+    if k != len(J):
         raise ValueError("row and column index tuples must have equal length")
     N = 2 * g.n
     if any(not 1 <= i <= N for i in I) or any(not 1 <= j <= N for j in J):
         raise IndexError("minor index out of range")
-    rows = [[g.entries[i - 1][j - 1] for j in J] for i in I]
-    return PValued(_det(rows), g.p)
+    a = [[g.rows[i - 1][j - 1] for j in J] for i in I]
+    sign, prev = 1, 1
+    for c in range(k - 1):
+        if not a[c][c]:
+            swap = next((r for r in range(c + 1, k) if a[r][c]), None)
+            if swap is None:
+                return PValued(0, g.p)
+            a[c], a[swap] = a[swap], a[c]
+            sign = -sign
+        piv = a[c][c]
+        for r in range(c + 1, k):
+            ar, x = a[r], a[r][c]
+            for j in range(c + 1, k):
+                ar[j] = (ar[j] * piv - x * a[c][j]) // prev
+        prev = piv
+    det = sign * a[k - 1][k - 1] if k else 1
+    return PValued(Fraction(det, g.den ** k), g.p)
 
 
 def alpha_k(g, k):
@@ -564,22 +611,25 @@ def minor_expansion_check(g1, g2, g3, I, J, guard=3):
         raise ValueError("index size %d exceeds the guard %d" % (k, guard))
     N = 2 * g1.n
     lhs = minor(g1 * g2 * g3, I, J).value
+    # f_{I,A} and f_{C,J} on the integer rows; their denominators come out
+    # once at the end
+    r1, r3 = g1.rows, g3.rows
     rhs = Fraction(0)
     all_tuples = list(iproduct(range(1, N + 1), repeat=k))
     for A in all_tuples:
-        fia = Fraction(1)
+        fia = 1
         for s in range(k):
-            fia *= g1.entries[I[s] - 1][A[s] - 1]
+            fia *= r1[I[s] - 1][A[s] - 1]
         if not fia:
             continue
         for C in all_tuples:
-            fcj = Fraction(1)
+            fcj = 1
             for s in range(k):
-                fcj *= g3.entries[C[s] - 1][J[s] - 1]
+                fcj *= r3[C[s] - 1][J[s] - 1]
             if not fcj:
                 continue
             rhs += fia * minor(g2, A, C).value * fcj
-    return lhs == rhs
+    return lhs == rhs / (g1.den * g3.den) ** k
 
 
 # -- the rank-one Gauss shell integral ----------------------------------------
@@ -611,17 +661,22 @@ def gauss_shell_numeric(i, j, q):
     fractional part is an integer residue over p^k:
 
         {p^(i-j) u^-1}_p = (u^-1 mod p^k) / p^k   if k > 0,   else 0.
+
+    Since u -> u^-1 permutes the units mod p^M, the sum runs over psi(u / p^k)
+    instead, still one term per unit, with no modular inverse.  The units
+    are the residues not divisible by q only for q prime (for q = 4 they
+    would include 2), so any other q is refused.
     """
     import cmath
 
+    if not is_prime(q):
+        raise ValueError("the Gauss-shell oracle needs a prime q, got %r" % q)
     k = j - i
     M = max(1, k)
     pM = q ** M
-    measure = Fraction(q) ** (-(j + M))
+    step = 2j * cmath.pi / pM if k > 0 else 0j
     total = 0j
     for u in range(1, pM):
-        if u % q == 0:
-            continue
-        frac = pow(u, -1, pM) / pM if k > 0 else 0.0
-        total += cmath.exp(2j * cmath.pi * frac)
-    return total * float(measure)
+        if u % q:
+            total += cmath.exp(step * u)
+    return total * q ** -(j + M)

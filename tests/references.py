@@ -1,9 +1,12 @@
 """Reference constructions for the tests, kept outside the library.
 
 Each builds, the slow and literal way, a quantity that the engine computes
-through the character basis, so a test can compare the two.
+another way (through the character basis, or by a reindexed sum), so a test
+can compare the two.
 """
 
+import cmath
+from fractions import Fraction
 from itertools import combinations
 
 from wscalc.ratfun import Poly, RatFun
@@ -62,3 +65,21 @@ def elementary_sym(vars_, monomials, r):
         e = tuple(sum(col) for col in zip(*subset))
         acc[e] = acc.get(e, 0) + 1
     return RatFun.from_poly(Poly(vars_, acc))
+
+
+def gauss_shell_inverse_sum(i, j, q):
+    """The Gauss-shell character sum as first written: psi((u^-1 mod p^k) / p^k)
+    over the units u mod p^M, one modular inverse per unit, with the measure
+    q^-(j+M) taken exactly.  A reference for ``padic.gauss_shell_numeric``,
+    which sums psi(u / p^k) instead because inversion permutes the units."""
+    k = j - i
+    M = max(1, k)
+    pM = q ** M
+    measure = Fraction(q) ** (-(j + M))
+    total = 0j
+    for u in range(1, pM):
+        if u % q == 0:
+            continue
+        frac = pow(u, -1, pM) / pM if k > 0 else 0.0
+        total += cmath.exp(2j * cmath.pi * frac)
+    return total * float(measure)

@@ -286,6 +286,46 @@ def test_verify_gauss_names_failing_case(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv,option,value",
+    [
+        (["eval", "--n", "2", "--m", "1"], "--f", "-1,0"),
+        (["eval", "--n", "3", "--m", "2", "--f", "1,0,0"], "--d", "-1,0"),
+        (["reduce", "--n", "3", "--m", "2", "--a", "0", "--r", "1,0"], "--d", "-1,0"),
+        (["reduce", "--n", "3", "--m", "1", "--d", "0", "--r", "1"], "--a", "-1,0"),
+        (["reduce", "--n", "3", "--m", "2", "--d", "0,0", "--a", "0"], "--r", "-1,0"),
+        (["verify", "invariance", "--n", "2", "--m", "1"], "--f", "-1,0"),
+    ],
+)
+def test_negative_vector_after_a_space(capsys, argv, option, value):
+    """--f -1,0 used to be refused as "argument --f: expected one argument"
+    (exit 2); every vector option now reads it as --f=-1,0 does and reaches
+    the dominance check (exit 1, a ValueError document)."""
+    code, doc = run_json(capsys, *argv, option, value)
+    glued_code, glued_doc = run_json(capsys, *argv, option + "=" + value)
+    for d in (doc, glued_doc):
+        d.pop("wall_time_s", None)
+    assert code == glued_code == 1
+    assert doc == glued_doc and doc["error"]["type"] == "ValueError"
+
+
+def test_verify_padic_fails_on_a_wrong_minor_index(capsys, monkeypatch):
+    """beta_l omits column n-m; a beta_l that keeps it must make verify
+    padic report FAIL, or the verifier shows nothing."""
+    from wscalc import padic
+
+    def beta_keeping_column_n_minus_m(g, l, m):
+        size = g.n - m + l - 1
+        N = 2 * g.n
+        return padic.minor(g, tuple(range(N + 1 - size, N + 1)), tuple(range(1, size + 1)))
+
+    monkeypatch.setattr(padic, "beta_l", beta_keeping_column_n_minus_m)
+    code, doc = run_json(capsys, "verify", "padic", "--n", "3", "--m", "2", "--samples", "3")
+    assert code == 1 and doc["pass"] is False
+    report = doc["report"]
+    assert report["valuations_recovered"] < report["trials"] == 3
+
+
 # -- the eval contract ----------------------------------------------------------
 
 MALFORMED = ("a", "1,,2", "1.5", "1;2", "x,0", "1,", ",")

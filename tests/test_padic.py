@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import inf
+from math import gcd, inf, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +39,8 @@ from wscalc.padic import (
     z_elem,
 )
 from wscalc.weyl import SignedPerm
+
+from references import gauss_shell_inverse_sum
 
 P = 3
 
@@ -112,11 +114,22 @@ def sparse_pair(draw):
     return matrix(), matrix()
 
 
+def _over_den(a):
+    """A Fraction matrix as integer rows over the lcm of its denominators."""
+    den = lcm(*(x.denominator for row in a for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in a), den
+
+
 @given(sparse_pair())
 @settings(max_examples=100, deadline=None)
 def test_sparse_mat_mul_matches_dense(pair):
+    """The integer product of the rows, over the product of the
+    denominators, is the dense Fraction product."""
     a, b = pair
-    assert _mat_mul(a, b) == _dense_mul(a, b)
+    (ra, da), (rb, db) = _over_den(a), _over_den(b)
+    prod = _mat_mul(ra, rb)
+    assert all(type(x) is int for row in prod for x in row)
+    assert tuple(tuple(Fraction(x, da * db) for x in row) for row in prod) == _dense_mul(a, b)
 
 
 def _factory_elements(rng):
@@ -132,6 +145,20 @@ def _factory_elements(rng):
     xs = [random_rational(rng, P) for _ in range(m)]
     yield j_elem(n, m, xs, xs[::-1], random_rational(rng, P), P)
     yield random_cell_element(n, m, rng, P)[0]
+
+
+def test_products_are_reduced_and_match_dense():
+    """Products of factory elements equal the dense Fraction product and hold
+    gcd-reduced integer rows over a positive denominator, so that equal
+    matrices compare equal."""
+    rng = random.Random(17)
+    elements = list(_factory_elements(rng))
+    for g, h in itertools.product(elements, repeat=2):
+        gh = g * h
+        assert gh.entries == _dense_mul(g.entries, h.entries)
+        assert gh.den > 0 and gcd(gh.den, *itertools.chain.from_iterable(gh.rows)) == 1
+        assert gh == SympMatrix(g.n, gh.entries, P)
+        assert gh[1, 2] == gh.entries[0][1]
 
 
 def test_form_check_matches_dense_and_catches_one_entry():
@@ -318,3 +345,26 @@ def test_gauss_shell_numeric_oracle_small():
         for i, j in itertools.product(range(-2, 3), repeat=2):
             closed = complex(gauss_shell(i, j, q))
             assert abs(closed - gauss_shell_numeric(i, j, q)) < 1e-9
+
+
+def test_gauss_shell_numeric_matches_inverse_sum():
+    """Summing psi(u / p^k) over the units agrees with the literal sum of
+    psi(u^-1 / p^k) on every case of ``verify gauss`` with q^(j-i) <= 5^6,
+    so the reindexing by u -> u^-1 is checked, not trusted."""
+    checked = 0
+    for q in (3, 5):
+        for i, j in itertools.product(range(-4, 5), repeat=2):
+            if q ** (j - i) <= 5 ** 6:
+                assert abs(gauss_shell_numeric(i, j, q) - gauss_shell_inverse_sum(i, j, q)) < 1e-12
+                checked += 1
+    assert checked == 2 * 81 - 3  # q = 5 leaves out j - i = 7, 8
+
+
+@pytest.mark.parametrize("q", [1, 4, 6])
+def test_gauss_shell_numeric_refuses_non_prime_q(q):
+    """For q = 4 the residues not divisible by q include 2, which is not a
+    unit of Z/4^M, so the reindexed sum would add up non-units; the oracle
+    refuses q that is not prime, also at k = 0 where no residue is
+    inverted."""
+    with pytest.raises(ValueError):
+        gauss_shell_numeric(0, 0, q)
