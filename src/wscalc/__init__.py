@@ -5,8 +5,9 @@ The package evaluates the closed Weyl-sum formula for the normalized
 integrated values on the torus, reduces double-coset data to normal form,
 builds every local factor product (b, d, d', Gamma, c_w, gamma), and
 machine-checks the defining identities: the normalization constant, the
-Weyl-group invariance, the gamma-factor consistency, and the rank-one local
-L-function series identity.  All symbolic computation is exact arithmetic
+gamma-factor consistency of Gamma and of the unnormalized value Gamma S
+under the simple reflections (one exact equivariance check, with c_w as the
+rank-one factor), and the rank-one local L-function series identity.  All symbolic computation is exact arithmetic
 over Q(v, x_1..x_n, y_1..y_m) with v = q^(-1/2), x_i = q^(-chi_i),
 y_j = q^(-xi_j).
 """

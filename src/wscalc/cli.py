@@ -8,6 +8,11 @@ Four subcommands mirror the library layers:
   reduce   double-coset triple reduction with the full operation trace
   series   the two sides of the local L-function series, as a table
 
+`verify gamma` and `verify invariance` share one exact check
+(``zetafactors.equivariance``): under each simple reflection s, Gamma and
+the unnormalized value Gamma S pick up gamma_s / c_s.  Only `verify padic`
+reads --q and --samples; any other check given either is a config error.
+
 All output is JSON (schema 1) on stdout or --out; `series --csv` writes a
 CSV table instead.  Any failing verification exits nonzero with a witness.
 """
@@ -21,17 +26,7 @@ from fractions import Fraction
 from . import charform, cone, padic, wsformula
 from .ratfun import PoleError
 from .weyl import group_order, is_dominant
-from .zetafactors import (
-    Context,
-    c_alpha,
-    c_tilde_beta,
-    gamma_alpha,
-    gamma_beta,
-    gamma_big,
-    require_b_expandable,
-    simple_roots_G,
-    simple_roots_M,
-)
+from .zetafactors import Context, equivariance, gamma_big, require_b_expandable
 
 SCHEMA = 1
 
@@ -144,31 +139,18 @@ def _verify_constant(cfg, ctx):
 
 
 def _verify_gamma(cfg, ctx):
-    V = ctx.vars
-    gamma = gamma_big(ctx)
-    checks = []
-    ok = True
-    for root in simple_roots_G(ctx):
-        w = root.reflection(ctx)
-        remap = w.embed_remap(V.size, 1)
-        eq = gamma.substitute_exponents(remap) * c_alpha(ctx, root) == gamma * gamma_alpha(ctx, root)
-        ok &= eq
-        checks.append({"group": "G", "root": root.label, "pass": eq})
-    for root in simple_roots_M(ctx):
-        w = root.reflection(ctx)
-        remap = w.embed_remap(V.size, 1 + ctx.n)
-        eq = gamma.substitute_exponents(remap) * c_tilde_beta(ctx, root) == gamma * gamma_beta(ctx, root)
-        ok &= eq
-        checks.append({"group": "M", "root": root.label, "pass": eq})
+    checks = [
+        {"group": root.group, "root": root.label, "pass": ok}
+        for root, ok in equivariance(ctx, gamma_big(ctx))
+    ]
+    ok = all(c["pass"] for c in checks)
     return ok, {"generators": checks, "pass": ok}
 
 
 def _verify_invariance(cfg, ctx):
     d = cfg.d if cfg.d is not None else (0,) * ctx.m
     f = cfg.f if cfg.f is not None else (0,) * ctx.n
-    rep = wsformula.invariance_report(
-        ctx, d, f, mode=cfg.mode, samples=cfg.samples, seed=cfg.seed, q=cfg.q
-    )
+    rep = wsformula.invariance_report(ctx, d, f)
     return rep.ok, rep.as_dict()
 
 
@@ -426,6 +408,12 @@ def cmd_series(cfg, ctx):
 # -- argument parsing -----------------------------------------------------------
 
 
+# --q and --samples default to None, so that a verify check that does not read
+# them can refuse them; these are the defaults where they are read
+_DEFAULT_Q = 3
+_DEFAULT_SAMPLES = 10
+
+
 def _add_common(sp):
     sp.add_argument("--n", type=int, required=True, help="rank of G = Sp(2n)")
     sp.add_argument("--m", type=int, required=True, help="rank of M = Sp(2m)")
@@ -434,11 +422,17 @@ def _add_common(sp):
         choices=("exact", "numeric"),
         default="exact",
         help="exact symbolic arithmetic (default) or complex evaluation of "
-        "the same character form at a seeded sample point (eval, series and "
-        "verify invariance only); both expand b "
+        "the same character form at a seeded sample point (eval and series "
+        "only); both expand b "
         "once per rank, which dominates at n = 4 and is refused from n = 5 on",
     )
-    sp.add_argument("--q", type=int, default=3, help="residue cardinality for numeric mode")
+    sp.add_argument(
+        "--q",
+        type=int,
+        default=None,
+        help="residue cardinality: v = q^(-1/2) in numeric mode, the prime of "
+        "verify padic (default %d)" % _DEFAULT_Q,
+    )
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="write the report to this path instead of stdout")
 
@@ -471,7 +465,10 @@ def build_parser():
     pv.add_argument("--K", type=int, default=4, help="series truncation")
     pv.add_argument("--d", type=_int_vector, default=None)
     pv.add_argument("--f", type=_int_vector, default=None)
-    pv.add_argument("--samples", type=int, default=10)
+    pv.add_argument(
+        "--samples", type=int, default=None,
+        help="random trials of verify padic (default %d)" % _DEFAULT_SAMPLES,
+    )
     pv.add_argument("--bound", type=int, default=3, help="entry bound of the exhaustive cone oracle")
     pv.add_argument("--count", type=int, default=1000, help="random cone triples")
 
@@ -491,7 +488,7 @@ def build_parser():
 _COMMANDS = {"eval": cmd_eval, "verify": cmd_verify, "reduce": cmd_reduce, "series": cmd_series}
 
 # the commands that evaluate the character form at a sample point in numeric mode
-_NUMERIC = {("eval", None), ("series", None), ("verify", "invariance")}
+_NUMERIC = {("eval", None), ("series", None)}
 
 
 def main(argv=None):
@@ -508,6 +505,14 @@ def main(argv=None):
             for name, vec, size in (("f", cfg.f, ctx.n), ("d", cfg.d, ctx.m)):
                 if vec is not None and len(vec) != size:
                     raise ValueError("--%s must have length %d, got %d" % (name, size, len(vec)))
+        if which not in (None, "padic"):
+            for name in ("q", "samples"):
+                if getattr(cfg, name) is not None:
+                    raise ValueError("verify %s does not read --%s" % (which, name))
+        if cfg.q is None:
+            cfg.q = _DEFAULT_Q
+        if which == "padic" and cfg.samples is None:
+            cfg.samples = _DEFAULT_SAMPLES
         if cfg.mode == "numeric":
             if (cfg.command, which) not in _NUMERIC:
                 name = cfg.command if which is None else "verify " + which
@@ -519,9 +524,8 @@ def main(argv=None):
         if which == "padic" and not padic.is_prime(cfg.q):
             raise ValueError("verify padic needs a prime q below 2^31, got %d" % cfg.q)
         # a verifier that checks nothing must not report a pass
-        sampled = which == "padic" or (which == "invariance" and cfg.mode == "numeric")
-        if sampled and cfg.samples < 1:
-            raise ValueError("verify %s needs --samples >= 1, got %d" % (which, cfg.samples))
+        if which == "padic" and cfg.samples < 1:
+            raise ValueError("verify padic needs --samples >= 1, got %d" % cfg.samples)
         if which == "cone" and (cfg.count < 0 or cfg.bound < 0):
             raise ValueError(
                 "verify cone needs --count >= 0 and --bound >= 0, got %d and %d"

@@ -95,23 +95,9 @@ class Vars:
     def zero_exp(self):
         return (0,) * self.size
 
-    def unit_exp(self, index, e=1):
-        exp = [0] * self.size
-        exp[index] = e
-        return tuple(exp)
-
     def v_exp(self, e=1):
-        return self.unit_exp(0, e)
-
-    def x_exp(self, i, e=1):
-        if not 1 <= i <= self.n:
-            raise IndexError("x index out of range: %d" % i)
-        return self.unit_exp(i, e)
-
-    def y_exp(self, j, e=1):
-        if not 1 <= j <= self.m:
-            raise IndexError("y index out of range: %d" % j)
-        return self.unit_exp(self.n + j, e)
+        """The exponent tuple of v^e."""
+        return (e,) + (0,) * (self.size - 1)
 
     def var_name(self, index):
         if index == 0:
@@ -119,12 +105,6 @@ class Vars:
         if index <= self.n:
             return "x%d" % index
         return "y%d" % (index - self.n)
-
-    def point(self, v, x=(), y=()):
-        """Pack a numeric assignment into the canonical tuple order."""
-        if len(x) != self.n or len(y) != self.m:
-            raise ContextMismatchError("point shape does not match context")
-        return (v,) + tuple(x) + tuple(y)
 
 
 def _check_same(a, b):

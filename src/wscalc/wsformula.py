@@ -33,6 +33,10 @@ polynomials, so it meets no pole and no cancellation against the Weyl
 denominators, which the 384 terms of the literal sum at (3,2) suffer where
 two angles nearly coincide.  The literal term-by-term rational-function sum
 (``weyl_sum_direct``) is kept as an independent cross-check.
+
+``invariance_report`` checks exactly that the unnormalized value Gamma S
+transforms under each simple reflection as Gamma does, through
+``zetafactors.equivariance``; a wrong Gamma or a non-invariant S fails it.
 """
 
 from functools import lru_cache
@@ -50,16 +54,14 @@ from .ratfun import (
 )
 from .weyl import character, enumerate_group, is_dominant, straighten_weight
 from .zetafactors import (
-    Context,
     b_factor,
     b_factor_poly,
     d_factor,
     delta_half_G,
     delta_half_MJ,
     dprime_factor,
+    equivariance,
     gamma_big,
-    simple_roots_G,
-    simple_roots_M,
 )
 
 __all__ = [
@@ -448,34 +450,18 @@ def sample_points(ctx, count, seed, q=3, radius=0.7):
 # -- invariance verifier -----------------------------------------------------
 
 
-def _generators(ctx):
-    gens = []
-    for root in simple_roots_G(ctx):
-        gens.append(("G", root, root.reflection(ctx)))
-    for root in simple_roots_M(ctx):
-        gens.append(("M", root, root.reflection(ctx)))
-    return gens
-
-
 class InvarianceReport:
-    """Per-generator outcome of the W_G x W_M invariance check of I/Gamma."""
+    """Per-generator outcome of the equivariance check of Gamma S."""
 
-    def __init__(self, ctx, d, f, mode, results, skipped=0):
+    def __init__(self, ctx, d, f, results):
         self.ctx = ctx
         self.d = d
         self.f = f
-        self.mode = mode
-        self.results = results  # list of (group, label, ok, deviation-or-None)
-        self.skipped = skipped
+        self.results = results  # list of (group, label, ok)
 
     @property
     def ok(self):
         return all(r[2] for r in self.results)
-
-    @property
-    def max_deviation(self):
-        devs = [r[3] for r in self.results if r[3] is not None]
-        return max(devs) if devs else 0.0
 
     def as_dict(self):
         return {
@@ -483,83 +469,28 @@ class InvarianceReport:
             "m": self.ctx.m,
             "d": list(self.d),
             "f": list(self.f),
-            "mode": self.mode,
+            "mode": "exact",
             "generators": [
-                {"group": g, "root": lab, "pass": ok}
-                | ({"deviation": dev} if dev is not None else {})
-                for g, lab, ok, dev in self.results
+                {"group": g, "root": lab, "pass": ok} for g, lab, ok in self.results
             ],
-            "skipped_points": self.skipped,
+            "skipped_points": 0,
             "pass": self.ok,
         }
 
 
-def invariance_report(ctx, d, f, mode="exact", samples=10, seed=0, q=3, radius=0.7,
-                      tol=1e-9):
-    """Check that the unnormalized pairing value over Gamma(chi, xi) is
-    invariant under every simple reflection of W_G and of W_M.
+def invariance_report(ctx, d, f, mode="exact"):
+    """Check exactly that the unnormalized pairing value Gamma(chi, xi) S(d, f)
+    transforms under every simple reflection s of W_G and of W_M as Gamma
+    does: value(s.) c_s == gamma_s value (``zetafactors.equivariance``).
 
-    The unnormalized value is (1-v^2)^m Gamma(chi,xi) S(d,f) (times torus
-    monomials that substitutions do not touch); its quotient by Gamma is
-    computed by exact division in exact mode, so the check exercises both
-    the Gamma bookkeeping and the invariance of the Weyl sum.
-
-    In numeric mode a sample point where Gamma meets a pole is skipped and
-    counted; a generator compared at no point fails, without a deviation.
+    Gamma is not divided back out, so a Gamma that does not match the
+    gamma-factors fails, and so does a non-invariant S.  Only exact mode
+    exists.
     """
+    if mode != "exact":
+        raise ValueError("invariance_report has only an exact mode, got %r" % (mode,))
     d = require_dominant(d, "d")
     f = require_dominant(f, "f")
-    V = ctx.vars
-    gens = _generators(ctx)
-    results = []
-    if mode == "exact":
-        gamma = gamma_big(ctx)
-        one_minus_p = RatFun.from_poly(
-            Poly.constant(V, 1) - Poly.monomial(V, V.v_exp(2))
-        )
-        unnorm = (one_minus_p ** ctx.m) * gamma * weyl_sum(ctx, d, f)
-        base = unnorm / gamma
-        for group, root, w in gens:
-            offset = _G_OFF if group == "G" else 1 + ctx.n
-            remap = w.embed_remap(V.size, offset)
-            reflected = unnorm.substitute_exponents(remap) / gamma.substitute_exponents(
-                remap
-            )
-            ok = reflected == base
-            results.append((group, root.label, ok, None))
-        return InvarianceReport(ctx, d, f, "exact", results)
-
-    if mode != "numeric":
-        raise ValueError("mode must be 'exact' or 'numeric'")
-
-    pts = sample_points(ctx, samples, seed, q=q, radius=radius)
-    gamma = gamma_big(ctx)
-    # None until a generator is compared at some point: a generator that
-    # every pole skipped has checked nothing and fails
-    per_gen_dev = [None] * len(gens)
-    skipped = 0
-    for pt in pts:
-        try:
-            base_gamma = gamma.eval_at(pt)
-        except PoleError:
-            skipped += 1
-            continue
-        base = weyl_sum_numeric(ctx, d, f, pt)
-        base_ratio = ((1 - pt[0] ** 2) ** ctx.m) * base_gamma * base / base_gamma
-        for idx, (group, root, w) in enumerate(gens):
-            if group == "G":
-                wpt = (pt[0],) + w.act_on_point(pt[1 : 1 + ctx.n]) + pt[1 + ctx.n :]
-            else:
-                wpt = pt[: 1 + ctx.n] + w.act_on_point(pt[1 + ctx.n :])
-            try:
-                refl_gamma = gamma.eval_at(wpt)
-            except PoleError:
-                skipped += 1
-                continue
-            refl = weyl_sum_numeric(ctx, d, f, wpt)
-            ratio = ((1 - wpt[0] ** 2) ** ctx.m) * refl_gamma * refl / refl_gamma
-            dev = abs(ratio - base_ratio)
-            per_gen_dev[idx] = max(dev, per_gen_dev[idx] or 0.0)
-    for (group, root, w), dev in zip(gens, per_gen_dev):
-        results.append((group, root.label, dev is not None and dev < tol, dev))
-    return InvarianceReport(ctx, d, f, "numeric", results, skipped=skipped)
+    value = gamma_big(ctx) * weyl_sum(ctx, d, f)
+    results = [(root.group, root.label, ok) for root, ok in equivariance(ctx, value)]
+    return InvarianceReport(ctx, d, f, results)

@@ -2,6 +2,11 @@
 c_w and c~_w, the rank-one gamma-factors, and modulus characters on torus
 cocharacters.
 
+``equivariance`` is the one exact check of how a value transforms under the
+simple reflections: value(s.) c_s == gamma_s value, with c_s = c_w(s) (or
+c~_w(s)) the rank-one Gindikin-Karpelevich factor.  ``verify gamma`` applies
+it to Gamma, and ``verify invariance`` to the unnormalized value Gamma S.
+
 Variable convention throughout: x_i = q^(-chi_i), y_j = q^(-xi_j),
 v = q^(-1/2), so each zeta argument (an affine form in chi, xi with
 half-integer constant) becomes a Laurent monomial and every factor is an
@@ -28,6 +33,8 @@ __all__ = [
     "c_tilde_w",
     "gamma_alpha",
     "gamma_beta",
+    "reflection_factors",
+    "equivariance",
     "delta_half_G",
     "delta_half_MJ",
 ]
@@ -308,26 +315,6 @@ def c_tilde_w(ctx, w):
     return out
 
 
-def c_alpha(ctx, root):
-    """The rank-one factor c_alpha(chi) of a simple root of G."""
-    one = LinearForm.const(ctx.vars, 1)
-    if root.kind == "short":
-        s = ctx.chi(root.index) - ctx.chi(root.index + 1)
-    else:
-        s = ctx.chi(ctx.n)
-    return zeta_of(s) / zeta_of(s + one)
-
-
-def c_tilde_beta(ctx, root):
-    """The rank-one factor c~_beta(xi) of a simple root of M."""
-    one = LinearForm.const(ctx.vars, 1)
-    if root.kind == "short":
-        s = ctx.xi(root.index) - ctx.xi(root.index + 1)
-    else:
-        s = ctx.xi(ctx.m) * 2
-    return zeta_of(s) / zeta_of(s + one)
-
-
 def gamma_alpha(ctx, root):
     """The gamma-factor of (w_alpha, 1), alpha a simple root of G.
 
@@ -340,7 +327,7 @@ def gamma_alpha(ctx, root):
     V = ctx.vars
     one = LinearForm.const(V, 1)
     half = ctx.half()
-    out = c_alpha(ctx, root)
+    out = c_w(ctx, root.reflection(ctx))
     if root.kind == "long":
         return out * zeta_of(ctx.chi(ctx.n) + one) / zeta_of(-1 * ctx.chi(ctx.n) + one)
     i = root.index
@@ -378,7 +365,7 @@ def gamma_beta(ctx, root):
     def chit(i):
         return ctx.chi(shift + i)
 
-    out = c_tilde_beta(ctx, root)
+    out = c_tilde_w(ctx, root.reflection(ctx))
     if root.kind == "short":
         i = root.index
         out = (
@@ -404,6 +391,35 @@ def gamma_beta(ctx, root):
         / zeta_of(ctx.xi(mm) + half)
     )
     return out
+
+
+# -- equivariance under the simple reflections -------------------------------
+
+
+@lru_cache(maxsize=None)
+def reflection_factors(ctx):
+    """Each simple reflection s of W_G, then of W_M, as (root, remap, c_s,
+    gamma_s): remap is s acting on exponent tuples, c_s is c_w(s) for G and
+    c~_w(s) for M, and gamma_s is the gamma-factor of s."""
+    size = ctx.vars.size
+    out = []
+    for root in simple_roots_G(ctx):
+        s = root.reflection(ctx)
+        out.append((root, s.embed_remap(size, 1), c_w(ctx, s), gamma_alpha(ctx, root)))
+    for root in simple_roots_M(ctx):
+        s = root.reflection(ctx)
+        out.append((root, s.embed_remap(size, 1 + ctx.n), c_tilde_w(ctx, s), gamma_beta(ctx, root)))
+    return tuple(out)
+
+
+def equivariance(ctx, value):
+    """[(root, ok)] per simple reflection s: ok when value(s.) c_s equals
+    gamma_s value exactly.  Gamma and the unnormalized pairing value
+    Gamma S transform this way (Casselman, Compositio Math. 40, 1980)."""
+    return [
+        (root, value.substitute_exponents(remap) * c == gamma * value)
+        for root, remap, c, gamma in reflection_factors(ctx)
+    ]
 
 
 # -- modulus characters on torus cocharacters --------------------------------

@@ -169,7 +169,7 @@ def test_deterministic_output(tmp_path, capsys):
     out2 = tmp_path / "b.json"
     for out in (out1, out2):
         code = main(
-            ["verify", "invariance", "--n", "2", "--m", "1", "--d", "0", "--f", "1,0",
+            ["eval", "--n", "2", "--m", "1", "--d", "0", "--f", "1,0",
              "--mode", "numeric", "--seed", "3", "--out", str(out)]
         )
         assert code == 0
@@ -214,7 +214,6 @@ def test_verify_padic_rejects_non_prime_q(q):
     "argv",
     [
         ["padic", "--samples", "0"],
-        ["invariance", "--mode", "numeric", "--samples", "0"],
         ["cone", "--count", "0", "--bound", "-1"],
         ["cone", "--count", "-1"],
     ],
@@ -234,7 +233,7 @@ def test_zero_work_verify_is_config_error(argv):
         ["eval", "--f", "1,0,0,0,0,0,0", "--mode", "exact"],
         ["series", "--K", "1"],
         ["verify", "constant"],
-        ["verify", "invariance", "--mode", "numeric"],
+        ["verify", "invariance"],
         ["verify", "shintani", "--K", "1"],
     ],
 )
@@ -253,6 +252,7 @@ def test_b_expansion_beyond_rank_4_is_config_error(argv):
         ["reduce", "--d", "0", "--a", "0", "--r", "1"],
         ["verify", "constant"],
         ["verify", "gamma"],
+        ["verify", "invariance"],
         ["verify", "shintani"],
         ["verify", "cone"],
         ["verify", "padic"],
@@ -266,6 +266,66 @@ def test_numeric_mode_without_numeric_path_is_config_error(argv):
     assert proc.returncode == 2
     error = json.loads(proc.stdout)["error"]
     assert error["type"] == "config" and "no numeric mode" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "which", ["constant", "gamma", "invariance", "shintani", "cone", "gauss"]
+)
+@pytest.mark.parametrize("option", [["--q", "4"], ["--samples", "0"]])
+def test_verify_option_it_does_not_read_is_config_error(capsys, which, option):
+    """Only verify padic reads --q and --samples; verify gauss used to accept
+    --q 4 --samples 0 and pass."""
+    code, doc = run_json(capsys, "verify", which, "--n", "2", "--m", "1", *option)
+    assert code == 2
+    assert doc["error"]["type"] == "config"
+    assert "does not read " + option[0] in doc["error"]["message"]
+
+
+def _with_one_minus_x1(gamma_big):
+    from wscalc.ratfun import Poly, RatFun
+
+    def mutated(ctx):
+        V = ctx.vars
+        x1 = Poly.monomial(V, (0, 1) + (0,) * (V.size - 2))
+        return gamma_big(ctx) * RatFun.from_poly(Poly.constant(V, 1) - x1)
+
+    return mutated
+
+
+def test_verify_invariance_fails_on_a_wrong_gamma(capsys, monkeypatch):
+    """Gamma (1 - x1) used to pass: Gamma was divided straight back out."""
+    from wscalc import wsformula
+
+    monkeypatch.setattr(wsformula, "gamma_big", _with_one_minus_x1(wsformula.gamma_big))
+    code, doc = run_json(capsys, "verify", "invariance", "--n", "2", "--m", "1")
+    assert code == 1 and doc["pass"] is False
+    assert [g["root"] for g in doc["report"]["generators"] if not g["pass"]] == ["e1-e2"]
+
+
+def test_verify_gamma_fails_on_an_inverted_gamma_factor(capsys, monkeypatch):
+    """gamma_alpha of the long root with zeta(chi_n + 1)/zeta(-chi_n + 1)
+    inverted."""
+    from wscalc import zetafactors
+    from wscalc.ratfun import LinearForm, zeta_of
+
+    gamma_alpha = zetafactors.gamma_alpha
+
+    def inverted(ctx, root):
+        out = gamma_alpha(ctx, root)
+        if root.kind != "long":
+            return out
+        one = LinearForm.const(ctx.vars, 1)
+        ratio = zeta_of(ctx.chi(ctx.n) + one) / zeta_of(-1 * ctx.chi(ctx.n) + one)
+        return out / (ratio * ratio)
+
+    monkeypatch.setattr(zetafactors, "gamma_alpha", inverted)
+    zetafactors.reflection_factors.cache_clear()
+    try:
+        code, doc = run_json(capsys, "verify", "gamma", "--n", "2", "--m", "1")
+    finally:
+        zetafactors.reflection_factors.cache_clear()
+    assert code == 1 and doc["pass"] is False
+    assert [g["root"] for g in doc["report"]["generators"] if not g["pass"]] == ["2e2"]
 
 
 def test_verify_gauss_names_failing_case(monkeypatch):

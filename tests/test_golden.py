@@ -26,6 +26,8 @@ CASES = [
     ("verify_constant_32.json", ["verify", "constant", "--n", "3", "--m", "2"], 0),
     ("verify_gamma_32.json", ["verify", "gamma", "--n", "3", "--m", "2"], 0),
     ("verify_invariance_32.json", ["verify", "invariance", "--n", "3", "--m", "2"], 0),
+    ("verify_invariance_21_d1_f11.json",
+     ["verify", "invariance", "--n", "2", "--m", "1", "--d", "1", "--f", "1,1"], 0),
     ("verify_shintani_32_K6.json", ["verify", "shintani", "--n", "3", "--m", "2", "--K", "6"], 0),
     ("series_21_K5.json", ["series", "--n", "2", "--m", "1", "--K", "5"], 0),
     ("series_32_K5.json", ["series", "--n", "3", "--m", "2", "--K", "5"], 0),

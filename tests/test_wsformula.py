@@ -369,30 +369,22 @@ def test_invariance_exact_2_1():
         assert len(rep.results) == 3  # two G generators, one M generator
 
 
-def test_invariance_numeric_3_2():
-    rep = invariance_report(
-        C32, (1, 0), (2, 1, 0), mode="numeric", samples=10, seed=7
+def test_invariance_fails_on_a_non_invariant_sum(monkeypatch):
+    """The check is not invariant by construction: a Weyl sum times 1 - x1
+    fails at the reflection that moves x1."""
+    V = C21.vars
+    one_minus_x1 = RatFun.from_poly(Poly.constant(V, 1) - Poly.monomial(V, (0, 1, 0, 0)))
+    monkeypatch.setattr(
+        wsformula, "weyl_sum", lambda ctx, d, f: weyl_sum(ctx, d, f) * one_minus_x1
     )
-    assert rep.ok
-    assert rep.max_deviation < 1e-9
+    doc = invariance_report(C21, (1,), (1, 1)).as_dict()
+    assert not doc["pass"]
+    assert [g["root"] for g in doc["generators"] if not g["pass"]] == ["e1-e2"]
 
 
-def test_numeric_invariance_fails_when_every_point_is_skipped(monkeypatch):
-    """A numeric run that checked nothing is not a pass: with Gamma at a pole
-    at every point, each generator fails and the skipped points are the
-    witness."""
-
-    class AtPole:
-        def eval_at(self, point):
-            raise PoleError("Gamma at a pole", magnitude=0.0)
-
-    monkeypatch.setattr(wsformula, "gamma_big", lambda ctx: AtPole())
-    rep = invariance_report(C21, (0,), (1, 0), mode="numeric", samples=3, seed=0)
-    doc = rep.as_dict()
-    assert not rep.ok and doc["pass"] is False
-    assert doc["skipped_points"] == 3
-    assert [g["pass"] for g in doc["generators"]] == [False] * 3
-    assert all("deviation" not in g for g in doc["generators"])
+def test_invariance_report_is_exact_only():
+    with pytest.raises(ValueError, match="exact"):
+        invariance_report(C21, (0,), (1, 0), mode="numeric")
 
 
 def test_identity_generator_deviation_zero():

@@ -10,8 +10,6 @@ from wscalc.zetafactors import (
     b_factor,
     b_factor_poly,
     b_linear_forms,
-    c_alpha,
-    c_tilde_beta,
     c_tilde_w,
     c_w,
     d_factor,
@@ -21,7 +19,9 @@ from wscalc.zetafactors import (
     gamma_alpha,
     gamma_beta,
     gamma_big,
+    equivariance,
     inversion_set,
+    reflection_factors,
     simple_roots_G,
     simple_roots_M,
 )
@@ -179,7 +179,7 @@ def test_cocycle_property_on_C2():
                 continue
             lhs = c_w(ctx, wa * w)
             remap = w.embed_remap(V.size, 1)
-            rhs = c_alpha(ctx, alpha).substitute_exponents(remap) * c_w(ctx, w)
+            rhs = c_w(ctx, wa).substitute_exponents(remap) * c_w(ctx, w)
             assert lhs == rhs
 
 
@@ -188,7 +188,7 @@ def test_gamma_alpha_case_formulas():
     ctx = C31
     root = SimpleRoot("G", "short", 1)
     expect = (
-        c_alpha(ctx, root)
+        c_w(ctx, root.reflection(ctx))
         * zeta(ctx, chi=[(1, 1), (2, -1)], half=2)
         / zeta(ctx, chi=[(2, 1), (1, -1)], half=2)
     )
@@ -196,7 +196,7 @@ def test_gamma_alpha_case_formulas():
     # long root
     root = SimpleRoot("G", "long", 3)
     expect = (
-        c_alpha(ctx, root)
+        c_w(ctx, root.reflection(ctx))
         * zeta(ctx, chi=[(3, 1)], half=2)
         / zeta(ctx, chi=[(3, -1)], half=2)
     )
@@ -205,7 +205,7 @@ def test_gamma_alpha_case_formulas():
     root = SimpleRoot("G", "short", 1)
     g = gamma_alpha(C21, root)
     expect = (
-        c_alpha(C21, root)
+        c_w(C21, root.reflection(C21))
         * zeta(C21, chi=[(1, 1), (2, -1)], half=2)
         / zeta(C21, chi=[(2, 1), (1, -1)], half=2)
         * zeta(C21, chi=[(2, 1)], xi=[(1, -1)], half=1)
@@ -221,7 +221,7 @@ def test_gamma_beta_case_formulas():
     ctx = C32
     root = SimpleRoot("M", "short", 1)
     expect = (
-        c_tilde_beta(ctx, root)
+        c_tilde_w(ctx, root.reflection(ctx))
         * zeta(ctx, xi=[(1, 1), (2, -1)], half=2)
         * zeta(ctx, chi=[(2, -1)], xi=[(2, 1)], half=1)
         * zeta(ctx, chi=[(2, 1)], xi=[(1, -1)], half=1)
@@ -233,7 +233,7 @@ def test_gamma_beta_case_formulas():
     # long root at (2,1): the fully expanded 8-zeta ratio in (x2, y1, v)
     root = SimpleRoot("M", "long", 1)
     expect = (
-        c_tilde_beta(C21, root)
+        c_tilde_w(C21, root.reflection(C21))
         * zeta(C21, xi=[(1, -1)], chi=[(2, -1)], half=1)
         * zeta(C21, xi=[(1, -1)], chi=[(2, 1)], half=1)
         * zeta(C21, xi=[(1, 2)], half=2)
@@ -253,10 +253,35 @@ def test_gamma_consistency_all_simple_roots():
         gamma = gamma_big(ctx)
         for root in simple_roots_G(ctx):
             remap = root.reflection(ctx).embed_remap(V.size, 1)
-            assert gamma.substitute_exponents(remap) * c_alpha(ctx, root) == gamma * gamma_alpha(ctx, root)
+            assert gamma.substitute_exponents(remap) * c_w(ctx, root.reflection(ctx)) == gamma * gamma_alpha(ctx, root)
         for root in simple_roots_M(ctx):
             remap = root.reflection(ctx).embed_remap(V.size, 1 + ctx.n)
-            assert gamma.substitute_exponents(remap) * c_tilde_beta(ctx, root) == gamma * gamma_beta(ctx, root)
+            assert gamma.substitute_exponents(remap) * c_tilde_w(ctx, root.reflection(ctx)) == gamma * gamma_beta(ctx, root)
+
+
+def test_reflection_factors_are_the_rank_one_factors():
+    """c_s = zeta(s)/zeta(s+1) at the rank-one argument: <chi, a^> for a root
+    of G, <xi, b> for a root of M; gamma_s is the root's gamma-factor."""
+    args = [
+        dict(chi=[(1, 1), (2, -1)]),
+        dict(chi=[(2, 1), (3, -1)]),
+        dict(chi=[(3, 1)]),
+        dict(xi=[(1, 1), (2, -1)]),
+        dict(xi=[(2, 2)]),
+    ]
+    got = reflection_factors(C32)
+    roots = simple_roots_G(C32) + simple_roots_M(C32)
+    assert [r for r, *_ in got] == roots
+    for (root, _, c, gamma), arg in zip(got, args):
+        assert c == zeta(C32, **arg) / zeta(C32, half=2, **arg)
+        expect = gamma_alpha(C32, root) if root.group == "G" else gamma_beta(C32, root)
+        assert gamma == expect
+
+
+def test_equivariance_of_gamma_and_a_wrong_gamma():
+    assert all(ok for _, ok in equivariance(C32, gamma_big(C32)))
+    wrong = gamma_big(C21) * zeta(C21, xi=[(1, 1)], half=1)
+    assert [r.label for r, ok in equivariance(C21, wrong) if not ok] == ["2e1"]
 
 
 def test_delta_half_G():
