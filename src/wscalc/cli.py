@@ -12,6 +12,7 @@ Four subcommands mirror the library layers:
 (``zetafactors.equivariance``): under each simple reflection s, Gamma and
 the unnormalized value Gamma S pick up gamma_s / c_s.  Only `verify padic`
 reads --q and --samples; any other check given either is a config error.
+Outside `verify`, only numeric mode reads --q.
 
 All output is JSON (schema 1) on stdout or --out; `series --csv` writes a
 CSV table instead.  Any failing verification exits nonzero with a witness.
@@ -26,7 +27,14 @@ from fractions import Fraction
 from . import charform, cone, padic, wsformula
 from .ratfun import PoleError
 from .weyl import group_order, is_dominant
-from .zetafactors import Context, equivariance, gamma_big, require_b_expandable
+from .zetafactors import (
+    Context,
+    delta_half_G,
+    delta_half_MJ,
+    equivariance,
+    gamma_big,
+    require_b_expandable,
+)
 
 SCHEMA = 1
 
@@ -254,22 +262,19 @@ def _verify_padic(cfg, ctx):
     recovered = kernel_ok = invariances_ok = 0
     for _ in range(trials):
         g, ts, ss = padic.random_cell_element(n, m, rng, p)
-        cf = padic.factor_valuations(g, m)
-        if (
-            cf.member
-            and cf.t_valuations == tuple(padic.valuation(t, p) for t in ts)
-            and cf.s_valuations == tuple(padic.valuation(s, p) for s in ss)
-        ):
+        tv = tuple(padic.valuation(t, p) for t in ts)
+        sv = tuple(padic.valuation(s, p) for s in ss)
+        cf = padic.factor_valuations(g, m, p)
+        if cf.member and cf.t_valuations == tv and cf.s_valuations == sv:
             recovered += 1
         chi = [Fraction(rng.randint(-6, 6), 2) for _ in range(n)]
         xi = [Fraction(rng.randint(-6, 6), 2) for _ in range(m)]
-        E = padic.abs_cell_kernel(g, m, chi, xi)
-        Eo = Fraction(0)
-        for i, t in enumerate(ts, 1):
-            Eo += -padic.valuation(t, p) * (-chi[i - 1] + (n - i + 1))
-        for j, s in enumerate(ss, 1):
-            Eo += -padic.valuation(s, p) * (xi[j - 1] - (m - j + Fraction(3, 2)))
-        if E == Eo:
+        E = padic.abs_cell_kernel(g, m, p, chi, xi)
+        # |chi^-1 delta^(1/2)(b_G) xi delta^(-1/2)(b_MJ)| on the cell, with the
+        # modulus characters of L(d, f): v-exponents, v = q^(-1/2), so halved
+        chi_xi = sum(v * c for v, c in zip(tv, chi)) - sum(v * c for v, c in zip(sv, xi))
+        delta = delta_half_G(ctx, tv)[0] - delta_half_MJ(ctx, sv)[0]
+        if E == chi_xi - Fraction(delta, 2):
             kernel_ok += 1
         n1 = padic.random_upper_unipotent_G(n, rng, p)
         n2 = padic.random_upper_unipotent_G(n, rng, p)
@@ -431,7 +436,7 @@ def _add_common(sp):
         type=int,
         default=None,
         help="residue cardinality: v = q^(-1/2) in numeric mode, the prime of "
-        "verify padic (default %d)" % _DEFAULT_Q,
+        "verify padic (default %d); refused where nothing reads it" % _DEFAULT_Q,
     )
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="write the report to this path instead of stdout")
@@ -505,20 +510,21 @@ def main(argv=None):
             for name, vec, size in (("f", cfg.f, ctx.n), ("d", cfg.d, ctx.m)):
                 if vec is not None and len(vec) != size:
                     raise ValueError("--%s must have length %d, got %d" % (name, size, len(vec)))
-        if which not in (None, "padic"):
-            for name in ("q", "samples"):
-                if getattr(cfg, name) is not None:
-                    raise ValueError("verify %s does not read --%s" % (which, name))
+        name = cfg.command if which is None else "verify " + which
+        if cfg.mode == "numeric" and (cfg.command, which) not in _NUMERIC:
+            raise ValueError("%s has no numeric mode" % name)
+        # --q is the prime of verify padic and sets v = q^(-1/2) in numeric
+        # mode; --samples is read by verify padic alone
+        reads = {"q": which == "padic" or cfg.mode == "numeric", "samples": which == "padic"}
+        for option, read in reads.items():
+            if getattr(cfg, option, None) is not None and not read:
+                raise ValueError("%s does not read --%s" % (name, option))
         if cfg.q is None:
             cfg.q = _DEFAULT_Q
         if which == "padic" and cfg.samples is None:
             cfg.samples = _DEFAULT_SAMPLES
-        if cfg.mode == "numeric":
-            if (cfg.command, which) not in _NUMERIC:
-                name = cfg.command if which is None else "verify " + which
-                raise ValueError("%s has no numeric mode" % name)
-            if cfg.q < 2:
-                raise ValueError("numeric mode requires a concrete q >= 2")
+        if cfg.mode == "numeric" and cfg.q < 2:
+            raise ValueError("numeric mode requires a concrete q >= 2")
         if cfg.command in ("eval", "series") or which in ("constant", "invariance", "shintani"):
             require_b_expandable(ctx)
         if which == "padic" and not padic.is_prime(cfg.q):

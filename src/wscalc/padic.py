@@ -5,7 +5,9 @@ denominator, products and the form check run on those integers, minors are
 fraction-free integer determinants, and p-adic sizes are tracked through
 valuations.  The dense subfield Q of Q_p suffices because every identity
 tested (minor invariance, torus equivariance, the open-cell kernel formula)
-is polynomial or valuation-theoretic.  Matrix products skip zero entries,
+is polynomial or valuation-theoretic, so matrices and minors do not depend
+on p: the prime is passed only where a valuation is taken or a random
+rational drawn.  Matrix products skip zero entries,
 since the factory elements are mostly identity.  The Gauss-shell oracle sums
 its character over integer residues: the p-adic fractional part it needs is
 a residue over a power of p, summed over the units directly because
@@ -25,22 +27,21 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, inf, isqrt, lcm
 
+from .weyl import positive_roots
+
 __all__ = [
-    "PValued",
     "is_prime",
     "valuation",
     "SympMatrix",
     "symplectic_form",
     "d_torus",
     "w0_element",
-    "weyl_matrix",
     "j_elem",
     "x_elem",
     "y_elem",
     "z_elem",
     "lam_element",
     "root_generator",
-    "positive_roots_sp",
     "random_rational",
     "random_upper_unipotent_G",
     "random_unipotent_MJ",
@@ -53,7 +54,6 @@ __all__ = [
     "CellFactorization",
     "factor_valuations",
     "abs_cell_kernel",
-    "minor_expansion_check",
     "gauss_shell",
     "gauss_shell_numeric",
 ]
@@ -81,55 +81,6 @@ def valuation(x, p):
         den //= p
         v -= 1
     return v
-
-
-class PValued:
-    """An exact rational carrying its prime, with valuation access."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        self.value = Fraction(value)
-        self.p = p
-
-    def valuation(self):
-        return valuation(self.value, self.p)
-
-    def is_zero(self):
-        return self.value == 0
-
-    def _coerce(self, other):
-        if isinstance(other, PValued):
-            if other.p != self.p:
-                raise ValueError("mixed primes")
-            return other.value
-        return Fraction(other)
-
-    def __add__(self, other):
-        return PValued(self.value + self._coerce(other), self.p)
-
-    def __sub__(self, other):
-        return PValued(self.value - self._coerce(other), self.p)
-
-    def __mul__(self, other):
-        return PValued(self.value * self._coerce(other), self.p)
-
-    def __truediv__(self, other):
-        return PValued(self.value / self._coerce(other), self.p)
-
-    def __neg__(self):
-        return PValued(-self.value, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, PValued):
-            return self.p == other.p and self.value == other.value
-        return self.value == other
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return "PValued(%s, p=%d)" % (self.value, self.p)
 
 
 @lru_cache(maxsize=None)
@@ -191,26 +142,25 @@ class SympMatrix:
     minor-expansion lemma).
     """
 
-    __slots__ = ("n", "p", "rows", "den")
+    __slots__ = ("n", "rows", "den")
 
-    def __init__(self, n, entries, p, check=True):
+    def __init__(self, n, entries, check=True):
         N = 2 * n
         entries = [tuple(row) for row in entries]
         if len(entries) != N or any(len(row) != N for row in entries):
             raise ValueError("entries must form a 2n x 2n matrix")
         flat, den = _over_common_den(chain.from_iterable(entries))
-        self._set(n, tuple(tuple(flat[i : i + N]) for i in range(0, N * N, N)), den, p, check)
+        self._set(n, tuple(tuple(flat[i : i + N]) for i in range(0, N * N, N)), den, check)
 
     @classmethod
-    def _from_rows(cls, n, rows, den, p, check=True):
+    def _from_rows(cls, n, rows, den, check=True):
         """The integer path: rows over den, already gcd-reduced."""
         g = cls.__new__(cls)
-        g._set(n, rows, den, p, check)
+        g._set(n, rows, den, check)
         return g
 
-    def _set(self, n, rows, den, p, check):
+    def _set(self, n, rows, den, check):
         self.n = n
-        self.p = p
         self.rows = rows
         self.den = den
         if check and not self.preserves_form():
@@ -236,14 +186,14 @@ class SympMatrix:
         return _mat_mul(tuple(zip(*g)), sg) == form
 
     @classmethod
-    def identity(cls, n, p):
-        return cls._from_rows(n, _frozen(_scaled_identity(2 * n, 1)), 1, p, check=False)
+    def identity(cls, n):
+        return cls._from_rows(n, _frozen(_scaled_identity(2 * n, 1)), 1, check=False)
 
     def __mul__(self, other):
         if not isinstance(other, SympMatrix):
             return NotImplemented
-        if self.n != other.n or self.p != other.p:
-            raise ValueError("size or prime mismatch")
+        if self.n != other.n:
+            raise ValueError("size mismatch")
         rows = _mat_mul(self.rows, other.rows)
         den = self.den * other.den
         if den != 1:
@@ -251,7 +201,7 @@ class SympMatrix:
             if c != 1:
                 rows = tuple(tuple(x // c for x in row) for row in rows)
                 den //= c
-        return SympMatrix._from_rows(self.n, rows, den, self.p, check=False)
+        return SympMatrix._from_rows(self.n, rows, den, check=False)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -266,13 +216,13 @@ class SympMatrix:
         )
 
     def __repr__(self):
-        return "SympMatrix(n=%d, p=%d)" % (self.n, self.p)
+        return "SympMatrix(n=%d)" % self.n
 
 
 # -- element constructors ---------------------------------------------------
 
 
-def d_torus(n, ts, p):
+def d_torus(n, ts):
     """d_k(t_1..t_k) = diag(I_{n-k}, t_1..t_k, t_k^-1..t_1^-1, I_{n-k})."""
     ts = [Fraction(t) for t in ts]
     k = len(ts)
@@ -282,15 +232,15 @@ def d_torus(n, ts, p):
     diag = [Fraction(1)] * (n - k) + ts
     diag, den = _over_common_den(diag + [1 / t for t in reversed(diag)])
     rows = tuple(tuple(diag[i] if i == j else 0 for j in range(N)) for i in range(N))
-    return SympMatrix._from_rows(n, rows, den, p)
+    return SympMatrix._from_rows(n, rows, den)
 
 
-def w0_element(n, p):
+def w0_element(n):
     """The longest Weyl element, realized as the form matrix itself."""
-    return SympMatrix._from_rows(n, symplectic_form(n), 1, p)
+    return SympMatrix._from_rows(n, symplectic_form(n), 1)
 
 
-def j_elem(n, m, x, y, z, p):
+def j_elem(n, m, x, y, z):
     """J(x, y, z) of the Heisenberg group inside H = Sp_{2m+2} inside G."""
     x, y = list(x), list(y)
     if len(x) != m or len(y) != m:
@@ -308,91 +258,48 @@ def j_elem(n, m, x, y, z, p):
         ent[n - m + j][n + m] = y[m - 1 - j]
         ent[n + j][n + m] = -x[m - 1 - j]
     ent[row][n + m] = z
-    return SympMatrix._from_rows(n, _frozen(ent), den, p)
+    return SympMatrix._from_rows(n, _frozen(ent), den)
 
 
-def x_elem(n, m, xs, p):
-    return j_elem(n, m, xs, [0] * m, 0, p)
+def x_elem(n, m, xs):
+    return j_elem(n, m, xs, [0] * m, 0)
 
 
-def y_elem(n, m, ys, p):
-    return j_elem(n, m, [0] * m, ys, 0, p)
+def y_elem(n, m, ys):
+    return j_elem(n, m, [0] * m, ys, 0)
 
 
-def z_elem(n, m, z, p):
-    return j_elem(n, m, [0] * m, [0] * m, z, p)
+def z_elem(n, m, z):
+    return j_elem(n, m, [0] * m, [0] * m, z)
 
 
-def lam_element(n, m, p):
+def lam_element(n, m):
     """lambda = X(1, 1, ..., 1)."""
-    return x_elem(n, m, [1] * m, p)
+    return x_elem(n, m, [1] * m)
 
 
-def weyl_matrix(n, w, p):
-    """A symplectic monomial-matrix representative of a signed permutation.
+def root_generator(n, alpha, t):
+    """The root subgroup element E_alpha(t) = I + t X_alpha of Sp_2n, for a
+    root vector alpha of ``weyl.positive_roots(n, "sp")`` or its negative.
 
-    Coordinate i (i <= n) is sent to pi(i), or across the antidiagonal to
-    2n+1-pi(i) on a sign flip; the mirrored column picks up a -1 so the
-    form survives (checked on construction).
+    Coordinate +e_i is matrix index i and -e_i is index 2n+1-i.  Writing
+    alpha as the coordinate of index r minus the coordinate of index s puts
+    t at (r, s); a short root also has the mirrored entry (2n+1-s, 2n+1-r),
+    negated when r and s lie in the same half, so that X_alpha is in sp_2n.
     """
-    N = 2 * n
-    ent = [[0] * N for _ in range(N)]
-    for i in range(1, n + 1):
-        j = w.image[i - 1]
-        if w.flips[j - 1] == 1:
-            ent[j - 1][i - 1] = 1
-            ent[N - j][N - i] = 1
-        else:
-            ent[N - j][i - 1] = 1
-            ent[j - 1][N - i] = -1
-    return SympMatrix._from_rows(n, _frozen(ent), 1, p)
-
-
-def positive_roots_sp(n, lo=1, hi=None):
-    """Positive roots of Sp_2n with coordinate indices in [lo, hi] (1-indexed):
-    ('minus', i, j) for e_i - e_j, ('plus', i, j) for e_i + e_j, ('long', i)."""
-    hi = n if hi is None else hi
-    roots = []
-    for i in range(lo, hi + 1):
-        for j in range(i + 1, hi + 1):
-            roots.append(("minus", i, j))
-            roots.append(("plus", i, j))
-    for i in range(lo, hi + 1):
-        roots.append(("long", i))
-    return roots
-
-
-def root_generator(n, root, t, p):
-    """The one-parameter root subgroup element E_root(t) of Sp_2n."""
     t = Fraction(t)
     N = 2 * n
     den = t.denominator
-    t = t.numerator  # E_root(t) = (den * I + t * E) / den
+    t = t.numerator  # E_alpha(t) = (den * I + t * X_alpha) / den
+    support = [(i, c) for i, c in enumerate(alpha, 1) if c]
+    (a, ca), (b, cb) = support[0], support[-1]
+    r = a if ca > 0 else N + 1 - a
+    s = b if cb < 0 else N + 1 - b
     ent = _scaled_identity(N, den)
-    kind = root[0]
-    if kind in ("minus", "neg_minus"):
-        _, i, j = root
-        if kind == "neg_minus":
-            i, j = j, i
-        ent[i - 1][j - 1] += t
-        ent[N - j][N - i] += -t
-    elif kind == "plus":
-        _, i, j = root
-        ent[i - 1][N - j] += t
-        ent[j - 1][N - i] += t
-    elif kind == "neg_plus":
-        _, i, j = root
-        ent[N - j][i - 1] += t
-        ent[N - i][j - 1] += t
-    elif kind == "long":
-        (_, i) = root
-        ent[i - 1][N - i] += t
-    elif kind == "neg_long":
-        (_, i) = root
-        ent[N - i][i - 1] += t
-    else:
-        raise ValueError("unknown root kind %r" % (kind,))
-    return SympMatrix._from_rows(n, _frozen(ent), den, p)
+    ent[r - 1][s - 1] += t
+    if abs(ca) == 1:
+        ent[N - s][N - r] += -t if (r <= n) == (s <= n) else t
+    return SympMatrix._from_rows(n, _frozen(ent), den)
 
 
 # -- seeded random elements --------------------------------------------------
@@ -421,34 +328,33 @@ def random_torus_values(rng, p, k, lo=-3, hi=3):
     return [Fraction(p) ** rng.randint(lo, hi) * random_rational(rng, p, unit=True) for _ in range(k)]
 
 
-def random_upper_unipotent_G(n, rng, p):
-    g = SympMatrix.identity(n, p)
-    for root in positive_roots_sp(n):
-        g = g * root_generator(n, root, random_rational(rng, p), p)
+def _random_root_product(n, roots, rng, p):
+    g = SympMatrix.identity(n)
+    for alpha in roots:
+        g = g * root_generator(n, alpha, random_rational(rng, p))
     return g
 
 
-def random_unipotent_MJ(n, m, rng, p, with_xz=True):
-    """A random element of N_{M^J} = N_M (Y Z): M-positive-root part times
-    Heisenberg Y and Z coordinates."""
-    g = SympMatrix.identity(n, p)
-    for root in positive_roots_sp(n, lo=n - m + 1):
-        g = g * root_generator(n, root, random_rational(rng, p), p)
-    if with_xz and m:
-        ys = [random_rational(rng, p) for _ in range(m)]
-        g = g * y_elem(n, m, ys, p)
-        g = g * z_elem(n, m, random_rational(rng, p), p)
+def random_upper_unipotent_G(n, rng, p):
+    return _random_root_product(n, positive_roots(n, "sp"), rng, p)
+
+
+def random_unipotent_MJ(n, m, rng, p):
+    """A random element of N_{M^J} = N_M (Y Z): the positive roots supported
+    on coordinates n-m+1..n, times Heisenberg Y and Z coordinates."""
+    roots = [alpha for alpha in positive_roots(n, "sp") if not any(alpha[: n - m])]
+    g = _random_root_product(n, roots, rng, p)
+    if m:
+        g = g * y_elem(n, m, [random_rational(rng, p) for _ in range(m)])
+        g = g * z_elem(n, m, random_rational(rng, p))
     return g
 
 
 def random_unipotent_U(n, m, rng, p):
-    """A random element of U: root subgroups touching coordinates 1..n-m-1."""
-    g = SympMatrix.identity(n, p)
-    for root in positive_roots_sp(n):
-        lead = root[1]
-        if lead <= n - m - 1:
-            g = g * root_generator(n, root, random_rational(rng, p), p)
-    return g
+    """A random element of U: the positive roots whose first nonzero
+    coordinate is among 1..n-m-1."""
+    roots = [alpha for alpha in positive_roots(n, "sp") if any(alpha[: n - m - 1])]
+    return _random_root_product(n, roots, rng, p)
 
 
 def random_cell_element(n, m, rng, p):
@@ -457,11 +363,11 @@ def random_cell_element(n, m, rng, p):
     ts = random_torus_values(rng, p, n)
     ss = random_torus_values(rng, p, m)
     g = (
-        d_torus(n, ts, p)
+        d_torus(n, ts)
         * random_upper_unipotent_G(n, rng, p)
-        * w0_element(n, p)
-        * lam_element(n, m, p)
-        * d_torus(n, [Fraction(1)] * (n - m) + ss, p)
+        * w0_element(n)
+        * lam_element(n, m)
+        * d_torus(n, [Fraction(1)] * (n - m) + ss)
         * random_unipotent_MJ(n, m, rng, p)
         * random_unipotent_U(n, m, rng, p)
     )
@@ -489,7 +395,7 @@ def minor(g, I, J):
         if not a[c][c]:
             swap = next((r for r in range(c + 1, k) if a[r][c]), None)
             if swap is None:
-                return PValued(0, g.p)
+                return Fraction(0)
             a[c], a[swap] = a[swap], a[c]
             sign = -sign
         piv = a[c][c]
@@ -499,7 +405,7 @@ def minor(g, I, J):
                 ar[j] = (ar[j] * piv - x * a[c][j]) // prev
         prev = piv
     det = sign * a[k - 1][k - 1] if k else 1
-    return PValued(Fraction(det, g.den ** k), g.p)
+    return Fraction(det, g.den ** k)
 
 
 def alpha_k(g, k):
@@ -522,6 +428,17 @@ def beta_l(g, l, m):
     return minor(g, rows, cols)
 
 
+def _minor_valuations(g, m, p):
+    """The valuations of alpha_1..alpha_n and beta_1..beta_m, or None off the
+    open cell, where one of them vanishes."""
+    minors = [alpha_k(g, k) for k in range(1, g.n + 1)]
+    minors += [beta_l(g, l, m) for l in range(1, m + 1)]
+    if not all(minors):
+        return None
+    vals = [valuation(x, p) for x in minors]
+    return vals[: g.n], vals[g.n :]
+
+
 @dataclass(frozen=True)
 class CellFactorization:
     """Recovered torus sizes of an open-cell element; populated iff member."""
@@ -531,7 +448,7 @@ class CellFactorization:
     s_valuations: tuple = ()
 
 
-def factor_valuations(g, m):
+def factor_valuations(g, m, p):
     """Recover |t_i| and |s_j| of g = d_n(t) n_G w0 lambda d_m(s) n_MJ u from
     the minors: membership in the open cell is equivalent to all alpha_k and
     beta_l being nonzero, and on the cell
@@ -542,12 +459,10 @@ def factor_valuations(g, m):
         v(s_j) = v(beta_j) - v(alpha_{n-m+j-1}).
     """
     n = g.n
-    alphas = [alpha_k(g, k) for k in range(1, n + 1)]
-    betas = [beta_l(g, l, m) for l in range(1, m + 1)]
-    if any(a.is_zero() for a in alphas) or any(b.is_zero() for b in betas):
+    vals = _minor_valuations(g, m, p)
+    if vals is None:
         return CellFactorization(False)
-    va = [a.valuation() for a in alphas]
-    vb = [b.valuation() for b in betas]
+    va, vb = vals
     tv = []
     for i in range(1, n + 1):
         if i == 1:
@@ -560,7 +475,7 @@ def factor_valuations(g, m):
     return CellFactorization(True, tuple(tv), tuple(sv))
 
 
-def abs_cell_kernel(g, m, chi_re, xi_re):
+def abs_cell_kernel(g, m, p, chi_re, xi_re):
     """|K_{chi,xi,psi}(g)| as a power of q: the exponent E with |K| = q^E,
     or None off the open cell (where the kernel vanishes).
 
@@ -575,12 +490,10 @@ def abs_cell_kernel(g, m, chi_re, xi_re):
     xi_re = [Fraction(c) for c in xi_re]
     if len(chi_re) != n or len(xi_re) != m:
         raise ValueError("character shape mismatch")
-    alphas = [alpha_k(g, k) for k in range(1, n + 1)]
-    betas = [beta_l(g, l, m) for l in range(1, m + 1)]
-    if any(a.is_zero() for a in alphas) or any(b.is_zero() for b in betas):
+    vals = _minor_valuations(g, m, p)
+    if vals is None:
         return None
-    va = [a.valuation() for a in alphas]
-    vb = [b.valuation() for b in betas]
+    va, vb = vals
     E = Fraction(0)
     half = Fraction(1, 2)
     for i in range(1, n - m):
@@ -592,44 +505,6 @@ def abs_cell_kernel(g, m, chi_re, xi_re):
     for j in range(1, m + 1):
         E += -vb[j - 1] * (-chi_re[n - m + j - 1] + xi_re[j - 1] - half)
     return E
-
-
-def minor_expansion_check(g1, g2, g3, I, J, guard=3):
-    """Executable triple-product minor expansion:
-
-        Delta_{I,J}(g1 g2 g3) = sum_{A,C} f_{I,A}(g1) Delta_{A,C}(g2) f_{C,J}(g3)
-
-    with f_{I,J}(g) = prod_s g[i_s, j_s] and A, C over all index tuples.
-    Always true for correct arithmetic; exposed as a self-check.
-    """
-    from itertools import product as iproduct
-
-    k = len(I)
-    if k != len(J):
-        raise ValueError("index tuples must have equal length")
-    if k > guard:
-        raise ValueError("index size %d exceeds the guard %d" % (k, guard))
-    N = 2 * g1.n
-    lhs = minor(g1 * g2 * g3, I, J).value
-    # f_{I,A} and f_{C,J} on the integer rows; their denominators come out
-    # once at the end
-    r1, r3 = g1.rows, g3.rows
-    rhs = Fraction(0)
-    all_tuples = list(iproduct(range(1, N + 1), repeat=k))
-    for A in all_tuples:
-        fia = 1
-        for s in range(k):
-            fia *= r1[I[s] - 1][A[s] - 1]
-        if not fia:
-            continue
-        for C in all_tuples:
-            fcj = 1
-            for s in range(k):
-                fcj *= r3[C[s] - 1][J[s] - 1]
-            if not fcj:
-                continue
-            rhs += fia * minor(g2, A, C).value * fcj
-    return lhs == rhs / (g1.den * g3.den) ** k
 
 
 # -- the rank-one Gauss shell integral ----------------------------------------

@@ -470,15 +470,6 @@ class RatFun:
             return self * (_ONE / Fraction(other))
         return self * other.inverse()
 
-    def __pow__(self, k):
-        if k == 0:
-            return RatFun.one(self.vars)
-        base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RatFun.constant(self.vars, other)

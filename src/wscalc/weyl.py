@@ -163,16 +163,16 @@ class SignedPerm:
 
 
 @lru_cache(maxsize=None)
-def enumerate_group(k, guard=ENUMERATION_GUARD):
+def enumerate_group(k):
     """All 2^k k! elements of W(C_k), in deterministic order.
 
     Images run in lexicographic order; within each image the flip vectors
     run in binary counting order (+1 before -1 per coordinate).
     """
-    if k > guard:
+    if k > ENUMERATION_GUARD:
         raise ValueError(
             "W(C_%d) has %d elements; enumeration is guarded at k=%d, and "
-            "exact and numeric mode both enumerate it" % (k, group_order(k), guard)
+            "exact and numeric mode both enumerate it" % (k, group_order(k), ENUMERATION_GUARD)
         )
     out = []
     for image in permutations(range(1, k + 1)):
@@ -214,13 +214,13 @@ def straighten(mu):
     return sign, tuple(sorted(mags, reverse=True))
 
 
-def alternating_monomial_sum(vars_, mu, offset, k, guard=ENUMERATION_GUARD):
+def alternating_monomial_sum(vars_, mu, offset, k):
     """The alternant sum_w sgn(w) X^(w*mu) as a Poly, acting on slots
     offset..offset+k-1 of the exponent lattice; other slots of ``mu`` pass
     through unchanged.  Non-regular patterns collapse to 0.
     """
     acc = {}
-    for w in enumerate_group(k, guard=guard):
+    for w in enumerate_group(k):
         e = w.embed_remap(vars_.size, offset)(tuple(mu))
         s = acc.get(e, 0) + w.sgn()
         if s:

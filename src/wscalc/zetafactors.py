@@ -133,30 +133,18 @@ def _prod(vars_, factors):
 
 @lru_cache(maxsize=None)
 def d_factor(ctx):
-    """d(chi) = prod_{a<b} zeta(chi_a - chi_b) zeta(chi_a + chi_b) prod_i zeta(chi_i)."""
-    V = ctx.vars
-    factors = []
-    for a in range(1, ctx.n + 1):
-        for b in range(a + 1, ctx.n + 1):
-            factors.append(zeta_of(ctx.chi(a) - ctx.chi(b)))
-            factors.append(zeta_of(ctx.chi(a) + ctx.chi(b)))
-    for i in range(1, ctx.n + 1):
-        factors.append(zeta_of(ctx.chi(i)))
-    return _prod(V, factors)
+    """d(chi) = prod over the positive roots of C_n of zeta(<chi, alpha-check>):
+    zeta(chi_a - chi_b) zeta(chi_a + chi_b) for a < b, and zeta(chi_i)."""
+    roots = positive_roots(ctx.n, "sp")
+    return _prod(ctx.vars, [zeta_of(_coroot_pairing_chi(ctx, r)) for r in roots])
 
 
 @lru_cache(maxsize=None)
 def dprime_factor(ctx):
-    """d'(xi) = prod_{a<b} zeta(xi_a - xi_b) zeta(xi_a + xi_b) prod_j zeta(2 xi_j)."""
-    V = ctx.vars
-    factors = []
-    for a in range(1, ctx.m + 1):
-        for b in range(a + 1, ctx.m + 1):
-            factors.append(zeta_of(ctx.xi(a) - ctx.xi(b)))
-            factors.append(zeta_of(ctx.xi(a) + ctx.xi(b)))
-    for j in range(1, ctx.m + 1):
-        factors.append(zeta_of(ctx.xi(j) * 2))
-    return _prod(V, factors)
+    """d'(xi) = prod over the positive roots of C_m of zeta(<xi, alpha>):
+    zeta(xi_a - xi_b) zeta(xi_a + xi_b) for a < b, and zeta(2 xi_j)."""
+    roots = positive_roots(ctx.m, "sp")
+    return _prod(ctx.vars, [zeta_of(_root_pairing_xi(ctx, r)) for r in roots])
 
 
 def b_linear_forms(ctx):
@@ -213,24 +201,20 @@ def b_factor_poly(ctx):
 def gamma_big(ctx):
     """The Gamma(chi, xi) product whose quotient normalizes the pairing.
 
-    Three blocks: inverse zetas in chi (shifted by 1), inverse zetas in xi
-    (shifted by 1) together with the factors 1 + v*y_j, a one-sided block of
-    zeta ratios mixing chi and xi, and the full grid of zeta pairs.
+    Four blocks: zeta(<chi, alpha-check> + 1)^-1 over the positive roots of
+    G, zeta(<xi, alpha> + 1)^-1 over the short positive roots of M together
+    with the factors 1 + v*y_j, a one-sided block of zeta ratios mixing chi
+    and xi, and the full grid of zeta pairs.
     """
     V = ctx.vars
     one = LinearForm.const(V, 1)
     half = ctx.half()
     out = RatFun.one(V)
-    for a in range(1, ctx.n + 1):
-        for b in range(a + 1, ctx.n + 1):
-            out = out * zeta_inv_of(ctx.chi(a) - ctx.chi(b) + one)
-            out = out * zeta_inv_of(ctx.chi(a) + ctx.chi(b) + one)
-    for i in range(1, ctx.n + 1):
-        out = out * zeta_inv_of(ctx.chi(i) + one)
-    for a in range(1, ctx.m + 1):
-        for b in range(a + 1, ctx.m + 1):
-            out = out * zeta_inv_of(ctx.xi(a) - ctx.xi(b) + one)
-            out = out * zeta_inv_of(ctx.xi(a) + ctx.xi(b) + one)
+    for root in positive_roots(ctx.n, "sp"):
+        out = out * zeta_inv_of(_coroot_pairing_chi(ctx, root) + one)
+    for root in positive_roots(ctx.m, "sp"):
+        if 2 not in root:  # a short root; the factor 1 + v*y_j below stands for 2e_j
+            out = out * zeta_inv_of(_root_pairing_xi(ctx, root) + one)
     for j in range(1, ctx.m + 1):
         # 1 + xi_j(p)|p|^(1/2) = 1 + v*y_j
         p = Poly.constant(V, 1) + Poly.monomial(V, (ctx.xi(j) + half).monomial())

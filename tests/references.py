@@ -2,13 +2,15 @@
 
 Each builds, the slow and literal way, a quantity that the engine computes
 another way (through the character basis, or by a reindexed sum), so a test
-can compare the two.
+can compare the two.  The Weyl-element matrices and the written-out minor
+expansion are here too: only the tests of ``wscalc.padic`` use them.
 """
 
 import cmath
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
+from wscalc.padic import SympMatrix, minor
 from wscalc.ratfun import Poly, RatFun
 from wscalc.weyl import character, straighten_weight
 
@@ -83,3 +85,65 @@ def gauss_shell_inverse_sum(i, j, q):
         frac = pow(u, -1, pM) / pM if k > 0 else 0.0
         total += cmath.exp(2j * cmath.pi * frac)
     return total * float(measure)
+
+
+# Matrix constructions that only the tests use: a monomial representative of
+# each Weyl element, and the triple-product minor expansion written out term
+# by term against ``padic.minor``.
+
+
+def weyl_matrix(n, w):
+    """A symplectic monomial-matrix representative of a signed permutation.
+
+    Coordinate i (i <= n) is sent to pi(i), or across the antidiagonal to
+    2n+1-pi(i) on a sign flip; the mirrored column picks up a -1 so the
+    form survives (checked on construction).
+    """
+    N = 2 * n
+    ent = [[0] * N for _ in range(N)]
+    for i in range(1, n + 1):
+        j = w.image[i - 1]
+        if w.flips[j - 1] == 1:
+            ent[j - 1][i - 1] = 1
+            ent[N - j][N - i] = 1
+        else:
+            ent[N - j][i - 1] = 1
+            ent[j - 1][N - i] = -1
+    return SympMatrix(n, ent)
+
+
+def minor_expansion_check(g1, g2, g3, I, J, guard=3):
+    """The triple-product minor expansion:
+
+        Delta_{I,J}(g1 g2 g3) = sum_{A,C} f_{I,A}(g1) Delta_{A,C}(g2) f_{C,J}(g3)
+
+    with f_{I,J}(g) = prod_s g[i_s, j_s] and A, C over all index tuples.
+    True for correct arithmetic; the sum has (2n)^(2k) terms, so index
+    tuples longer than ``guard`` are refused.
+    """
+    k = len(I)
+    if k != len(J):
+        raise ValueError("index tuples must have equal length")
+    if k > guard:
+        raise ValueError("index size %d exceeds the guard %d" % (k, guard))
+    N = 2 * g1.n
+    lhs = minor(g1 * g2 * g3, I, J)
+    # f_{I,A} and f_{C,J} on the integer rows; their denominators come out
+    # once at the end
+    r1, r3 = g1.rows, g3.rows
+    rhs = Fraction(0)
+    all_tuples = list(product(range(1, N + 1), repeat=k))
+    for A in all_tuples:
+        fia = 1
+        for s in range(k):
+            fia *= r1[I[s] - 1][A[s] - 1]
+        if not fia:
+            continue
+        for C in all_tuples:
+            fcj = 1
+            for s in range(k):
+                fcj *= r3[C[s] - 1][J[s] - 1]
+            if not fcj:
+                continue
+            rhs += fia * minor(g2, A, C) * fcj
+    return lhs == rhs / (g1.den * g3.den) ** k

@@ -281,6 +281,24 @@ def test_verify_option_it_does_not_read_is_config_error(capsys, which, option):
     assert "does not read " + option[0] in doc["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--n", "2", "--m", "1", "--f", "1,0", "--q", "4"],
+        ["eval", "--n", "2", "--m", "1", "--f", "1,0", "--mode", "exact", "--q", "3"],
+        ["reduce", "--n", "3", "--m", "2", "--d", "0,0", "--a", "0", "--r", "1,0", "--q", "1"],
+        ["series", "--n", "2", "--m", "1", "--K", "2", "--q", "0"],
+    ],
+)
+def test_q_where_nothing_reads_it_is_config_error(capsys, argv):
+    """Exact eval and series, and reduce, used to accept --q and ignore it;
+    only numeric mode and verify padic read it."""
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
+    assert doc["error"]["type"] == "config"
+    assert "does not read --q" in doc["error"]["message"]
+
+
 def _with_one_minus_x1(gamma_big):
     from wscalc.ratfun import Poly, RatFun
 
@@ -384,6 +402,46 @@ def test_verify_padic_fails_on_a_wrong_minor_index(capsys, monkeypatch):
     assert code == 1 and doc["pass"] is False
     report = doc["report"]
     assert report["valuations_recovered"] < report["trials"] == 3
+
+
+def test_verify_padic_fails_on_a_shifted_delta_half(capsys, monkeypatch):
+    """verify padic takes its expected kernel exponent from the modulus
+    characters of L(d, f); shifting the exponent n-i+1 of delta_half_G to
+    n-i+2 must fail the kernel check and nothing else."""
+    import wscalc.cli as cli_mod
+    from wscalc import zetafactors
+
+    def shifted(ctx, f):
+        return ctx.vars.v_exp(zetafactors.delta_half_G(ctx, f)[0] + 2 * sum(f))
+
+    monkeypatch.setattr(cli_mod, "delta_half_G", shifted)
+    code, doc = run_json(capsys, "verify", "padic", "--n", "3", "--m", "2", "--samples", "5")
+    assert code == 1 and doc["pass"] is False
+    report = doc["report"]
+    assert report["kernel_matches"] < report["trials"] == 5
+    assert report["valuations_recovered"] == report["minor_invariances"] == 5
+
+
+def test_verify_cone_fails_on_a_wrong_operation(capsys, monkeypatch):
+    """An Operation 1 that pushes one unit too many from r into d keeps d + r
+    and the triple valid, but its normal form is no longer minimal: verify
+    cone must report FAIL."""
+    from wscalc import cone
+
+    op1 = cone.op1
+
+    def one_unit_too_many(t):
+        out = op1(t)
+        if out == t or out.r[0] == 0:
+            return out
+        return out.replace(d=(out.d[0] + 1,) + out.d[1:], r=(out.r[0] - 1,) + out.r[1:])
+
+    monkeypatch.setattr(cone, "op1", one_unit_too_many)
+    code, doc = run_json(
+        capsys, "verify", "cone", "--n", "3", "--m", "2", "--bound", "2", "--count", "50"
+    )
+    assert code == 1 and doc["pass"] is False
+    assert doc["report"]["minimal"] < doc["report"]["exhaustive_triples"]
 
 
 # -- the eval contract ----------------------------------------------------------

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 
-from wscalc.ratfun import LinearForm, Poly, RatFun, zeta_of
+from wscalc.ratfun import LinearForm, Poly, RatFun, zeta_inv_of, zeta_of
 from wscalc.weyl import SignedPerm, enumerate_group
 from wscalc.zetafactors import (
     Context,
@@ -135,6 +137,40 @@ def test_gamma_big_2_1_contains_plus_factor():
     )
     assert plus in keys
     assert g * g.inverse() == RatFun.one(V)
+
+
+def _hand_written(ctx):
+    """d, d' and Gamma with their root blocks written out as loops over
+    a < b: a reference for their construction from ``weyl.positive_roots``."""
+    V, one, half = ctx.vars, LinearForm.const(ctx.vars, 1), ctx.half()
+    chi, xi = ctx.chi, ctx.xi
+    G_pairs = [(a, b, s) for a, b in combinations(range(1, ctx.n + 1), 2) for s in (-1, 1)]
+    M_pairs = [(a, b, s) for a, b in combinations(range(1, ctx.m + 1), 2) for s in (-1, 1)]
+    d = [zeta_of(chi(a) + s * chi(b)) for a, b, s in G_pairs]
+    d += [zeta_of(chi(i)) for i in range(1, ctx.n + 1)]
+    dp = [zeta_of(xi(a) + s * xi(b)) for a, b, s in M_pairs]
+    dp += [zeta_of(xi(j) * 2) for j in range(1, ctx.m + 1)]
+    g = [zeta_inv_of(chi(a) + s * chi(b) + one) for a, b, s in G_pairs]
+    g += [zeta_inv_of(chi(i) + one) for i in range(1, ctx.n + 1)]
+    g += [zeta_inv_of(xi(a) + s * xi(b) + one) for a, b, s in M_pairs]
+    for j in range(1, ctx.m + 1):
+        v_yj = Poly.monomial(V, (xi(j) + half).monomial())
+        g.append(RatFun.from_poly(Poly.constant(V, 1) + v_yj))
+        for i in range(1, ctx.n - ctx.m + j):
+            g.append(zeta_of(chi(i) - xi(j) + half) / zeta_of(-1 * chi(i) + xi(j) + half))
+        for i in range(1, ctx.n + 1):
+            g.append(zeta_of(chi(i) + xi(j) + half) * zeta_of(-1 * chi(i) + xi(j) + half))
+    return [prod(fs, start=RatFun.one(V)) for fs in (d, dp, g)]
+
+
+@pytest.mark.parametrize("n,m", [(1, 0), (2, 1), (3, 1), (3, 2), (4, 3)])
+def test_root_list_factors_match_hand_written_loops(n, m):
+    """d, d' and Gamma built from the one list of positive roots hold the
+    same factor keys, unit and monomial as the loops over a < b."""
+    ctx = Context(n, m)
+    built = (d_factor(ctx), dprime_factor(ctx), gamma_big(ctx))
+    for b, h in zip(built, _hand_written(ctx)):
+        assert (b.nfac, b.dfac, b.coeff, b.mono) == (h.nfac, h.dfac, h.coeff, h.mono)
 
 
 def test_c_w_examples():
