@@ -12,35 +12,4 @@ over Q(v, x_1..x_n, y_1..y_m) with v = q^(-1/2), x_i = q^(-chi_i),
 y_j = q^(-xi_j).
 """
 
-from .ratfun import LinearForm, Poly, RatFun, Vars, zeta_of, zeta_inv_of
-from .weyl import SignedPerm, enumerate_group
-from .zetafactors import Context
-from .wsformula import L_value, LValue, invariance_report, normalization_constant, ws_torus
-from .charform import lhs_series, rhs_series, shintani_verify
-from .cone import ConeTriple, WSPair, normal_form, ws_leq
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Context",
-    "ConeTriple",
-    "L_value",
-    "LValue",
-    "LinearForm",
-    "Poly",
-    "RatFun",
-    "SignedPerm",
-    "Vars",
-    "WSPair",
-    "enumerate_group",
-    "invariance_report",
-    "lhs_series",
-    "normal_form",
-    "normalization_constant",
-    "rhs_series",
-    "shintani_verify",
-    "ws_leq",
-    "ws_torus",
-    "zeta_inv_of",
-    "zeta_of",
-]

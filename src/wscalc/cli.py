@@ -24,7 +24,8 @@ import sys
 import time
 from fractions import Fraction
 
-from . import charform, cone, padic, wsformula
+# every command needs a Context, so zetafactors is loaded up front; the other
+# modules are imported where they run, so a process loads only what it runs
 from .ratfun import PoleError
 from .weyl import group_order, is_dominant
 from .zetafactors import (
@@ -103,6 +104,8 @@ def _base_doc(command, cfg):
 
 
 def cmd_eval(cfg, ctx):
+    from . import wsformula
+
     d = cfg.d if cfg.d is not None else (0,) * cfg.m
     f = cfg.f
     doc = _base_doc("eval", cfg)
@@ -135,6 +138,8 @@ def _cplx(z):
 
 
 def _verify_constant(cfg, ctx):
+    from . import wsformula
+
     computed = wsformula.normalization_constant(ctx)
     closed = wsformula.normalization_constant_closed(ctx)
     ok = computed == closed
@@ -156,6 +161,8 @@ def _verify_gamma(cfg, ctx):
 
 
 def _verify_invariance(cfg, ctx):
+    from . import wsformula
+
     d = cfg.d if cfg.d is not None else (0,) * ctx.m
     f = cfg.f if cfg.f is not None else (0,) * ctx.n
     rep = wsformula.invariance_report(ctx, d, f)
@@ -163,6 +170,8 @@ def _verify_invariance(cfg, ctx):
 
 
 def _verify_shintani(cfg, ctx):
+    from . import charform
+
     rep = charform.shintani_verify(ctx, cfg.K)
     doc = rep.as_dict()
     doc["failing"] = [l for l, eq in rep.results if not eq]
@@ -173,11 +182,13 @@ def _verify_cone(cfg, ctx):
     import random
     from itertools import product as iproduct
 
+    from . import cone
+
     rng = random.Random(cfg.seed)
     n, m = ctx.n, ctx.m
     conserved = monotone = idempotent = 0
     for _ in range(cfg.count):
-        t = _random_triple(rng, n, m, 6)
+        t = cone.ConeTriple(n, m, *_random_triple(rng, n, m, 6))
         nf = cone.normal_form(t)
         if _sum_vec(nf.d, nf.r) == _sum_vec(t.d, t.r):
             conserved += 1
@@ -189,16 +200,15 @@ def _verify_cone(cfg, ctx):
     total = 0
     bound = cfg.bound
     avecs = [av for av in iproduct(range(bound + 1), repeat=n - m) if is_dominant(av)]
-    dvecs = list(iproduct(range(bound + 1), repeat=m))
-    rvecs = list(iproduct(range(bound + 1), repeat=m))
+    mvecs = list(iproduct(range(bound + 1), repeat=m))
     for av in avecs:
-        for dv in dvecs:
-            for rv in rvecs:
+        for dv in mvecs:
+            for rv in mvecs:
                 if not is_dominant(_sum_vec(dv, rv)):
                     continue
                 t = cone.ConeTriple(n, m, dv, av, rv)
                 total += 1
-                if _is_minimal(t):
+                if _is_minimal(t, cone.normal_form(t)):
                     minimal += 1
     ok = (
         conserved == cfg.count
@@ -218,30 +228,29 @@ def _verify_cone(cfg, ctx):
 
 
 def _random_triple(rng, n, m, hi):
+    """Random vectors (d, a, r) of a cone triple, entries in 0..hi."""
     while True:
         a = sorted((rng.randint(0, hi) for _ in range(n - m)), reverse=True)
         d = [rng.randint(0, hi) for _ in range(m)]
         r = [rng.randint(0, hi) for _ in range(m)]
         if is_dominant(_sum_vec(d, r)):
-            return cone.ConeTriple(n, m, d, a, r)
+            return d, a, r
 
 
 def _sum_vec(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _is_minimal(t):
-    """Check normal_form against the exhaustively enumerated feasible set."""
+def _is_minimal(t, nf):
+    """Check nf, the normal form of t, against the exhaustively enumerated
+    feasible set."""
     from itertools import product as iproduct
 
-    nf = cone.normal_form(t)
     total = _sum_vec(t.d, t.r)
     feasible = []
     ranges = [range(t.d[j], total[j] + 1) for j in range(t.m)]
     for dv in iproduct(*ranges):
         rv = tuple(tv - dv[j] for j, tv in enumerate(total))
-        if any(x < 0 for x in rv):
-            continue
         if not is_dominant(dv):
             continue
         if not is_dominant(t.a + rv):
@@ -254,6 +263,8 @@ def _is_minimal(t):
 
 def _verify_padic(cfg, ctx):
     import random
+
+    from . import padic
 
     p = cfg.q
     n, m = ctx.n, ctx.m
@@ -297,6 +308,8 @@ def _verify_padic(cfg, ctx):
 
 def _verify_gauss(cfg, ctx=None):
     from itertools import product as iproduct
+
+    from . import padic
 
     failures = []
     checked = 0
@@ -343,6 +356,8 @@ def cmd_verify(cfg, ctx):
 
 
 def cmd_reduce(cfg, ctx):
+    from . import cone
+
     doc = _base_doc("reduce", cfg)
     doc["inputs"].update({"d": list(cfg.d), "a": list(cfg.a), "r": list(cfg.r)})
     try:
@@ -369,6 +384,8 @@ def cmd_reduce(cfg, ctx):
 
 
 def cmd_series(cfg, ctx):
+    from . import charform, wsformula
+
     doc = _base_doc("series", cfg)
     doc["inputs"]["K"] = cfg.K
     t0 = time.time()
@@ -527,11 +544,14 @@ def main(argv=None):
             raise ValueError("numeric mode requires a concrete q >= 2")
         if cfg.command in ("eval", "series") or which in ("constant", "invariance", "shintani"):
             require_b_expandable(ctx)
-        if which == "padic" and not padic.is_prime(cfg.q):
-            raise ValueError("verify padic needs a prime q below 2^31, got %d" % cfg.q)
-        # a verifier that checks nothing must not report a pass
-        if which == "padic" and cfg.samples < 1:
-            raise ValueError("verify padic needs --samples >= 1, got %d" % cfg.samples)
+        if which == "padic":
+            from .padic import is_prime
+
+            if not is_prime(cfg.q):
+                raise ValueError("verify padic needs a prime q below 2^31, got %d" % cfg.q)
+            # a verifier that checks nothing must not report a pass
+            if cfg.samples < 1:
+                raise ValueError("verify padic needs --samples >= 1, got %d" % cfg.samples)
         if which == "cone" and (cfg.count < 0 or cfg.bound < 0):
             raise ValueError(
                 "verify cone needs --count >= 0 and --bound >= 0, got %d and %d"

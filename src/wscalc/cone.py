@@ -1,6 +1,5 @@
 """Support combinatorics: dominant cones, the three double-coset reduction
-operations, their closure normal form, and the partial order used in the
-uniqueness argument.
+operations and their closure normal form.
 
 A triple (d; a, r) records a double-coset representative p^d lambda p^(a,r)
 with d, r nonnegative integer m-vectors, a a dominant (n-m)-vector and d+r
@@ -9,49 +8,56 @@ d+r; iterating them in the prescribed order reaches the unique triple with
 componentwise-minimal d among all equivalent dominant-shaped triples.
 """
 
-from dataclasses import dataclass
+from operator import add
 
 from .weyl import is_dominant
 
-__all__ = ["ConeTriple", "op1", "op2", "op3", "normal_form", "ws_leq", "WSPair"]
+__all__ = ["ConeTriple", "op1", "op2", "op3", "normal_form"]
 
 
-@dataclass(frozen=True)
 class ConeTriple:
-    """The data (d; a, r): d, r >= 0 componentwise, a dominant, d+r dominant."""
+    """The data (d; a, r): d, r >= 0 componentwise, a dominant, d+r dominant,
+    checked whenever a triple is built, the operations' results included."""
 
-    n: int
-    m: int
-    d: tuple
-    a: tuple
-    r: tuple
+    __slots__ = ("n", "m", "d", "a", "r")
 
-    def __post_init__(self):
-        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        object.__setattr__(self, "r", tuple(int(x) for x in self.r))
-        if self.n < self.m + 1:
+    def __init__(self, n, m, d, a, r):
+        d, a, r = tuple(map(int, d)), tuple(map(int, a)), tuple(map(int, r))
+        if n < m + 1:
             raise ValueError("rank constraint violated: need n >= m+1")
-        if len(self.d) != self.m or len(self.r) != self.m:
+        if len(d) != m or len(r) != m:
             raise ValueError("d and r must have length m")
-        if len(self.a) != self.n - self.m:
+        if len(a) != n - m:
             raise ValueError("a must have length n-m")
-        if any(x < 0 for x in self.d) or any(x < 0 for x in self.r):
+        if min(d, default=0) < 0 or min(r, default=0) < 0:
             raise ValueError("d and r must be nonnegative")
-        if not is_dominant(self.a):
+        if not is_dominant(a):
             raise ValueError("a must be dominant")
-        s = tuple(x + y for x, y in zip(self.d, self.r))
-        if not is_dominant(s):
+        if not is_dominant(tuple(map(add, d, r))):
             raise ValueError("d + r must be dominant")
+        for name, value in zip(self.__slots__, (n, m, d, a, r)):
+            object.__setattr__(self, name, value)
 
-    def replace(self, d=None, r=None):
-        return ConeTriple(
-            self.n,
-            self.m,
-            self.d if d is None else d,
-            self.a,
-            self.r if r is None else r,
-        )
+    def __setattr__(self, *args):
+        raise AttributeError("ConeTriple is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return self.n, self.m, self.d, self.a, self.r
+
+    def __eq__(self, other):
+        return isinstance(other, ConeTriple) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "ConeTriple(n=%r, m=%r, d=%r, a=%r, r=%r)" % self._key()
+
+    def replace(self, d, r):
+        """The triple with d and r replaced, validated like any other."""
+        return ConeTriple(self.n, self.m, d, self.a, r)
 
 
 def op1(t):
@@ -110,53 +116,3 @@ def normal_form(t, trace=None):
             trace.append(("op3,%d" % i, cur, nxt))
         cur = nxt
     return cur
-
-
-@dataclass(frozen=True)
-class WSPair:
-    """A dominant pair (d, f) indexing a double coset p^d lambda p^f."""
-
-    n: int
-    m: int
-    d: tuple
-    f: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
-        object.__setattr__(self, "f", tuple(int(x) for x in self.f))
-        if len(self.d) != self.m or len(self.f) != self.n:
-            raise ValueError("shape mismatch: need |d| = m, |f| = n")
-        if not is_dominant(self.d) or not is_dominant(self.f):
-            raise ValueError("d and f must be dominant")
-
-
-def _psum(vec, l):
-    return sum(vec[:l])
-
-
-def ws_leq(p, q):
-    """True iff q dominates p in the support order: q >= p.
-
-    Three families of inequalities on fundamental-weight pairings
-    <w_l, f> = f_1 + ... + f_l:
-
-      (1) <w_l, fq> >= <w_l, fp> for 1 <= l <= n-m;
-      (2) <w_l, fq> + <w'_{l-(n-m)}, dq> >= same of p, for n-m+1 <= l <= n;
-      (3) <w_{n-m+l-1}, fq> + <w'_l, dq> >= same of p, for 1 <= l <= m.
-    """
-    if (p.n, p.m) != (q.n, q.m):
-        raise ValueError("rank mismatch")
-    n, m = p.n, p.m
-    shift = n - m
-    for l in range(1, shift + 1):
-        if _psum(q.f, l) < _psum(p.f, l):
-            return False
-    for l in range(shift + 1, n + 1):
-        if _psum(q.f, l) + _psum(q.d, l - shift) < _psum(p.f, l) + _psum(p.d, l - shift):
-            return False
-    for l in range(1, m + 1):
-        if _psum(q.f, shift + l - 1) + _psum(q.d, l) < _psum(p.f, shift + l - 1) + _psum(
-            p.d, l
-        ):
-            return False
-    return True

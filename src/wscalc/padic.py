@@ -21,7 +21,6 @@ J(x, y, z) take the block shape [[1, x, y, z], [0, 1, 0, y^t],
 [0, 0, 1, -x^t], [0, 0, 0, 1]] inside Sp_{2m+2}.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -439,13 +438,31 @@ def _minor_valuations(g, m, p):
     return vals[: g.n], vals[g.n :]
 
 
-@dataclass(frozen=True)
 class CellFactorization:
     """Recovered torus sizes of an open-cell element; populated iff member."""
 
-    member: bool
-    t_valuations: tuple = ()
-    s_valuations: tuple = ()
+    __slots__ = ("member", "t_valuations", "s_valuations")
+
+    def __init__(self, member, t_valuations=(), s_valuations=()):
+        for name, value in zip(self.__slots__, (member, t_valuations, s_valuations)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError("CellFactorization is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return self.member, self.t_valuations, self.s_valuations
+
+    def __eq__(self, other):
+        return isinstance(other, CellFactorization) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "CellFactorization(member=%r, t_valuations=%r, s_valuations=%r)" % self._key()
 
 
 def factor_valuations(g, m, p):

@@ -190,9 +190,15 @@ def group_order(k):
 
 
 def is_dominant(vec):
-    """An integer weight is dominant for W(C_k) iff it is nonnegative and
-    weakly decreasing."""
-    return all(a >= 0 for a in vec) and all(a >= b for a, b in zip(vec, vec[1:]))
+    """An integer weight is dominant for W(C_k) iff it is weakly decreasing
+    with a nonnegative last entry: read from the end, no entry is below the
+    one after it, nor the last below 0."""
+    low = 0
+    for a in reversed(vec):
+        if a < low:
+            return False
+        low = a
+    return True
 
 
 def straighten(mu):

@@ -13,7 +13,6 @@ half-integer constant) becomes a Laurent monomial and every factor is an
 exact rational function.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .ratfun import LinearForm, Poly, RatFun, Vars, zeta_of, zeta_inv_of
@@ -40,18 +39,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Context:
-    """Ranks of the two symplectic groups, G = Sp_2n and M = Sp_2m; n >= m+1."""
+    """Ranks of the two symplectic groups, G = Sp_2n and M = Sp_2m; n >= m+1.
+    Immutable, and compared and hashed by (n, m): it keys the factor caches."""
 
-    n: int
-    m: int
+    __slots__ = ("n", "m")
 
-    def __post_init__(self):
-        if self.m < 0:
+    def __init__(self, n, m):
+        if m < 0:
             raise ValueError("m must be nonnegative")
-        if self.n < self.m + 1:
+        if n < m + 1:
             raise ValueError("rank constraint violated: need n >= m+1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+
+    def __setattr__(self, *args):
+        raise AttributeError("Context is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return isinstance(other, Context) and (self.n, self.m) == (other.n, other.m)
+
+    def __hash__(self):
+        return hash((self.n, self.m))
+
+    def __repr__(self):
+        return "Context(n=%r, m=%r)" % (self.n, self.m)
 
     @property
     def vars(self):
@@ -68,7 +82,6 @@ class Context:
         return LinearForm(self.vars, halves=k)
 
 
-@dataclass(frozen=True)
 class SimpleRoot:
     """A simple root of the type-C system of G or M.
 
@@ -76,15 +89,32 @@ class SimpleRoot:
     kind "long" stands for 2e_rank.
     """
 
-    group: str  # "G" or "M"
-    kind: str  # "short" or "long"
-    index: int
+    __slots__ = ("group", "kind", "index")
 
-    def __post_init__(self):
-        if self.group not in ("G", "M"):
+    def __init__(self, group, kind, index):
+        if group not in ("G", "M"):
             raise ValueError("group must be G or M")
-        if self.kind not in ("short", "long"):
+        if kind not in ("short", "long"):
             raise ValueError("kind must be short or long")
+        for name, value in zip(self.__slots__, (group, kind, index)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError("SimpleRoot is immutable")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return self.group, self.kind, self.index
+
+    def __eq__(self, other):
+        return isinstance(other, SimpleRoot) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "SimpleRoot(group=%r, kind=%r, index=%r)" % self._key()
 
     @property
     def label(self):

@@ -3,16 +3,18 @@
 Each builds, the slow and literal way, a quantity that the engine computes
 another way (through the character basis, or by a reindexed sum), so a test
 can compare the two.  The Weyl-element matrices and the written-out minor
-expansion are here too: only the tests of ``wscalc.padic`` use them.
+expansion are here too: only the tests of ``wscalc.padic`` use them; and so
+is the support partial order on dominant pairs, which only the tests check.
 """
 
 import cmath
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
 from wscalc.padic import SympMatrix, minor
 from wscalc.ratfun import Poly, RatFun
-from wscalc.weyl import character, straighten_weight
+from wscalc.weyl import character, is_dominant, straighten_weight
 
 
 def so_char(vars_, lam):
@@ -147,3 +149,56 @@ def minor_expansion_check(g1, g2, g3, I, J, guard=3):
                 continue
             rhs += fia * minor(g2, A, C) * fcj
     return lhs == rhs / (g1.den * g3.den) ** k
+
+
+# The support partial order of the uniqueness argument, on dominant pairs.
+
+
+@dataclass(frozen=True)
+class WSPair:
+    """A dominant pair (d, f) indexing a double coset p^d lambda p^f."""
+
+    n: int
+    m: int
+    d: tuple
+    f: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
+        object.__setattr__(self, "f", tuple(int(x) for x in self.f))
+        if len(self.d) != self.m or len(self.f) != self.n:
+            raise ValueError("shape mismatch: need |d| = m, |f| = n")
+        if not is_dominant(self.d) or not is_dominant(self.f):
+            raise ValueError("d and f must be dominant")
+
+
+def _psum(vec, l):
+    return sum(vec[:l])
+
+
+def ws_leq(p, q):
+    """True iff q dominates p in the support order: q >= p.
+
+    Three families of inequalities on fundamental-weight pairings
+    <w_l, f> = f_1 + ... + f_l:
+
+      (1) <w_l, fq> >= <w_l, fp> for 1 <= l <= n-m;
+      (2) <w_l, fq> + <w'_{l-(n-m)}, dq> >= same of p, for n-m+1 <= l <= n;
+      (3) <w_{n-m+l-1}, fq> + <w'_l, dq> >= same of p, for 1 <= l <= m.
+    """
+    if (p.n, p.m) != (q.n, q.m):
+        raise ValueError("rank mismatch")
+    n, m = p.n, p.m
+    shift = n - m
+    for l in range(1, shift + 1):
+        if _psum(q.f, l) < _psum(p.f, l):
+            return False
+    for l in range(shift + 1, n + 1):
+        if _psum(q.f, l) + _psum(q.d, l - shift) < _psum(p.f, l) + _psum(p.d, l - shift):
+            return False
+    for l in range(1, m + 1):
+        if _psum(q.f, shift + l - 1) + _psum(q.d, l) < _psum(p.f, shift + l - 1) + _psum(
+            p.d, l
+        ):
+            return False
+    return True

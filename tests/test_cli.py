@@ -190,9 +190,11 @@ def test_exit_code_contract_on_failure(capsys, monkeypatch):
     assert doc["report"]["witness"] == "forced failure"
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def _run_subprocess(*argv, timeout=60):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run(
         [sys.executable, "-m", "wscalc.cli"] + list(argv),
         capture_output=True, text=True, timeout=timeout, env=env,
@@ -442,6 +444,84 @@ def test_verify_cone_fails_on_a_wrong_operation(capsys, monkeypatch):
     )
     assert code == 1 and doc["pass"] is False
     assert doc["report"]["minimal"] < doc["report"]["exhaustive_triples"]
+
+
+def test_verify_cone_fails_when_an_operation_leaves_the_cone(capsys, monkeypatch):
+    """An Operation (3,i) that pulls one unit too many from r drives some r_j
+    below 0.  Every triple that an operation returns is validated, so verify
+    cone must stop on that triple with exit 1, not pass."""
+    from wscalc import cone
+
+    op3 = cone.op3
+
+    def one_unit_too_many(t, i):
+        out = op3(t, i)
+        if out == t:
+            return out
+        j = next(k for k in range(t.m) if out.d[k] != t.d[k])
+        bump = tuple(int(k == j) for k in range(t.m))
+        return out.replace(
+            d=tuple(x + y for x, y in zip(out.d, bump)),
+            r=tuple(x - y for x, y in zip(out.r, bump)),
+        )
+
+    monkeypatch.setattr(cone, "op3", one_unit_too_many)
+    code, doc = run_json(
+        capsys, "verify", "cone", "--n", "3", "--m", "2", "--bound", "2", "--count", "50"
+    )
+    assert code == 1 and "pass" not in doc
+    assert doc["error"] == {"type": "ValueError", "message": "d and r must be nonnegative"}
+
+
+def test_verify_constant_fails_on_a_wrong_b_factor(capsys, monkeypatch):
+    """b with its last factor 1 - q^-(chi_n + xi_m + 1/2) replaced by
+    1 - q^-(chi_n + xi_m + 3/2), through the name that the grouped b reads,
+    must fail verify constant."""
+    from wscalc import wsformula, zetafactors
+    from wscalc.ratfun import zeta_inv_of
+
+    def one_factor_replaced(ctx):
+        forms = zetafactors.b_linear_forms(ctx)
+        forms[-1] = forms[-1] + ctx.half(2)
+        return zetafactors._prod(ctx.vars, [zeta_inv_of(s) for s in forms]).numerator_poly()
+
+    monkeypatch.setattr(wsformula, "b_factor_poly", one_factor_replaced)
+    caches = (wsformula._b_grouped, wsformula._straightened_b)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        code, doc = run_json(capsys, "verify", "constant", "--n", "2", "--m", "1")
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert code == 1 and doc["pass"] is False
+    assert doc["report"]["constant"] != doc["report"]["closed_form"]
+
+
+def test_verify_padic_loads_only_what_it_runs():
+    """The package imports no submodule and the command line imports each
+    command's modules where it runs them, so a fresh verify padic, and then
+    the p-adic module itself, load neither the Weyl-sum engine, the series,
+    the cone nor dataclasses.  Modules loaded at interpreter start-up do not
+    count."""
+    child = (
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "from wscalc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['verify', 'padic', '--n', '3', '--m', '2', '--samples', '2'])\n"
+        "import wscalc.padic\n"
+        "print(json.dumps([rc, sorted(set(sys.modules) - before)]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = json.loads(proc.stdout)
+    assert rc == 0 and {"wscalc.cli", "wscalc.padic"} <= set(loaded)
+    unwanted = {"wscalc.wsformula", "wscalc.charform", "wscalc.cone", "dataclasses"}
+    assert not unwanted & set(loaded)
 
 
 # -- the eval contract ----------------------------------------------------------

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wscalc.cone import ConeTriple, WSPair, normal_form, op1, op2, op3, ws_leq
+from wscalc.cone import ConeTriple, normal_form, op1, op2, op3
+
+from references import WSPair, ws_leq
 
 
 def dominant(v):
