@@ -12,7 +12,9 @@ Four subcommands mirror the library layers:
 (``zetafactors.equivariance``): under each simple reflection s, Gamma and
 the unnormalized value Gamma S pick up gamma_s / c_s.  Only `verify padic`
 reads --q and --samples; any other check given either is a config error.
-Outside `verify`, only numeric mode reads --q.
+Outside `verify`, only numeric mode reads --q.  --seed is read by `verify
+cone`, `verify padic` and numeric mode, and accepted by `verify shintani`;
+any other command given it is a config error.
 
 All output is JSON (schema 1) on stdout or --out; `series --csv` writes a
 CSV table instead.  Any failing verification exits nonzero with a witness.
@@ -430,10 +432,11 @@ def cmd_series(cfg, ctx):
 # -- argument parsing -----------------------------------------------------------
 
 
-# --q and --samples default to None, so that a verify check that does not read
-# them can refuse them; these are the defaults where they are read
+# --q, --samples and --seed default to None, so that a command that does not
+# read them can refuse them; these are the defaults where they are read
 _DEFAULT_Q = 3
 _DEFAULT_SAMPLES = 10
+_DEFAULT_SEED = 0
 
 
 def _add_common(sp):
@@ -455,7 +458,13 @@ def _add_common(sp):
         help="residue cardinality: v = q^(-1/2) in numeric mode, the prime of "
         "verify padic (default %d); refused where nothing reads it" % _DEFAULT_Q,
     )
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="seed of the random draws of verify cone, verify padic and numeric "
+        "mode (default %d); refused where nothing reads it" % _DEFAULT_SEED,
+    )
     sp.add_argument("--out", help="write the report to this path instead of stdout")
 
 
@@ -523,21 +532,34 @@ def main(argv=None):
     which = getattr(cfg, "which", None)
     try:
         ctx = Context(cfg.n, cfg.m)  # rank validation up front
-        if cfg.command == "eval" or which == "invariance":
-            for name, vec, size in (("f", cfg.f, ctx.n), ("d", cfg.d, ctx.m)):
+        if cfg.command in ("eval", "reduce") or which == "invariance":
+            sizes = {"f": ctx.n, "d": ctx.m, "a": ctx.n - ctx.m, "r": ctx.m}
+            for name, size in sizes.items():
+                vec = getattr(cfg, name, None)
                 if vec is not None and len(vec) != size:
                     raise ValueError("--%s must have length %d, got %d" % (name, size, len(vec)))
+        if (cfg.command == "series" or which == "shintani") and cfg.K < 0:
+            raise ValueError("--K must be >= 0, got %d" % cfg.K)
         name = cfg.command if which is None else "verify " + which
         if cfg.mode == "numeric" and (cfg.command, which) not in _NUMERIC:
             raise ValueError("%s has no numeric mode" % name)
         # --q is the prime of verify padic and sets v = q^(-1/2) in numeric
-        # mode; --samples is read by verify padic alone
-        reads = {"q": which == "padic" or cfg.mode == "numeric", "samples": which == "padic"}
+        # mode; --samples is read by verify padic alone; --seed draws the
+        # cone triples, the p-adic samples and the numeric point.  verify
+        # shintani draws nothing, but perfbench's series32 workload passes it
+        # --seed, so it still accepts one
+        reads = {
+            "q": which == "padic" or cfg.mode == "numeric",
+            "samples": which == "padic",
+            "seed": which in ("cone", "padic", "shintani") or cfg.mode == "numeric",
+        }
         for option, read in reads.items():
             if getattr(cfg, option, None) is not None and not read:
                 raise ValueError("%s does not read --%s" % (name, option))
         if cfg.q is None:
             cfg.q = _DEFAULT_Q
+        if cfg.seed is None:
+            cfg.seed = _DEFAULT_SEED
         if which == "padic" and cfg.samples is None:
             cfg.samples = _DEFAULT_SAMPLES
         if cfg.mode == "numeric" and cfg.q < 2:

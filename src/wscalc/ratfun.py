@@ -423,9 +423,6 @@ class RatFun:
     def is_zero(self):
         return not self.coeff
 
-    def is_one(self):
-        return self.coeff == 1 and not self.nfac and not self.dfac and not any(self.mono)
-
     def numerator_poly(self):
         """Expanded numerator (including the unit)."""
         p = Poly.monomial(self.vars, self.mono, self.coeff)

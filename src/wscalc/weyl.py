@@ -26,6 +26,8 @@ __all__ = [
     "straighten",
     "straighten_weight",
     "character",
+    "dominant_weights",
+    "distinct_permutations",
     "group_order",
     "is_dominant",
     "positive_roots",
@@ -325,3 +327,19 @@ def character(lam, group):
     if any(a % 2 for e in quot for a in e):
         raise AssertionError("character has a non-integral exponent")
     return tuple((tuple(a // 2 for a in e), quot[e]) for e in sorted(quot, reverse=True))
+
+
+@lru_cache(maxsize=None)
+def dominant_weights(lam, group):
+    """The dominant part of ``character(lam, group)``: its (mu, multiplicity)
+    pairs with mu dominant.  A character is W-invariant, so it is the sum of
+    mult(mu) times the orbit sum of mu over these."""
+    return tuple((mu, c) for mu, c in character(lam, group) if is_dominant(mu))
+
+
+@lru_cache(maxsize=None)
+def distinct_permutations(mu):
+    """The distinct permutations of the tuple mu, in ascending order.  For a
+    dominant mu, X^mu's W-orbit sum is the sum over them of the product of
+    x_i^a + x_i^-a (1 where a = 0)."""
+    return tuple(sorted(set(permutations(mu))))

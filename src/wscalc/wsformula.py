@@ -40,7 +40,7 @@ transforms under each simple reflection as Gamma does, through
 """
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .ratfun import (
     POLE_TOL,
@@ -49,10 +49,16 @@ from .ratfun import (
     PoleError,
     Poly,
     RatFun,
-    eval_terms,
     zeta_of,
 )
-from .weyl import character, enumerate_group, is_dominant, straighten_weight
+from .weyl import (
+    character,
+    distinct_permutations,
+    dominant_weights,
+    enumerate_group,
+    is_dominant,
+    straighten_weight,
+)
 from .zetafactors import (
     b_factor,
     b_factor_poly,
@@ -399,25 +405,66 @@ def ws_torus(ctx, f):
 # -- numeric backend ---------------------------------------------------------
 
 
+def _orbit_rows(z, top):
+    """One row per coordinate z_i: c_a(z_i) for a = 0..top, where c_0 = 1 and
+    c_a(t) = t^a + t^-a."""
+    rows = []
+    for t in z:
+        inv, up, down, row = 1 / t, 1, 1, [1]
+        for _ in range(top):
+            up *= t
+            down *= inv
+            row.append(up + down)
+        rows.append(row)
+    return rows
+
+
+def _characters_at(z, group, top):
+    """chi_lam(z) of ``group`` as a function of the dominant weight lam, with
+    no entry of lam above top.  A character is W-invariant, so chi_lam is
+    the sum of mult(mu) M_mu(z) over the dominant weights mu of V(lam), and
+    the orbit sum M_mu(z) is the sum over the distinct permutations pi of mu
+    of prod_i c_(pi_i)(z_i).  Each orbit sum and each character is computed
+    once, and orbit sums are shared by the characters."""
+    rows = _orbit_rows(z, top)
+    orbits = {}
+    chars = {}
+
+    def chi(lam):
+        val = chars.get(lam)
+        if val is None:
+            val = 0
+            for mu, mult in dominant_weights(lam, group):
+                orbit = orbits.get(mu)
+                if orbit is None:
+                    orbit = orbits[mu] = sum(
+                        prod(map(list.__getitem__, rows, pi)) for pi in distinct_permutations(mu)
+                    )
+                val += mult * orbit
+            chars[lam] = val
+        return val
+
+    return chi
+
+
 def _eval_form(form, point, n):
     """The character form ((lam, mu), ((k, c), ...)), ... at a complex point:
     sum of c v^k chi^B_lam(x) chi^C_mu(y).
 
     Characters are Laurent polynomials, so there is no pole to meet and no
-    cancellation against the Weyl denominators; each distinct character, and
-    each power of a coordinate, is evaluated once per call.
+    cancellation against the Weyl denominators.  Each character is evaluated
+    as a sum of W-orbit sums over its dominant weights (``_characters_at``),
+    from one table per side of x_i^a + x_i^-a; each orbit sum and each
+    character is evaluated once per call.
     """
     v, xs, ys = point[0], point[1 : 1 + n], point[1 + n :]
-    powers_x, powers_y = [{} for _ in xs], [{} for _ in ys]
-    chi_x = {}
-    chi_y = {}
+    # every weight of V(lam) has entries at most lam_1
+    top = max((max(lam[:1] + mu[:1]) for (lam, mu), _ in form), default=0)
+    chi_x = _characters_at(xs, "so", top)
+    chi_y = _characters_at(ys, "sp", top)
     total = 0j
     for (lam, mu), vpoly in form:
-        if lam not in chi_x:
-            chi_x[lam] = eval_terms(character(lam, "so"), xs, powers_x)
-        if mu not in chi_y:
-            chi_y[mu] = eval_terms(character(mu, "sp"), ys, powers_y)
-        total += sum(c * v ** k for k, c in vpoly) * chi_x[lam] * chi_y[mu]
+        total += sum(c * v ** k for k, c in vpoly) * chi_x(lam) * chi_y(mu)
     return total
 
 

@@ -301,6 +301,27 @@ def test_q_where_nothing_reads_it_is_config_error(capsys, argv):
     assert "does not read --q" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--n", "2", "--m", "1", "--f", "1,0"],
+        ["series", "--n", "2", "--m", "1", "--K", "2"],
+        ["reduce", "--n", "3", "--m", "2", "--d", "0,0", "--a", "0", "--r", "1,0"],
+        ["verify", "constant", "--n", "2", "--m", "1"],
+        ["verify", "gamma", "--n", "2", "--m", "1"],
+        ["verify", "invariance", "--n", "2", "--m", "1"],
+        ["verify", "gauss", "--n", "1", "--m", "0"],
+    ],
+)
+def test_seed_where_nothing_reads_it_is_config_error(capsys, argv):
+    """Commands that draw nothing used to accept --seed and echo it;
+    `verify constant --seed 9` exited 0."""
+    code, doc = run_json(capsys, *argv, "--seed", "9")
+    assert code == 2
+    assert doc["error"]["type"] == "config"
+    assert "does not read --seed" in doc["error"]["message"]
+
+
 def _with_one_minus_x1(gamma_big):
     from wscalc.ratfun import Poly, RatFun
 
@@ -574,15 +595,95 @@ def warm_ranks():
                 main(["eval", "--n=%d" % n, "--m=%d" % m, "--f=" + ",".join("0" * n)])
 
 
+# -- the contract of verify, series and reduce ----------------------------------
+
+CHECKS = ("constant", "gamma", "invariance", "shintani", "cone", "padic", "gauss")
+# options with a valid value, and which of them each command reads; it
+# refuses the others
+OPTIONS = {"--q": "5", "--samples": "2", "--seed": "9", "--mode": "numeric"}
+READS = {
+    "series": ("--mode",),
+    "verify padic": ("--q", "--samples", "--seed"),
+    "verify cone": ("--seed",),
+    "verify shintani": ("--seed",),
+}
+# the faults of each command besides a bad rank and an option it does not
+# read; those in FIXED_FAULTS are one option below its range
+OWN_FAULTS = {
+    "reduce": ("weight", "length", "malformed"),
+    "verify invariance": ("weight", "length", "malformed"),
+    "series": ("K",),
+    "verify shintani": ("K",),
+    "verify cone": ("count",),
+    "verify padic": ("samples", "prime"),
+}
+FIXED_FAULTS = {"K": "--K=-1", "count": "--count=-1", "samples": "--samples=0", "prime": "--q=4"}
+
+
+@st.composite
+def command_argv(draw):
+    """A verify, series or reduce command line over small ranks, valid or with
+    one fault: a bad rank, an option the command does not read, a weight that
+    is not dominant, a wrong length, malformed text, or a value below its
+    range.  Returns the argv and the exit code that the contract demands of
+    it: 0 if valid, 1 for a weight that is not dominant, 2 otherwise."""
+    command = draw(st.sampled_from(("reduce", "series") + tuple("verify " + c for c in CHECKS)))
+    m = draw(st.integers(0, 2))
+    n = m + 1 if command in ("series", "verify shintani") else draw(st.integers(m + 1, 3))
+    fault = draw(st.sampled_from(("none", "none", "rank", "option") + OWN_FAULTS.get(command, ())))
+    if fault == "rank":
+        m = draw(st.sampled_from((-1, n, n + 1)))
+    argv = command.split() + ["--n=%d" % n, "--m=%d" % m]
+
+    def dominant(k):
+        return sorted(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)), reverse=True)
+
+    if command in ("reduce", "verify invariance"):
+        k = max(m, 0)
+        if command == "reduce":
+            total = dominant(k)
+            d = [draw(st.integers(0, t)) for t in total]
+            vecs = {"d": d, "a": dominant(max(n - k, 1)), "r": [t - a for t, a in zip(total, d)]}
+        else:
+            vecs = {"f": dominant(n), "d": dominant(k)}
+        which = "a" if command == "reduce" else "f"  # never empty
+        if fault == "weight":
+            vecs[which][-1] = -1
+        elif fault == "length":
+            vecs[which].append(0)
+        text = {key: ",".join(map(str, vec)) for key, vec in vecs.items()}
+        if fault == "malformed":
+            text[which] = draw(st.sampled_from(MALFORMED))
+        argv += ["--%s=%s" % kv for kv in text.items()]
+    if command in ("series", "verify shintani"):
+        argv.append("--K=%d" % draw(st.integers(0, 3)))
+    elif command == "verify cone":
+        argv += ["--bound=%d" % draw(st.integers(0, 2)), "--count=%d" % draw(st.integers(0, 10))]
+    elif command == "verify padic":
+        argv.append("--samples=%d" % draw(st.integers(1, 2)))
+    if fault in FIXED_FAULTS:
+        argv.append(FIXED_FAULTS[fault])
+    elif fault == "option":
+        option = draw(st.sampled_from([o for o in OPTIONS if o not in READS.get(command, ())]))
+        argv += [option, OPTIONS[option]]
+    elif fault == "none":
+        for option in READS.get(command, ()):
+            if draw(st.booleans()):
+                argv += [option, OPTIONS[option]]
+    return argv, {"none": 0, "weight": 1}.get(fault, 2)
+
+
 # The slowest example, a cold exact eval at (3, 2), takes about 0.1 s on a
 # 2-vCPU Xeon; hypothesis fails an example only past 1.25 x the deadline.
-@given(eval_argv())
-@settings(max_examples=150, deadline=500)
+@given(st.one_of(eval_argv(), command_argv()))
+@settings(max_examples=300, deadline=500)
 def test_eval_contract(warm_ranks, case):
     """A bad config (malformed or wrong-length vectors, a rank outside
-    n >= m+1 >= 1 or n >= 5) exits 2; a weight that is not dominant is a
-    structured error with exit 1, as ``tests/golden/eval_non_dominant.json``
-    pins; a valid input exits 0.  Nothing raises, and each run is quick."""
+    n >= m+1 >= 1 or n >= 5, an option the command does not read, a value
+    below its range) exits 2; a weight that is not dominant is a structured
+    error with exit 1, as ``tests/golden/eval_non_dominant.json`` pins; a
+    valid input exits 0, and a verification passes.  This holds for eval,
+    verify, series and reduce.  Nothing raises, and each run is quick."""
     argv, code = case
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -592,6 +693,19 @@ def test_eval_contract(warm_ranks, case):
     if code == 2:
         assert doc["error"]["type"] == "config"
     elif code == 1:
-        assert "not dominant" in doc["error"]["message"]
+        assert doc["error"]["type"] == "ValueError" and "dominant" in doc["error"]["message"]
     else:
-        assert "value" in doc and "error" not in doc
+        assert "error" not in doc and doc.get("pass", True) is True
+        assert "value" in doc or argv[0] != "eval"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the series identity is decided only at n = m+1, "
+    "so a rank it does not cover exits 1 as if the check had failed",
+)
+def test_verify_shintani_outside_n_equal_m_plus_1_is_not_a_failure(capsys):
+    """Exit 1 means that a verification failed.  An input outside the
+    domain is either checked (exit 0) or refused as a config error (exit 2)."""
+    code, doc = run_json(capsys, "verify", "shintani", "--n", "3", "--m", "1", "--K", "2")
+    assert code != 1, doc

@@ -9,8 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wscalc import wsformula
-from wscalc.ratfun import PoleError, Poly, RatFun
-from wscalc.weyl import alternating_monomial_sum, enumerate_group, is_dominant, straighten_weight
+from wscalc.ratfun import PoleError, Poly, RatFun, eval_terms
+from wscalc.weyl import (
+    alternating_monomial_sum,
+    character,
+    enumerate_group,
+    is_dominant,
+    straighten_weight,
+)
 from wscalc.zetafactors import (
     Context,
     b_factor,
@@ -221,6 +227,50 @@ def test_numeric_sum_is_well_conditioned_near_coincident_angles():
     exact = weyl_sum(C32, d, f).eval_at(pt)
     assert _close(weyl_sum_numeric(C32, d, f, pt), exact)
     assert not _close(_reference_numeric(C32, d, f, pt), exact)
+
+
+# -- characters as W-orbit sums ------------------------------------------------
+
+
+def _orbit_cases():
+    """(k, lam) for every dominant lam with entries <= 3 at k <= 3, and a few
+    at k = 4."""
+    cases = [(k, lam) for k in (1, 2, 3) for lam in _dominant(k, 3)]
+    return cases + [(4, lam) for lam in ((0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 1, 1), (2, 1, 1, 0), (3, 2, 1, 0))]
+
+
+@pytest.mark.parametrize("group", ["so", "sp"])
+def test_orbit_sums_match_the_monomial_characters(group):
+    """The orbit-sum value of chi_lam, at seeded points, equals the sum of
+    its monomials one at a time."""
+    for k, lam in _orbit_cases():
+        for pt in sample_points(Context(k, 0), 3, seed=k + 7):
+            z = pt[1:]
+            got = wsformula._characters_at(z, group, 3)(lam)
+            ref = eval_terms(character(lam, group), z, [{} for _ in z])
+            assert abs(got - ref) <= 1e-12 * abs(ref), (group, lam, got, ref)
+
+
+def test_orbit_sum_of_no_coordinates_is_one():
+    """At m = 0 the y-side weight is (), and its character is 1."""
+    assert wsformula._characters_at((), "sp", 3)(()) == 1
+    ctx = Context(2, 0)
+    for pt in sample_points(ctx, 3, seed=2):
+        assert _close(weyl_sum_numeric(ctx, (), (2, 1), pt), weyl_sum(ctx, (), (2, 1)).eval_at(pt))
+
+
+def test_dropping_the_inverse_half_of_the_orbit_table_breaks_the_numeric_sum(monkeypatch):
+    """The cross-check of the numeric sum against the exact one can fail: an
+    orbit table with c_a = z^a, which drops z^-a, gives other values."""
+    def one_sided(z, top):
+        return [[t ** a for a in range(top + 1)] for t in z]
+
+    cases = [(C21, (1,), (1, 1)), (C32, (1, 0), (2, 1, 0))]
+    exact = {(ctx, d, f): weyl_sum(ctx, d, f) for ctx, d, f in cases}
+    monkeypatch.setattr(wsformula, "_orbit_rows", one_sided)
+    for ctx, d, f in cases:
+        for pt in sample_points(ctx, 3, seed=4):
+            assert not _close(weyl_sum_numeric(ctx, d, f, pt), exact[ctx, d, f].eval_at(pt))
 
 
 def _L_numeric_reference(ctx, d, f, point):
