@@ -132,7 +132,7 @@ def shintani_verify(ctx, K):
     results = []
     for l in range(K + 1):
         f = (l,) + zero
-        shift = delta_half_G(ctx, f)[0] - 2 * l * (ctx.m + 1)
+        shift = delta_half_G(ctx, f) - 2 * l * (ctx.m + 1)
         lhs = {key: tuple((k + shift, c) for k, c in vpoly)
                for key, vpoly in wsformula._character_form(ctx, zero, f)}
         rhs = {key: _times_v(vpoly, const) for key, vpoly in _rhs_form(ctx, l)}

@@ -10,11 +10,10 @@ Four subcommands mirror the library layers:
 
 `verify gamma` and `verify invariance` share one exact check
 (``zetafactors.equivariance``): under each simple reflection s, Gamma and
-the unnormalized value Gamma S pick up gamma_s / c_s.  Only `verify padic`
-reads --q and --samples; any other check given either is a config error.
-Outside `verify`, only numeric mode reads --q.  --seed is read by `verify
-cone`, `verify padic` and numeric mode, and accepted by `verify shintani`;
-any other command given it is a config error.
+the unnormalized value Gamma S pick up gamma_s / c_s.  Each command, and
+each check of `verify`, has its own parser that declares exactly the options
+it reads; any other option is a config error, and so are --q and --seed of
+`eval` and `series` in exact mode, which only their numeric mode reads.
 
 All output is JSON (schema 1) on stdout or --out; `series --csv` writes a
 CSV table instead.  Any failing verification exits nonzero with a witness.
@@ -75,12 +74,15 @@ def _emit(doc, out_path, exit_code):
         # produce byte-identical bytes, so the volatile timing field stays on
         # the interactive surface only
         doc = {k: v for k, v in doc.items() if k != "wall_time_s"}
-        payload = json.dumps(doc, indent=2, sort_keys=True)
+    return _write(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path, exit_code)
+
+
+def _write(payload, out_path, exit_code):
+    if out_path:
         with open(out_path, "w") as fh:
-            fh.write(payload + "\n")
+            fh.write(payload)
     else:
-        payload = json.dumps(doc, indent=2, sort_keys=True)
-        sys.stdout.write(payload + "\n")
+        sys.stdout.write(payload)
     return exit_code
 
 
@@ -97,7 +99,8 @@ def _base_doc(command, cfg):
             "n": cfg.n,
             "m": cfg.m,
             "mode": cfg.mode,
-            "seed": cfg.seed,
+            # a command that draws nothing echoes seed 0
+            "seed": getattr(cfg, "seed", 0),
         },
     }
 
@@ -286,7 +289,7 @@ def _verify_padic(cfg, ctx):
         # |chi^-1 delta^(1/2)(b_G) xi delta^(-1/2)(b_MJ)| on the cell, with the
         # modulus characters of L(d, f): v-exponents, v = q^(-1/2), so halved
         chi_xi = sum(v * c for v, c in zip(tv, chi)) - sum(v * c for v, c in zip(sv, xi))
-        delta = delta_half_G(ctx, tv)[0] - delta_half_MJ(ctx, sv)[0]
+        delta = delta_half_G(ctx, tv) - delta_half_MJ(ctx, sv)
         if E == chi_xi - Fraction(delta, 2):
             kernel_ok += 1
         n1 = padic.random_upper_unipotent_G(n, rng, p)
@@ -308,7 +311,7 @@ def _verify_padic(cfg, ctx):
     }
 
 
-def _verify_gauss(cfg, ctx=None):
+def _verify_gauss(cfg, ctx):
     from itertools import product as iproduct
 
     from . import padic
@@ -419,53 +422,46 @@ def cmd_series(cfg, ctx):
             lines.append(
                 '%d,"%s","%s","%s"' % (row["l"], row["lhs"], row["rhs"], row["diff"])
             )
-        payload = "\n".join(lines) + "\n"
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
-        return 0 if equal else 1
+        return _write("\n".join(lines) + "\n", cfg.out, 0 if equal else 1)
     return _emit(doc, cfg.out, 0 if equal else 1)
 
 
 # -- argument parsing -----------------------------------------------------------
 
 
-# --q, --samples and --seed default to None, so that a command that does not
-# read them can refuse them; these are the defaults where they are read
-_DEFAULT_Q = 3
-_DEFAULT_SAMPLES = 10
-_DEFAULT_SEED = 0
+def _at_least(low):
+    """An argparse type: an integer >= low.  A verifier that would check
+    nothing must not report a pass, so a zero-work count is refused here."""
+
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, value))
+        return value
+
+    return integer
 
 
-def _add_common(sp):
-    sp.add_argument("--n", type=int, required=True, help="rank of G = Sp(2n)")
-    sp.add_argument("--m", type=int, required=True, help="rank of M = Sp(2m)")
-    sp.add_argument(
-        "--mode",
-        choices=("exact", "numeric"),
-        default="exact",
-        help="exact symbolic arithmetic (default) or complex evaluation of "
-        "the same character form at a seeded sample point (eval and series "
-        "only); both expand b "
-        "once per rank, which dominates at n = 4 and is refused from n = 5 on",
-    )
-    sp.add_argument(
-        "--q",
-        type=int,
-        default=None,
-        help="residue cardinality: v = q^(-1/2) in numeric mode, the prime of "
-        "verify padic (default %d); refused where nothing reads it" % _DEFAULT_Q,
-    )
-    sp.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed of the random draws of verify cone, verify padic and numeric "
-        "mode (default %d); refused where nothing reads it" % _DEFAULT_SEED,
-    )
-    sp.add_argument("--out", help="write the report to this path instead of stdout")
+def _prime(text):
+    """An argparse type: the prime q of verify padic."""
+    from .padic import is_prime  # imported here, so that only verify padic loads it
+
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid prime value: %r" % text)
+    if not is_prime(value):
+        raise argparse.ArgumentTypeError("must be a prime below 2^31, got %d" % value)
+    return value
+
+
+class _Given(argparse.Action):
+    """Store the value and record the option in ``given``, so that exact mode,
+    which reads neither --q nor --seed, can refuse them."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given += (self.option_strings[0],)
 
 
 class _UsageError(ValueError):
@@ -477,6 +473,35 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_DEFAULT = " (default %(default)s)"
+
+
+def _command(sub, name, help):
+    """The parser of one command, with the options that every command reads."""
+    sp = sub.add_parser(name, help=help)
+    sp.add_argument("--n", type=int, required=True, help="rank of G = Sp(2n)")
+    sp.add_argument("--m", type=int, required=True, help="rank of M = Sp(2m)")
+    sp.add_argument(
+        "--mode",
+        choices=("exact", "numeric"),
+        default="exact",
+        help="exact symbolic arithmetic (default) or complex evaluation of the "
+        "same character form at a seeded sample point (eval and series only); "
+        "both expand b once per rank, which dominates at n = 4 and is refused "
+        "from n = 5 on",
+    )
+    sp.add_argument("--out", help="write the report to this path instead of stdout")
+    return sp
+
+
+def _numeric_options(sp):
+    sp.set_defaults(given=())
+    sp.add_argument("--q", type=int, default=3, action=_Given,
+                    help="numeric mode only: v = q^(-1/2)" + _DEFAULT)
+    sp.add_argument("--seed", type=int, default=0, action=_Given,
+                    help="numeric mode only: seed of the sample point" + _DEFAULT)
+
+
 def build_parser():
     ap = _Parser(
         prog="wscalc",
@@ -485,100 +510,76 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    pe = sub.add_parser("eval", help="evaluate the normalized torus value L(d, f)")
-    _add_common(pe)
+    pe = _command(sub, "eval", "evaluate the normalized torus value L(d, f)")
     pe.add_argument("--f", type=_int_vector, required=True, help="dominant n-vector, comma-separated")
-    pe.add_argument("--d", type=_int_vector, default=None, help="dominant m-vector (default zero)")
+    pe.add_argument("--d", type=_int_vector, help="dominant m-vector (default zero)")
+    _numeric_options(pe)
 
-    pv = sub.add_parser("verify", help="machine-check one of the identities")
-    pv.add_argument("which", choices=sorted(_VERIFIERS))
-    _add_common(pv)
-    pv.add_argument("--K", type=int, default=4, help="series truncation")
-    pv.add_argument("--d", type=_int_vector, default=None)
-    pv.add_argument("--f", type=_int_vector, default=None)
-    pv.add_argument(
-        "--samples", type=int, default=None,
-        help="random trials of verify padic (default %d)" % _DEFAULT_SAMPLES,
+    checks = sub.add_parser("verify", help="machine-check one of the identities").add_subparsers(
+        dest="which", required=True
     )
-    pv.add_argument("--bound", type=int, default=3, help="entry bound of the exhaustive cone oracle")
-    pv.add_argument("--count", type=int, default=1000, help="random cone triples")
+    _command(checks, "constant", "the Weyl sum at d = 0, f = 0 against its closed form")
+    _command(checks, "gamma", "Gamma picks up gamma_s / c_s under each simple reflection")
+    pi = _command(checks, "invariance", "the same for the unnormalized value Gamma S(d, f)")
+    pi.add_argument("--d", type=_int_vector, help="dominant m-vector (default zero)")
+    pi.add_argument("--f", type=_int_vector, help="dominant n-vector (default zero)")
+    pk = _command(checks, "shintani", "the series identity for l = 0..K, at n = m+1")
+    pk.add_argument("--K", type=_at_least(0), default=4, help="series truncation" + _DEFAULT)
+    # draws nothing, but perfbench's series32 workload passes --seed
+    pk.add_argument("--seed", type=int, default=0, help="accepted and echoed; nothing is drawn")
+    pc = _command(checks, "cone", "normal forms of random and of all small cone triples")
+    pc.add_argument("--count", type=_at_least(0), default=1000, help="random triples" + _DEFAULT)
+    pc.add_argument("--bound", type=_at_least(0), default=3,
+                    help="entry bound of the exhaustive cone oracle" + _DEFAULT)
+    pc.add_argument("--seed", type=int, default=0, help="seed of the random triples" + _DEFAULT)
+    pp = _command(checks, "padic", "the minors and the kernel on random open-cell elements")
+    pp.add_argument("--q", type=_prime, default=3, help="the prime p" + _DEFAULT)
+    pp.add_argument("--samples", type=_at_least(1), default=10, help="random trials" + _DEFAULT)
+    pp.add_argument("--seed", type=int, default=0, help="seed of the random trials" + _DEFAULT)
+    _command(checks, "gauss", "the Gauss shells against their brute-force oracle")
 
-    pr = sub.add_parser("reduce", help="normal form of a double-coset triple")
-    _add_common(pr)
+    pr = _command(sub, "reduce", "normal form of a double-coset triple")
     pr.add_argument("--d", type=_int_vector, required=True)
     pr.add_argument("--a", type=_int_vector, required=True)
     pr.add_argument("--r", type=_int_vector, required=True)
 
-    ps = sub.add_parser("series", help="both sides of the L-function series")
-    _add_common(ps)
-    ps.add_argument("--K", type=int, default=4)
+    ps = _command(sub, "series", "both sides of the L-function series")
+    ps.add_argument("--K", type=_at_least(0), default=4, help="series truncation" + _DEFAULT)
     ps.add_argument("--csv", action="store_true", help="emit a CSV table")
+    _numeric_options(ps)
     return ap
 
 
 _COMMANDS = {"eval": cmd_eval, "verify": cmd_verify, "reduce": cmd_reduce, "series": cmd_series}
 
-# the commands that evaluate the character form at a sample point in numeric mode
-_NUMERIC = {("eval", None), ("series", None)}
-
 
 def main(argv=None):
     try:
-        cfg = build_parser().parse_args(
+        cfg, unread = build_parser().parse_known_args(
             _glue_negative_vectors(sys.argv[1:] if argv is None else argv)
         )
     except _UsageError as exc:
         return _error(str(exc))
     which = getattr(cfg, "which", None)
+    name = cfg.command if which is None else "verify " + which
     try:
+        if unread:
+            raise ValueError("%s does not read %s" % (name, unread[0].split("=")[0]))
         ctx = Context(cfg.n, cfg.m)  # rank validation up front
-        if cfg.command in ("eval", "reduce") or which == "invariance":
-            sizes = {"f": ctx.n, "d": ctx.m, "a": ctx.n - ctx.m, "r": ctx.m}
-            for name, size in sizes.items():
-                vec = getattr(cfg, name, None)
-                if vec is not None and len(vec) != size:
-                    raise ValueError("--%s must have length %d, got %d" % (name, size, len(vec)))
-        if (cfg.command == "series" or which == "shintani") and cfg.K < 0:
-            raise ValueError("--K must be >= 0, got %d" % cfg.K)
-        name = cfg.command if which is None else "verify " + which
-        if cfg.mode == "numeric" and (cfg.command, which) not in _NUMERIC:
-            raise ValueError("%s has no numeric mode" % name)
-        # --q is the prime of verify padic and sets v = q^(-1/2) in numeric
-        # mode; --samples is read by verify padic alone; --seed draws the
-        # cone triples, the p-adic samples and the numeric point.  verify
-        # shintani draws nothing, but perfbench's series32 workload passes it
-        # --seed, so it still accepts one
-        reads = {
-            "q": which == "padic" or cfg.mode == "numeric",
-            "samples": which == "padic",
-            "seed": which in ("cone", "padic", "shintani") or cfg.mode == "numeric",
-        }
-        for option, read in reads.items():
-            if getattr(cfg, option, None) is not None and not read:
-                raise ValueError("%s does not read --%s" % (name, option))
-        if cfg.q is None:
-            cfg.q = _DEFAULT_Q
-        if cfg.seed is None:
-            cfg.seed = _DEFAULT_SEED
-        if which == "padic" and cfg.samples is None:
-            cfg.samples = _DEFAULT_SAMPLES
-        if cfg.mode == "numeric" and cfg.q < 2:
+        sizes = {"f": ctx.n, "d": ctx.m, "a": ctx.n - ctx.m, "r": ctx.m}
+        for option, size in sizes.items():
+            vec = getattr(cfg, option, None)
+            if vec is not None and len(vec) != size:
+                raise ValueError("--%s must have length %d, got %d" % (option, size, len(vec)))
+        if cfg.command not in ("eval", "series"):
+            if cfg.mode == "numeric":
+                raise ValueError("%s has no numeric mode" % name)
+        elif cfg.mode == "exact" and cfg.given:
+            raise ValueError("%s does not read %s" % (name, cfg.given[0]))
+        elif cfg.q < 2:
             raise ValueError("numeric mode requires a concrete q >= 2")
         if cfg.command in ("eval", "series") or which in ("constant", "invariance", "shintani"):
             require_b_expandable(ctx)
-        if which == "padic":
-            from .padic import is_prime
-
-            if not is_prime(cfg.q):
-                raise ValueError("verify padic needs a prime q below 2^31, got %d" % cfg.q)
-            # a verifier that checks nothing must not report a pass
-            if cfg.samples < 1:
-                raise ValueError("verify padic needs --samples >= 1, got %d" % cfg.samples)
-        if which == "cone" and (cfg.count < 0 or cfg.bound < 0):
-            raise ValueError(
-                "verify cone needs --count >= 0 and --bound >= 0, got %d and %d"
-                % (cfg.count, cfg.bound)
-            )
     except ValueError as exc:
         return _error(str(exc), cfg.out)
     return _COMMANDS[cfg.command](cfg, ctx)

@@ -208,20 +208,6 @@ class Poly:
                     del res[e]
         return Poly(self.vars, res, prune=False)
 
-    def scale(self, c):
-        c = _exact(c)
-        if not c:
-            return Poly.zero(self.vars)
-        return Poly(self.vars, {e: _exact(k * c) for e, k in self.terms.items()}, prune=False)
-
-    def shift(self, exp):
-        """Multiply by the monomial with exponent tuple ``exp``."""
-        return Poly(
-            self.vars,
-            {tuple(a + b for a, b in zip(e, exp)): c for e, c in self.terms.items()},
-            prune=False,
-        )
-
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented

@@ -393,7 +393,7 @@ def L_value(ctx, d, f):
         (key, tuple((k, c) for k, c in enumerate(_v_exact_quotient(p, g)) if c))
         for key, p in coeffs.items()
     )
-    shift = delta_half_G(ctx, f)[0] + delta_half_MJ(ctx, d)[0]
+    shift = delta_half_G(ctx, f) + delta_half_MJ(ctx, d)
     return LValue(ctx, shift, tuple(_v_exact_quotient(den, g)), form)
 
 

@@ -440,7 +440,7 @@ def equivariance(ctx, value):
 
 
 def delta_half_G(ctx, f):
-    """delta^(1/2)_{B_G}(p^f) as an exponent tuple: prod_i v^(2 f_i (n-i+1)).
+    """delta^(1/2)_{B_G}(p^f) as its v-exponent: prod_i v^(2 f_i (n-i+1)).
 
     The exponent n-i+1 is the i-th entry of the half-sum of positive roots
     of C_n; see the anchored evaluation delta^(1/2)(diag(t, I, t^-1)) = |t|^(m+1)
@@ -449,12 +449,11 @@ def delta_half_G(ctx, f):
     f = tuple(f)
     if len(f) != ctx.n:
         raise ValueError("f must have length n")
-    e = sum(2 * fi * (ctx.n - i + 1) for i, fi in enumerate(f, 1))
-    return ctx.vars.v_exp(e)
+    return sum(2 * fi * (ctx.n - i + 1) for i, fi in enumerate(f, 1))
 
 
 def delta_half_MJ(ctx, d):
-    """delta^(1/2)_{B_{M^J}}(p^d) as an exponent tuple: prod_j v^(d_j (2(m-j)+3)).
+    """delta^(1/2)_{B_{M^J}}(p^d) as its v-exponent: prod_j v^(d_j (2(m-j)+3)).
 
     The Jacobi-group Borel picks up an extra half power of |t| from the
     Heisenberg radical, giving exponent m-j+3/2 at coordinate j; the anchor
@@ -463,5 +462,4 @@ def delta_half_MJ(ctx, d):
     d = tuple(d)
     if len(d) != ctx.m:
         raise ValueError("d must have length m")
-    e = sum(dj * (2 * (ctx.m - j) + 3) for j, dj in enumerate(d, 1))
-    return ctx.vars.v_exp(e)
+    return sum(dj * (2 * (ctx.m - j) + 3) for j, dj in enumerate(d, 1))

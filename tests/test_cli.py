@@ -322,6 +322,65 @@ def test_seed_where_nothing_reads_it_is_config_error(capsys, argv):
     assert "does not read --seed" in doc["error"]["message"]
 
 
+CHECKS = ("constant", "gamma", "invariance", "shintani", "cone", "padic", "gauss")
+# the options that only some checks of verify read, each with a valid value,
+# and the checks that read them; every other check refuses them
+CHECK_OPTIONS = {"--K": "2", "--count": "5", "--bound": "1", "--d": "0", "--f": "0,0",
+                 "--samples": "2", "--q": "5", "--seed": "9"}
+CHECK_READS = {
+    "invariance": ("--d", "--f"),
+    "shintani": ("--K", "--seed"),
+    "cone": ("--count", "--bound", "--seed"),
+    "padic": ("--q", "--samples", "--seed"),
+}
+
+
+@pytest.mark.parametrize(
+    "which,option",
+    [(w, o) for w in CHECKS for o in CHECK_OPTIONS if o not in CHECK_READS.get(w, ())],
+)
+def test_verify_refuses_the_options_of_other_checks(capsys, which, option):
+    """Each check parses only its own options; verify gamma used to accept
+    and ignore --K, --count, --bound, --d and --f, and exit 0."""
+    code, doc = run_json(
+        capsys, "verify", which, "--n", "2", "--m", "1", option, CHECK_OPTIONS[option]
+    )
+    assert code == 2
+    assert doc["error"] == {
+        "type": "config", "message": "verify %s does not read %s" % (which, option)
+    }
+
+
+def test_verify_gamma_with_the_options_of_other_checks_is_config_error(capsys):
+    code, doc = run_json(
+        capsys, "verify", "gamma", "--n", "2", "--m", "1", "--K", "-3", "--count", "5",
+        "--bound", "9", "--d", "7", "--f", "1,2,3",
+    )
+    assert code == 2
+    assert doc["error"] == {"type": "config", "message": "verify gamma does not read --K"}
+
+
+def _readme_command_lines():
+    path = os.path.join(os.path.dirname(SRC), "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("wscalc ")]
+
+
+def test_readme_command_lines_parse_with_nothing_left_over():
+    """Every wscalc line of the README's command-line block parses with no
+    option its command refuses; an option of another check is left over."""
+    from wscalc.cli import build_parser
+
+    lines = _readme_command_lines()
+    assert len(lines) >= 10
+    for argv in lines:
+        assert build_parser().parse_known_args(argv)[1] == [], argv
+    gamma_with_k = ["verify", "gamma", "--n", "3", "--m", "2", "--K", "8"]
+    assert build_parser().parse_known_args(gamma_with_k)[1] == ["--K", "8"]
+
+
 def _with_one_minus_x1(gamma_big):
     from wscalc.ratfun import Poly, RatFun
 
@@ -380,7 +439,7 @@ def test_verify_gauss_names_failing_case(monkeypatch):
         return -value if j == i + 1 else value
 
     monkeypatch.setattr(padic, "gauss_shell", sign_flipped)
-    ok, report = cli_mod._verify_gauss(None)
+    ok, report = cli_mod._verify_gauss(None, None)
     assert not ok and not report["pass"]
     assert report["failures"] == [
         {"q": q, "i": i, "j": i + 1} for q in (3, 5) for i in range(-4, 4)
@@ -435,7 +494,7 @@ def test_verify_padic_fails_on_a_shifted_delta_half(capsys, monkeypatch):
     from wscalc import zetafactors
 
     def shifted(ctx, f):
-        return ctx.vars.v_exp(zetafactors.delta_half_G(ctx, f)[0] + 2 * sum(f))
+        return zetafactors.delta_half_G(ctx, f) + 2 * sum(f)
 
     monkeypatch.setattr(cli_mod, "delta_half_G", shifted)
     code, doc = run_json(capsys, "verify", "padic", "--n", "3", "--m", "2", "--samples", "5")
@@ -597,15 +656,17 @@ def warm_ranks():
 
 # -- the contract of verify, series and reduce ----------------------------------
 
-CHECKS = ("constant", "gamma", "invariance", "shintani", "cone", "padic", "gauss")
 # options with a valid value, and which of them each command reads; it
 # refuses the others
-OPTIONS = {"--q": "5", "--samples": "2", "--seed": "9", "--mode": "numeric"}
+OPTIONS = {"--q": "5", "--samples": "2", "--seed": "9", "--mode": "numeric",
+           "--K": "2", "--count": "5", "--bound": "1", "--d": "0", "--f": "0"}
 READS = {
-    "series": ("--mode",),
+    "reduce": ("--d",),
+    "series": ("--mode", "--K"),
+    "verify invariance": ("--d", "--f"),
     "verify padic": ("--q", "--samples", "--seed"),
-    "verify cone": ("--seed",),
-    "verify shintani": ("--seed",),
+    "verify cone": ("--seed", "--count", "--bound"),
+    "verify shintani": ("--seed", "--K"),
 }
 # the faults of each command besides a bad rank and an option it does not
 # read; those in FIXED_FAULTS are one option below its range
@@ -667,8 +728,9 @@ def command_argv(draw):
         option = draw(st.sampled_from([o for o in OPTIONS if o not in READS.get(command, ())]))
         argv += [option, OPTIONS[option]]
     elif fault == "none":
+        given = {tok.split("=")[0] for tok in argv}
         for option in READS.get(command, ()):
-            if draw(st.booleans()):
+            if option not in given and draw(st.booleans()):
                 argv += [option, OPTIONS[option]]
     return argv, {"none": 0, "weight": 1}.get(fault, 2)
 

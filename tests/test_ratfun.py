@@ -247,7 +247,7 @@ def _check_canonical(p):
     assert math.gcd(*(c for _, c in key)) == 1
     assert max(key)[1] > 0
     assert all(min(col) == 0 for col in zip(*(e for e, _ in key)))
-    assert Poly(p.vars, dict(key), prune=False).shift(mono).scale(coeff) == p
+    assert Poly.monomial(p.vars, mono, coeff) * Poly(p.vars, dict(key), prune=False) == p
     assert (coeff, mono, key) == canonical_factor(_all_fraction(p))
 
 
@@ -259,9 +259,10 @@ def test_integer_coefficients_stay_exact(a, b, c):
     for got, ref in ((a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb)):
         assert _exact_types(got, ints)
         assert got == ref
-    scaled = a.scale(c)
+    one = (0,) * a.vars.size
+    scaled = Poly.monomial(a.vars, one, c) * a
     assert _exact_types(scaled, ints and type(c) is int)
-    assert scaled == fa.scale(Fraction(c))
+    assert scaled == Poly.monomial(a.vars, one, Fraction(c)) * fa
     for p in (a, b, a * b, a + b):
         if p:
             _check_canonical(p)

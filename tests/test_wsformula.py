@@ -277,7 +277,7 @@ def _L_numeric_reference(ctx, d, f, point):
     """L at a point by a route that shares no reduction with ``L_value``: the
     unreduced numeric Weyl sum, times delta^(1/2)(p^f) delta_MJ^(1/2)(p^d),
     over the closed-form constant C evaluated as a RatFun."""
-    k = delta_half_G(ctx, f)[0] + delta_half_MJ(ctx, d)[0]
+    k = delta_half_G(ctx, f) + delta_half_MJ(ctx, d)
     const = normalization_constant_closed(ctx).eval_at(point)
     return weyl_sum_numeric(ctx, d, f, point) * point[0] ** k / const
 
