@@ -14,6 +14,8 @@ the unnormalized value Gamma S pick up gamma_s / c_s.  Each command, and
 each check of `verify`, has its own parser that declares exactly the options
 it reads; any other option is a config error, and so are --q and --seed of
 `eval` and `series` in exact mode, which only their numeric mode reads.
+Only `eval` and `series` have a numeric path and take --mode, and
+`verify gauss`, which checks the same cases at every rank, takes no ranks.
 
 All output is JSON (schema 1) on stdout or --out; `series --csv` writes a
 CSV table instead.  Any failing verification exits nonzero with a witness.
@@ -25,8 +27,9 @@ import sys
 import time
 from fractions import Fraction
 
-# every command needs a Context, so zetafactors is loaded up front; the other
-# modules are imported where they run, so a process loads only what it runs
+# every command but verify gauss needs a Context, so zetafactors is loaded up
+# front; the other modules are imported where they run, so a process loads
+# only what it runs
 from .ratfun import PoleError
 from .weyl import group_order, is_dominant
 from .zetafactors import (
@@ -92,17 +95,11 @@ def _error(message, out_path=None, kind="config", code=2):
 
 
 def _base_doc(command, cfg):
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "inputs": {
-            "n": cfg.n,
-            "m": cfg.m,
-            "mode": cfg.mode,
-            # a command that draws nothing echoes seed 0
-            "seed": getattr(cfg, "seed", 0),
-        },
-    }
+    # verify gauss takes no ranks; a command without a numeric path echoes
+    # mode exact, and one that draws nothing seed 0
+    inputs = {"n": cfg.n, "m": cfg.m} if "n" in cfg else {}
+    inputs.update(mode=getattr(cfg, "mode", "exact"), seed=getattr(cfg, "seed", 0))
+    return {"schema": SCHEMA, "command": command, "inputs": inputs}
 
 
 # -- eval ---------------------------------------------------------------------
@@ -158,8 +155,8 @@ def _verify_constant(cfg, ctx):
 
 def _verify_gamma(cfg, ctx):
     checks = [
-        {"group": root.group, "root": root.label, "pass": ok}
-        for root, ok in equivariance(ctx, gamma_big(ctx))
+        {"group": group, "root": label, "pass": ok}
+        for group, label, ok in equivariance(ctx, gamma_big(ctx))
     ]
     ok = all(c["pass"] for c in checks)
     return ok, {"generators": checks, "pass": ok}
@@ -280,8 +277,7 @@ def _verify_padic(cfg, ctx):
         g, ts, ss = padic.random_cell_element(n, m, rng, p)
         tv = tuple(padic.valuation(t, p) for t in ts)
         sv = tuple(padic.valuation(s, p) for s in ss)
-        cf = padic.factor_valuations(g, m, p)
-        if cf.member and cf.t_valuations == tv and cf.s_valuations == sv:
+        if padic.factor_valuations(g, m, p) == (tv, sv):
             recovered += 1
         chi = [Fraction(rng.randint(-6, 6), 2) for _ in range(n)]
         xi = [Fraction(rng.randint(-6, 6), 2) for _ in range(m)]
@@ -476,25 +472,27 @@ class _Parser(argparse.ArgumentParser):
 _DEFAULT = " (default %(default)s)"
 
 
-def _command(sub, name, help):
-    """The parser of one command, with the options that every command reads."""
+def _command(sub, name, help, ranks=True):
+    """The parser of one command, with --out and, unless ``ranks`` is false,
+    the ranks --n and --m."""
     sp = sub.add_parser(name, help=help)
-    sp.add_argument("--n", type=int, required=True, help="rank of G = Sp(2n)")
-    sp.add_argument("--m", type=int, required=True, help="rank of M = Sp(2m)")
-    sp.add_argument(
-        "--mode",
-        choices=("exact", "numeric"),
-        default="exact",
-        help="exact symbolic arithmetic (default) or complex evaluation of the "
-        "same character form at a seeded sample point (eval and series only); "
-        "both expand b once per rank, which dominates at n = 4 and is refused "
-        "from n = 5 on",
-    )
+    if ranks:
+        sp.add_argument("--n", type=int, required=True, help="rank of G = Sp(2n)")
+        sp.add_argument("--m", type=int, required=True, help="rank of M = Sp(2m)")
     sp.add_argument("--out", help="write the report to this path instead of stdout")
     return sp
 
 
 def _numeric_options(sp):
+    """--mode, and the --q and --seed that only numeric mode reads."""
+    sp.add_argument(
+        "--mode",
+        choices=("exact", "numeric"),
+        default="exact",
+        help="exact symbolic arithmetic (default) or complex evaluation of the "
+        "same character form at a seeded sample point; both expand b once per "
+        "rank, which dominates at n = 4 and is refused from n = 5 on",
+    )
     sp.set_defaults(given=())
     sp.add_argument("--q", type=int, default=3, action=_Given,
                     help="numeric mode only: v = q^(-1/2)" + _DEFAULT)
@@ -536,7 +534,8 @@ def build_parser():
     pp.add_argument("--q", type=_prime, default=3, help="the prime p" + _DEFAULT)
     pp.add_argument("--samples", type=_at_least(1), default=10, help="random trials" + _DEFAULT)
     pp.add_argument("--seed", type=int, default=0, help="seed of the random trials" + _DEFAULT)
-    _command(checks, "gauss", "the Gauss shells against their brute-force oracle")
+    # the same 162 cases at every rank, so it takes none
+    _command(checks, "gauss", "the Gauss shells against their brute-force oracle", ranks=False)
 
     pr = _command(sub, "reduce", "normal form of a double-coset triple")
     pr.add_argument("--d", type=_int_vector, required=True)
@@ -565,19 +564,19 @@ def main(argv=None):
     try:
         if unread:
             raise ValueError("%s does not read %s" % (name, unread[0].split("=")[0]))
-        ctx = Context(cfg.n, cfg.m)  # rank validation up front
-        sizes = {"f": ctx.n, "d": ctx.m, "a": ctx.n - ctx.m, "r": ctx.m}
-        for option, size in sizes.items():
-            vec = getattr(cfg, option, None)
-            if vec is not None and len(vec) != size:
-                raise ValueError("--%s must have length %d, got %d" % (option, size, len(vec)))
-        if cfg.command not in ("eval", "series"):
-            if cfg.mode == "numeric":
-                raise ValueError("%s has no numeric mode" % name)
-        elif cfg.mode == "exact" and cfg.given:
-            raise ValueError("%s does not read %s" % (name, cfg.given[0]))
-        elif cfg.q < 2:
-            raise ValueError("numeric mode requires a concrete q >= 2")
+        ctx = None
+        if "n" in cfg:
+            ctx = Context(cfg.n, cfg.m)  # rank validation up front
+            sizes = {"f": ctx.n, "d": ctx.m, "a": ctx.n - ctx.m, "r": ctx.m}
+            for option, size in sizes.items():
+                vec = getattr(cfg, option, None)
+                if vec is not None and len(vec) != size:
+                    raise ValueError("--%s must have length %d, got %d" % (option, size, len(vec)))
+        if cfg.command in ("eval", "series"):
+            if cfg.mode == "exact" and cfg.given:
+                raise ValueError("%s does not read %s" % (name, cfg.given[0]))
+            if cfg.q < 2:
+                raise ValueError("numeric mode requires a concrete q >= 2")
         if cfg.command in ("eval", "series") or which in ("constant", "invariance", "shintani"):
             require_b_expandable(ctx)
     except ValueError as exc:

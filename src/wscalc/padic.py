@@ -50,7 +50,6 @@ __all__ = [
     "minor",
     "alpha_k",
     "beta_l",
-    "CellFactorization",
     "factor_valuations",
     "abs_cell_kernel",
     "gauss_shell",
@@ -438,37 +437,11 @@ def _minor_valuations(g, m, p):
     return vals[: g.n], vals[g.n :]
 
 
-class CellFactorization:
-    """Recovered torus sizes of an open-cell element; populated iff member."""
-
-    __slots__ = ("member", "t_valuations", "s_valuations")
-
-    def __init__(self, member, t_valuations=(), s_valuations=()):
-        for name, value in zip(self.__slots__, (member, t_valuations, s_valuations)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, *args):
-        raise AttributeError("CellFactorization is immutable")
-
-    __delattr__ = __setattr__
-
-    def _key(self):
-        return self.member, self.t_valuations, self.s_valuations
-
-    def __eq__(self, other):
-        return isinstance(other, CellFactorization) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "CellFactorization(member=%r, t_valuations=%r, s_valuations=%r)" % self._key()
-
-
 def factor_valuations(g, m, p):
     """Recover |t_i| and |s_j| of g = d_n(t) n_G w0 lambda d_m(s) n_MJ u from
-    the minors: membership in the open cell is equivalent to all alpha_k and
-    beta_l being nonzero, and on the cell
+    the minors, as (t_valuations, s_valuations), or None off the open cell.
+    Membership in the open cell is equivalent to all alpha_k and beta_l
+    being nonzero, and on the cell
 
         v(t_1) = -v(alpha_1),
         v(t_i) = v(alpha_{i-1}) - v(alpha_i)          for 2 <= i <= n-m,
@@ -478,7 +451,7 @@ def factor_valuations(g, m, p):
     n = g.n
     vals = _minor_valuations(g, m, p)
     if vals is None:
-        return CellFactorization(False)
+        return None
     va, vb = vals
     tv = []
     for i in range(1, n + 1):
@@ -489,7 +462,7 @@ def factor_valuations(g, m, p):
         else:
             tv.append(vb[i - (n - m) - 1] - va[i - 1])
     sv = [vb[j - 1] - va[n - m + j - 2] for j in range(1, m + 1)]
-    return CellFactorization(True, tuple(tv), tuple(sv))
+    return tuple(tv), tuple(sv)
 
 
 def abs_cell_kernel(g, m, p, chi_re, xi_re):

@@ -4,8 +4,13 @@ the Weyl characters of the dual groups.
 An element w = (image, flips) sends the i-th coordinate to the image(i)-th,
 with a sign flip where flips[image(i)] = -1.  Substituting w into variables
 replaces x_j by x_{image^-1(j)}^{flips[j]}; the induced map on exponent
-tuples is ``act_on_exponents``.  The sign character is the determinant of
-the reflection representation: parity of the permutation times (-1)^#flips.
+tuples, which is also the action on roots and weights, is ``embed_remap``.
+The sign character is the determinant of the reflection representation:
+parity of the permutation times (-1)^#flips.
+
+Roots are integer k-tuples, one type for all of them: ``positive_roots``
+lists them, ``simple_roots`` gives e_i - e_{i+1} and 2e_k, ``reflection``
+the signed permutation s_alpha and ``root_label`` a name such as "e1-e2".
 
 W(C_k) is also the Weyl group of SO(2k+1) (type B) and of Sp(2k) (type C),
 so one alternant serves both character formulas; they differ only in rho
@@ -31,6 +36,9 @@ __all__ = [
     "group_order",
     "is_dominant",
     "positive_roots",
+    "simple_roots",
+    "reflection",
+    "root_label",
 ]
 
 ENUMERATION_GUARD = 6
@@ -52,15 +60,6 @@ class SignedPerm:
         self.image = image
         self.flips = flips
 
-    @classmethod
-    def identity(cls, k):
-        return cls(tuple(range(1, k + 1)), (1,) * k)
-
-    @classmethod
-    def longest(cls, k):
-        """w_0: all sign flips, identity permutation (sends x to x^-1)."""
-        return cls(tuple(range(1, k + 1)), (-1,) * k)
-
     @property
     def k(self):
         return len(self.image)
@@ -78,29 +77,11 @@ class SignedPerm:
     def __repr__(self):
         return "SignedPerm(image=%r, flips=%r)" % (self.image, self.flips)
 
-    def __mul__(self, other):
-        """Composition self*other: apply other first, then self."""
-        if self.k != other.k:
-            raise ValueError("rank mismatch")
-        image = tuple(self.image[other.image[i] - 1] for i in range(self.k))
-        inv_self = self.inverse_image()
-        flips = tuple(
-            self.flips[j - 1] * other.flips[inv_self[j - 1] - 1]
-            for j in range(1, self.k + 1)
-        )
-        return SignedPerm(image, flips)
-
     def inverse_image(self):
         inv = [0] * self.k
         for i, j in enumerate(self.image, 1):
             inv[j - 1] = i
         return tuple(inv)
-
-    def inverse(self):
-        inv = self.inverse_image()
-        # the inverse's flip at target i is the original flip at image(i)
-        flips = tuple(self.flips[self.image[i] - 1] for i in range(self.k))
-        return SignedPerm(inv, flips)
 
     def sgn(self):
         """Determinant character: permutation parity times (-1)^#flips."""
@@ -134,19 +115,6 @@ class SignedPerm:
             val = values[inv[j - 1] - 1]
             out.append(val if self.flips[j - 1] == 1 else 1 / val)
         return tuple(out)
-
-    def act_on_exponents(self, mu):
-        """Exponent remap of the substitution: x^mu -> x^(w*mu).
-
-        (w*mu)_i = flips[image(i)] * mu[image(i)], so that substituting
-        ``act_on_point`` into the monomial x^mu yields x^(w*mu).
-        """
-        if len(mu) != self.k:
-            raise ValueError("length mismatch")
-        return tuple(
-            self.flips[self.image[i] - 1] * mu[self.image[i] - 1]
-            for i in range(self.k)
-        )
 
     def embed_remap(self, size, offset):
         """Exponent remap on a larger lattice, acting on slots offset..offset+k-1."""
@@ -272,6 +240,38 @@ def positive_roots(k, group):
         tuple((t == a) + s * (t == b) for t in range(k))
         for a in range(k) for b in range(a + 1, k) for s in (-1, 1)
     ]
+
+
+def simple_roots(k):
+    """The simple roots of Sp(2k): e_i - e_{i+1} for i < k, then 2e_k."""
+    roots = [tuple((t == i) - (t == i + 1) for t in range(k)) for i in range(k - 1)]
+    return roots + [tuple(2 * (t == k - 1) for t in range(k))] if k else roots
+
+
+def reflection(alpha):
+    """The reflection s_alpha as a SignedPerm: a swap of a and b for
+    e_a - e_b, the swap with both signs flipped for e_a + e_b, and a flip of
+    i for e_i or 2e_i."""
+    k = len(alpha)
+    image, flips = list(range(1, k + 1)), [1] * k
+    (a, ca), *rest = [(i, c) for i, c in enumerate(alpha) if c]
+    if rest:
+        (b, cb), = rest
+        image[a], image[b] = b + 1, a + 1
+        if ca == cb:
+            flips[a] = flips[b] = -1
+    else:
+        flips[a] = -1
+    return SignedPerm(image, flips)
+
+
+def root_label(alpha):
+    """The root as a sum of unit vectors: "e1-e2", "e1+e2", "e3" or "2e3"."""
+    terms = [
+        "%s%se%d" % ("-" if c < 0 else "+", abs(c) if abs(c) > 1 else "", i)
+        for i, c in enumerate(alpha, 1) if c
+    ]
+    return "".join(terms).lstrip("+")
 
 
 def _divide_binomial(poly, alpha):

@@ -539,5 +539,4 @@ def invariance_report(ctx, d, f, mode="exact"):
     d = require_dominant(d, "d")
     f = require_dominant(f, "f")
     value = gamma_big(ctx) * weyl_sum(ctx, d, f)
-    results = [(root.group, root.label, ok) for root, ok in equivariance(ctx, value)]
-    return InvarianceReport(ctx, d, f, results)
+    return InvarianceReport(ctx, d, f, equivariance(ctx, value))

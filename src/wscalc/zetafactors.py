@@ -1,11 +1,13 @@
-"""Closed-form local factor products: b, d, d', Gamma, Gindikin-Karpelevich
-c_w and c~_w, the rank-one gamma-factors, and modulus characters on torus
-cocharacters.
+"""Closed-form local factor products: b, d, d', Gamma, the rank-one
+Gindikin-Karpelevich factors c_s and gamma-factors of the simple
+reflections, and modulus characters on torus cocharacters.
 
 ``equivariance`` is the one exact check of how a value transforms under the
-simple reflections: value(s.) c_s == gamma_s value, with c_s = c_w(s) (or
-c~_w(s)) the rank-one Gindikin-Karpelevich factor.  ``verify gamma`` applies
-it to Gamma, and ``verify invariance`` to the unnormalized value Gamma S.
+simple reflections: value(s.) c_s == gamma_s value, with c_s = zeta(p) /
+zeta(p + 1) at the pairing p of chi with the simple coroot of G (of xi with
+the simple root of M).  ``verify gamma`` applies it to Gamma, and
+``verify invariance`` to the unnormalized value Gamma S.  Roots are the
+integer vectors of ``weyl``.
 
 Variable convention throughout: x_i = q^(-chi_i), y_j = q^(-xi_j),
 v = q^(-1/2), so each zeta argument (an affine form in chi, xi with
@@ -16,20 +18,15 @@ exact rational function.
 from functools import lru_cache
 
 from .ratfun import LinearForm, Poly, RatFun, Vars, zeta_of, zeta_inv_of
-from .weyl import SignedPerm, positive_roots
+from .weyl import positive_roots, reflection, root_label, simple_roots
 
 __all__ = [
     "Context",
-    "SimpleRoot",
-    "simple_roots_G",
-    "simple_roots_M",
     "d_factor",
     "dprime_factor",
     "b_factor",
     "require_b_expandable",
     "gamma_big",
-    "c_w",
-    "c_tilde_w",
     "gamma_alpha",
     "gamma_beta",
     "reflection_factors",
@@ -80,78 +77,6 @@ class Context:
     def half(self, k=1):
         """The constant linear form k/2."""
         return LinearForm(self.vars, halves=k)
-
-
-class SimpleRoot:
-    """A simple root of the type-C system of G or M.
-
-    kind "short" with index i stands for e_i - e_{i+1} (1 <= i <= rank-1);
-    kind "long" stands for 2e_rank.
-    """
-
-    __slots__ = ("group", "kind", "index")
-
-    def __init__(self, group, kind, index):
-        if group not in ("G", "M"):
-            raise ValueError("group must be G or M")
-        if kind not in ("short", "long"):
-            raise ValueError("kind must be short or long")
-        for name, value in zip(self.__slots__, (group, kind, index)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, *args):
-        raise AttributeError("SimpleRoot is immutable")
-
-    __delattr__ = __setattr__
-
-    def _key(self):
-        return self.group, self.kind, self.index
-
-    def __eq__(self, other):
-        return isinstance(other, SimpleRoot) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "SimpleRoot(group=%r, kind=%r, index=%r)" % self._key()
-
-    @property
-    def label(self):
-        """"e<i>-e<i+1>" for a short root, "2e<rank>" for the long one."""
-        if self.kind == "short":
-            return "e%d-e%d" % (self.index, self.index + 1)
-        return "2e%d" % self.index
-
-    def rank_of(self, ctx):
-        return ctx.n if self.group == "G" else ctx.m
-
-    def reflection(self, ctx):
-        """The simple reflection as a SignedPerm of W(C_rank)."""
-        k = self.rank_of(ctx)
-        if self.kind == "short":
-            image = list(range(1, k + 1))
-            image[self.index - 1], image[self.index] = (
-                image[self.index],
-                image[self.index - 1],
-            )
-            return SignedPerm(image, (1,) * k)
-        flips = [1] * k
-        flips[k - 1] = -1
-        return SignedPerm(tuple(range(1, k + 1)), tuple(flips))
-
-
-def simple_roots_G(ctx):
-    roots = [SimpleRoot("G", "short", i) for i in range(1, ctx.n)]
-    roots.append(SimpleRoot("G", "long", ctx.n))
-    return roots
-
-
-def simple_roots_M(ctx):
-    roots = [SimpleRoot("M", "short", i) for i in range(1, ctx.m)]
-    if ctx.m >= 1:
-        roots.append(SimpleRoot("M", "long", ctx.m))
-    return roots
 
 
 def _prod(vars_, factors):
@@ -263,28 +188,6 @@ def gamma_big(ctx):
 # -- Gindikin-Karpelevich factors ------------------------------------------
 
 
-def _is_negative_root(vec):
-    for a in vec:
-        if a:
-            return a < 0
-    return False
-
-
-def _weight_action(w, vec):
-    """The action of w on weight/root vectors: w.e_i = flips[image(i)] e_{image(i)}."""
-    out = [0] * len(vec)
-    for i, c in enumerate(vec):
-        if c:
-            j = w.image[i] - 1
-            out[j] += w.flips[j] * c
-    return tuple(out)
-
-
-def inversion_set(w):
-    """Positive roots sent to negative roots by w."""
-    return [r for r in positive_roots(w.k, "sp") if _is_negative_root(_weight_action(w, r))]
-
-
 def _coroot_pairing_chi(ctx, root):
     """<chi, alpha-check> for a root of G: e_a-e_b -> chi_a-chi_b,
     e_a+e_b -> chi_a+chi_b, 2e_i -> chi_i."""
@@ -305,46 +208,27 @@ def _root_pairing_xi(ctx, root):
     )
 
 
-def c_w(ctx, w):
-    """c_w(chi) = prod over the inversion set of zeta(<chi,a^>)/zeta(<chi,a^>+1)."""
-    if w.k != ctx.n:
-        raise ValueError("w must lie in W(C_n)")
-    out = RatFun.one(ctx.vars)
-    one = LinearForm.const(ctx.vars, 1)
-    for root in inversion_set(w):
-        s = _coroot_pairing_chi(ctx, root)
-        out = out * zeta_of(s) / zeta_of(s + one)
-    return out
+def _c_simple(p):
+    """The rank-one Gindikin-Karpelevich factor c_s = zeta(p)/zeta(p+1)."""
+    return zeta_of(p) / zeta_of(p + 1)
 
 
-def c_tilde_w(ctx, w):
-    """c~_w(xi): same shape as c_w but paired against the root, not the coroot."""
-    if w.k != ctx.m:
-        raise ValueError("w must lie in W(C_m)")
-    out = RatFun.one(ctx.vars)
-    one = LinearForm.const(ctx.vars, 1)
-    for root in inversion_set(w):
-        s = _root_pairing_xi(ctx, root)
-        out = out * zeta_of(s) / zeta_of(s + one)
-    return out
-
-
-def gamma_alpha(ctx, root):
-    """The gamma-factor of (w_alpha, 1), alpha a simple root of G.
+def gamma_alpha(ctx, alpha):
+    """The gamma-factor of (s_alpha, 1), alpha a simple root of G.
 
     Case split on where alpha sits relative to the GL part: pure chi ratio
-    for i <= n-m-1, a mixed chi/xi correction for n-m <= i <= n-1 (with
-    i' = i - (n-m)), and the chi_n reflection for the long root.
+    for e_i - e_{i+1} with i <= n-m-1, a mixed chi/xi correction for
+    n-m <= i <= n-1 (with i' = i - (n-m)), and the chi_n reflection for 2e_n.
     """
-    if root.group != "G":
+    if alpha not in simple_roots(ctx.n):
         raise ValueError("expected a simple root of G")
     V = ctx.vars
     one = LinearForm.const(V, 1)
     half = ctx.half()
-    out = c_w(ctx, root.reflection(ctx))
-    if root.kind == "long":
+    out = _c_simple(_coroot_pairing_chi(ctx, alpha))
+    if 2 in alpha:
         return out * zeta_of(ctx.chi(ctx.n) + one) / zeta_of(-1 * ctx.chi(ctx.n) + one)
-    i = root.index
+    i = alpha.index(1) + 1
     out = (
         out
         * zeta_of(ctx.chi(i) - ctx.chi(i + 1) + one)
@@ -364,12 +248,12 @@ def gamma_alpha(ctx, root):
     return out
 
 
-def gamma_beta(ctx, root):
-    """The gamma-factor of (1, w_beta), beta a simple root of M.
+def gamma_beta(ctx, beta):
+    """The gamma-factor of (1, s_beta), beta a simple root of M.
 
     Uses the shifted characters chi~_i = chi_{n-m+i}.
     """
-    if root.group != "M":
+    if beta not in simple_roots(ctx.m):
         raise ValueError("expected a simple root of M")
     V = ctx.vars
     one = LinearForm.const(V, 1)
@@ -379,9 +263,9 @@ def gamma_beta(ctx, root):
     def chit(i):
         return ctx.chi(shift + i)
 
-    out = c_tilde_w(ctx, root.reflection(ctx))
-    if root.kind == "short":
-        i = root.index
+    out = _c_simple(_root_pairing_xi(ctx, beta))
+    if 2 not in beta:
+        i = beta.index(1) + 1
         out = (
             out
             * zeta_of(ctx.xi(i) - ctx.xi(i + 1) + one)
@@ -412,27 +296,30 @@ def gamma_beta(ctx, root):
 
 @lru_cache(maxsize=None)
 def reflection_factors(ctx):
-    """Each simple reflection s of W_G, then of W_M, as (root, remap, c_s,
-    gamma_s): remap is s acting on exponent tuples, c_s is c_w(s) for G and
-    c~_w(s) for M, and gamma_s is the gamma-factor of s."""
+    """Each simple reflection s = s_alpha of W_G, then of W_M, as (group,
+    alpha, remap, c_s, gamma_s): remap is s acting on exponent tuples, c_s is
+    zeta(p)/zeta(p+1) at p = <chi, alpha-check> for G and <xi, alpha> for M,
+    and gamma_s is the gamma-factor of s."""
     size = ctx.vars.size
-    out = []
-    for root in simple_roots_G(ctx):
-        s = root.reflection(ctx)
-        out.append((root, s.embed_remap(size, 1), c_w(ctx, s), gamma_alpha(ctx, root)))
-    for root in simple_roots_M(ctx):
-        s = root.reflection(ctx)
-        out.append((root, s.embed_remap(size, 1 + ctx.n), c_tilde_w(ctx, s), gamma_beta(ctx, root)))
-    return tuple(out)
+    blocks = (
+        ("G", ctx.n, 1, _coroot_pairing_chi, gamma_alpha),
+        ("M", ctx.m, 1 + ctx.n, _root_pairing_xi, gamma_beta),
+    )
+    return tuple(
+        (group, alpha, reflection(alpha).embed_remap(size, offset),
+         _c_simple(pairing(ctx, alpha)), gamma(ctx, alpha))
+        for group, rank, offset, pairing, gamma in blocks
+        for alpha in simple_roots(rank)
+    )
 
 
 def equivariance(ctx, value):
-    """[(root, ok)] per simple reflection s: ok when value(s.) c_s equals
-    gamma_s value exactly.  Gamma and the unnormalized pairing value
+    """[(group, label, ok)] per simple reflection s: ok when value(s.) c_s
+    equals gamma_s value exactly.  Gamma and the unnormalized pairing value
     Gamma S transform this way (Casselman, Compositio Math. 40, 1980)."""
     return [
-        (root, value.substitute_exponents(remap) * c == gamma * value)
-        for root, remap, c, gamma in reflection_factors(ctx)
+        (group, root_label(alpha), value.substitute_exponents(remap) * c == gamma * value)
+        for group, alpha, remap, c, gamma in reflection_factors(ctx)
     ]
 
 

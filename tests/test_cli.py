@@ -263,11 +263,13 @@ def test_b_expansion_beyond_rank_4_is_config_error(argv):
 )
 def test_numeric_mode_without_numeric_path_is_config_error(argv):
     """These commands have no numeric path; they used to accept --mode
-    numeric and run exactly."""
-    proc = _run_subprocess(*argv, "--n", "2", "--m", "1", "--mode", "numeric")
+    numeric and run exactly.  Only eval and series declare --mode."""
+    ranks = [] if argv == ["verify", "gauss"] else ["--n", "2", "--m", "1"]
+    proc = _run_subprocess(*argv, *ranks, "--mode", "numeric")
     assert proc.returncode == 2
     error = json.loads(proc.stdout)["error"]
-    assert error["type"] == "config" and "no numeric mode" in error["message"]
+    name = "reduce" if argv[0] == "reduce" else " ".join(argv)
+    assert error == {"type": "config", "message": name + " does not read --mode"}
 
 
 @pytest.mark.parametrize(
@@ -277,7 +279,8 @@ def test_numeric_mode_without_numeric_path_is_config_error(argv):
 def test_verify_option_it_does_not_read_is_config_error(capsys, which, option):
     """Only verify padic reads --q and --samples; verify gauss used to accept
     --q 4 --samples 0 and pass."""
-    code, doc = run_json(capsys, "verify", which, "--n", "2", "--m", "1", *option)
+    ranks = [] if which == "gauss" else ["--n", "2", "--m", "1"]
+    code, doc = run_json(capsys, "verify", which, *ranks, *option)
     assert code == 2
     assert doc["error"]["type"] == "config"
     assert "does not read " + option[0] in doc["error"]["message"]
@@ -310,7 +313,7 @@ def test_q_where_nothing_reads_it_is_config_error(capsys, argv):
         ["verify", "constant", "--n", "2", "--m", "1"],
         ["verify", "gamma", "--n", "2", "--m", "1"],
         ["verify", "invariance", "--n", "2", "--m", "1"],
-        ["verify", "gauss", "--n", "1", "--m", "0"],
+        ["verify", "gauss"],
     ],
 )
 def test_seed_where_nothing_reads_it_is_config_error(capsys, argv):
@@ -342,12 +345,22 @@ CHECK_READS = {
 def test_verify_refuses_the_options_of_other_checks(capsys, which, option):
     """Each check parses only its own options; verify gamma used to accept
     and ignore --K, --count, --bound, --d and --f, and exit 0."""
-    code, doc = run_json(
-        capsys, "verify", which, "--n", "2", "--m", "1", option, CHECK_OPTIONS[option]
-    )
+    ranks = [] if which == "gauss" else ["--n", "2", "--m", "1"]
+    code, doc = run_json(capsys, "verify", which, *ranks, option, CHECK_OPTIONS[option])
     assert code == 2
     assert doc["error"] == {
         "type": "config", "message": "verify %s does not read %s" % (which, option)
+    }
+
+
+@pytest.mark.parametrize("ranks", [["--n", "1", "--m", "0"], ["--m", "2"], ["--n=3"]])
+def test_verify_gauss_takes_no_ranks(capsys, ranks):
+    """verify gauss checks the same 162 cases at every rank; it used to
+    accept --n and --m, validate them and ignore them."""
+    code, doc = run_json(capsys, "verify", "gauss", *ranks)
+    assert code == 2
+    assert doc["error"] == {
+        "type": "config", "message": "verify gauss does not read " + ranks[0].split("=")[0]
     }
 
 
@@ -410,9 +423,9 @@ def test_verify_gamma_fails_on_an_inverted_gamma_factor(capsys, monkeypatch):
 
     gamma_alpha = zetafactors.gamma_alpha
 
-    def inverted(ctx, root):
-        out = gamma_alpha(ctx, root)
-        if root.kind != "long":
+    def inverted(ctx, alpha):
+        out = gamma_alpha(ctx, alpha)
+        if 2 not in alpha:
             return out
         one = LinearForm.const(ctx.vars, 1)
         ratio = zeta_of(ctx.chi(ctx.n) + one) / zeta_of(-1 * ctx.chi(ctx.n) + one)
@@ -426,6 +439,28 @@ def test_verify_gamma_fails_on_an_inverted_gamma_factor(capsys, monkeypatch):
         zetafactors.reflection_factors.cache_clear()
     assert code == 1 and doc["pass"] is False
     assert [g["root"] for g in doc["report"]["generators"] if not g["pass"]] == ["2e2"]
+
+
+def test_verify_gamma_fails_on_a_long_reflection_that_flips_coordinate_1(capsys, monkeypatch):
+    """s_alpha of a long root 2e_k that flips coordinate 1 instead of k: the
+    two long roots fail, and only they."""
+    from wscalc import weyl, zetafactors
+
+    def flips_first(alpha):
+        if 2 not in alpha:
+            return weyl.reflection(alpha)
+        k = len(alpha)
+        return weyl.SignedPerm(range(1, k + 1), (-1,) + (1,) * (k - 1))
+
+    monkeypatch.setattr(zetafactors, "reflection", flips_first)
+    zetafactors.reflection_factors.cache_clear()
+    try:
+        code, doc = run_json(capsys, "verify", "gamma", "--n", "3", "--m", "2")
+    finally:
+        zetafactors.reflection_factors.cache_clear()
+    assert code == 1 and doc["pass"] is False
+    failing = [(g["group"], g["root"]) for g in doc["report"]["generators"] if not g["pass"]]
+    assert failing == [("G", "2e3"), ("M", "2e2")]
 
 
 def test_verify_gauss_names_failing_case(monkeypatch):
@@ -694,7 +729,9 @@ def command_argv(draw):
     fault = draw(st.sampled_from(("none", "none", "rank", "option") + OWN_FAULTS.get(command, ())))
     if fault == "rank":
         m = draw(st.sampled_from((-1, n, n + 1)))
-    argv = command.split() + ["--n=%d" % n, "--m=%d" % m]
+    # verify gauss takes no ranks, so for it any rank is the fault
+    ranks = ["--n=%d" % n, "--m=%d" % m]
+    argv = command.split() + (ranks if command != "verify gauss" or fault == "rank" else [])
 
     def dominant(k):
         return sorted(draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)), reverse=True)

