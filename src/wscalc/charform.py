@@ -22,15 +22,17 @@ s = r (mod 2), s <= min(r, 2m-r) (Fulton-Harris, Representation Theory,
 section 17.2).  On the left, C(v) times the coefficient of T^l is the
 character form of the Weyl sum at d = 0, f = (l, 0, .., 0): delta^(1/2)(p^f)
 = v^(2l(m+1)) cancels the series' normalization v^(-2l(m+1)).  No character
-is expanded and no rational function is compared.
+is expanded and no rational function is compared; ``verify constant`` makes
+the comparison at l = 0.  ``series`` prints and evaluates both sides as
+``LValue``s.
 """
 
 from . import wsformula
-from .ratfun import RatFun
-from .wsformula import ws_torus
+from .wsformula import LValue, ws_torus
 from .zetafactors import delta_half_G
 
 __all__ = [
+    "coefficient_agrees",
     "lhs_series",
     "rhs_series",
     "shintani_verify",
@@ -48,40 +50,39 @@ def _rhs_form(ctx, l):
     """The coefficient of T^l of the right-hand side in the character basis,
     in the format of ``wsformula._character_form``:
     sum over r <= min(l, 2m) and s = r (mod 2), s <= min(r, 2m-r), of
-    (-1)^r v^r chi^B_(l-r,0,..) chi^C_(1^s,0,..)."""
+    (-1)^r v^r chi^B_(l-r,0,..,0) chi^C_(1^s,0,..), lam of length n."""
     m = ctx.m
     form = []
     for r in range(min(l, 2 * m) + 1):
-        lam = (l - r,) + (0,) * m
+        lam = (l - r,) + (0,) * (ctx.n - 1)
         for s in range(r % 2, min(r, 2 * m - r) + 1, 2):
             form.append(((lam, (1,) * s + (0,) * (m - s)), ((r, (-1) ** r),)))
     return tuple(sorted(form))
 
 
 def lhs_series(ctx, K):
-    """The list of coefficients of sum_l W0(p^(l,0,...,0)) |p|^(l(s-m-1))
+    """The ``LValue`` coefficients of sum_l W0(p^(l,0,...)) |p|^(l(s-m-1))
     up to T^K.
 
     Requires n = m+1.  The coefficient of T^l is ws_torus at (l,0,...,0)
-    times v^(-2l(m+1)): the |t|^(-m-1) normalization exactly undoes the
-    modulus character delta^(1/2)(diag(t, I, t^-1)) = |t|^(m+1) carried by
-    the Whittaker-Shintani value, and both factors are kept explicit.
+    with its shift lowered by 2l(m+1): the |t|^(-m-1) normalization exactly
+    undoes the modulus character delta^(1/2)(diag(t, I, t^-1)) = |t|^(m+1)
+    carried by the Whittaker-Shintani value, and both factors are kept
+    explicit.
     """
     _require_series(ctx, K)
-    V = ctx.vars
     out = []
     for l in range(K + 1):
-        f = (l,) + (0,) * (ctx.n - 1)
-        comp = RatFun.monomial(V, V.v_exp(-2 * l * (ctx.m + 1)))
-        out.append(ws_torus(ctx, f).ratfun() * comp)
+        L = ws_torus(ctx, (l,) + (0,) * (ctx.n - 1))
+        out.append(LValue(ctx, L.shift - 2 * l * (ctx.m + 1), L.den, L.form))
     return out
 
 
 def rhs_series(ctx, K):
-    """The list of coefficients of L(pi, s) / (L_psi(sigma~, s+1/2) zeta(2s))
-    up to T^K, each the expansion of its character form."""
+    """The coefficients of L(pi, s) / (L_psi(sigma~, s+1/2) zeta(2s)) up to
+    T^K, as ``LValue``s: each is its character form over den 1."""
     _require_series(ctx, K)
-    return [RatFun.from_poly(wsformula._expand(ctx, _rhs_form(ctx, l))) for l in range(K + 1)]
+    return [LValue(ctx, 0, (1,), _rhs_form(ctx, l)) for l in range(K + 1)]
 
 
 class ShintaniReport:
@@ -116,25 +117,29 @@ def _times_v(vpoly, poly):
     return tuple((k, c) for k, c in sorted(acc.items()) if c)
 
 
-def shintani_verify(ctx, K):
-    """Compare both sides of the series identity coefficientwise, exactly,
-    in the character basis: C(v) times the coefficient of T^l on the left is
-    the character form at d = 0, f = (l, 0, .., 0), shifted by
+def coefficient_agrees(ctx, l):
+    """Compare the coefficient of T^l on both sides of the series identity,
+    exactly, in the character basis: C(v) times the coefficient on the left
+    is the character form at d = 0, f = (l, 0, .., 0), shifted by
     delta^(1/2)(p^f) v^(-2l(m+1)) = 1, and on the right it is C(v) times
     ``_rhs_form``.  The products chi^B_lam chi^C_mu of dominant weights are
-    linearly independent, so the sides agree exactly when the dicts do.
+    linearly independent, so the sides agree exactly when the dicts do.  At
+    l = 0 the right side is C(v) at every rank: ``verify constant``."""
+    zero = (0,) * ctx.m
+    f = (l,) + (0,) * (ctx.n - 1)
+    shift = delta_half_G(ctx, f) - 2 * l * (ctx.m + 1)
+    lhs = {key: tuple((k + shift, c) for k, c in vpoly)
+           for key, vpoly in wsformula._character_form(ctx, zero, f)}
+    const = wsformula._constant_v(ctx)
+    rhs = {key: _times_v(vpoly, const) for key, vpoly in _rhs_form(ctx, l)}
+    return lhs == rhs
+
+
+def shintani_verify(ctx, K):
+    """Compare both sides of the series identity coefficientwise for
+    l = 0..K, exactly, in the character basis (``coefficient_agrees``).
 
     A failing coefficient is a reported result, not an exception.
     """
     _require_series(ctx, K)
-    const = wsformula._constant_v(ctx)
-    zero = (0,) * ctx.m
-    results = []
-    for l in range(K + 1):
-        f = (l,) + zero
-        shift = delta_half_G(ctx, f) - 2 * l * (ctx.m + 1)
-        lhs = {key: tuple((k + shift, c) for k, c in vpoly)
-               for key, vpoly in wsformula._character_form(ctx, zero, f)}
-        rhs = {key: _times_v(vpoly, const) for key, vpoly in _rhs_form(ctx, l)}
-        results.append((l, lhs == rhs))
-    return ShintaniReport(ctx, K, results)
+    return ShintaniReport(ctx, K, [(l, coefficient_agrees(ctx, l)) for l in range(K + 1)])

@@ -8,9 +8,10 @@ Four subcommands mirror the library layers:
   reduce   double-coset triple reduction with the full operation trace
   series   the two sides of the local L-function series, as a table
 
-`verify gamma` and `verify invariance` share one exact check
-(``zetafactors.equivariance``): under each simple reflection s, Gamma and
-the unnormalized value Gamma S pick up gamma_s / c_s.  Each command, and
+`verify gamma` checks exactly (``zetafactors.equivariance``) that Gamma
+picks up gamma_s / c_s under each simple reflection s; `verify invariance`
+checks that too, and that s fixes each character of S(d, f)'s character
+form.  `verify constant` compares integers in that basis.  Each command, and
 each check of `verify`, has its own parser that declares exactly the options
 it reads; any other option is a config error, and so are --q and --seed of
 `eval` and `series` in exact mode, which only their numeric mode reads.
@@ -27,19 +28,8 @@ import sys
 import time
 from fractions import Fraction
 
-# every command but verify gauss needs a Context, so zetafactors is loaded up
-# front; the other modules are imported where they run, so a process loads
-# only what it runs
-from .ratfun import PoleError
-from .weyl import group_order, is_dominant
-from .zetafactors import (
-    Context,
-    delta_half_G,
-    delta_half_MJ,
-    equivariance,
-    gamma_big,
-    require_b_expandable,
-)
+# every module of the package is imported where it runs, so a process loads
+# only what its command runs: verify gauss loads padic alone
 
 SCHEMA = 1
 
@@ -94,6 +84,15 @@ def _error(message, out_path=None, kind="config", code=2):
     return _emit(doc, out_path, code)
 
 
+def _failures():
+    """The exceptions that a command reports as its result, exit 1.  An except
+    clause calls this only when an exception reaches it, so verify gauss,
+    which raises none, never imports ratfun for PoleError."""
+    from .ratfun import PoleError
+
+    return ValueError, PoleError
+
+
 def _base_doc(command, cfg):
     # verify gauss takes no ranks; a command without a numeric path echoes
     # mode exact, and one that draws nothing seed 0
@@ -124,7 +123,7 @@ def cmd_eval(cfg, ctx):
                             "x": [_cplx(z) for z in point[1 : 1 + ctx.n]],
                             "y": [_cplx(z) for z in point[1 + ctx.n :]]}
             doc["value"] = _cplx(value)
-    except (ValueError, PoleError) as exc:
+    except _failures() as exc:
         doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
         doc["wall_time_s"] = round(time.time() - t0, 6)
         return _emit(doc, cfg.out, 1)
@@ -140,20 +139,21 @@ def _cplx(z):
 
 
 def _verify_constant(cfg, ctx):
-    from . import wsformula
+    from . import charform, wsformula
+    from .weyl import group_order
 
-    computed = wsformula.normalization_constant(ctx)
-    closed = wsformula.normalization_constant_closed(ctx)
-    ok = computed == closed
+    ok = charform.coefficient_agrees(ctx, 0)
     return ok, {
         "terms": group_order(ctx.n) * group_order(ctx.m),
-        "constant": computed.text(),
-        "closed_form": closed.text(),
+        "constant": wsformula.weyl_sum(ctx, (0,) * ctx.m, (0,) * ctx.n).text(),
+        "closed_form": wsformula.normalization_constant_closed(ctx).text(),
         "pass": ok,
     }
 
 
 def _verify_gamma(cfg, ctx):
+    from .zetafactors import equivariance, gamma_big
+
     checks = [
         {"group": group, "root": label, "pass": ok}
         for group, label, ok in equivariance(ctx, gamma_big(ctx))
@@ -185,6 +185,7 @@ def _verify_cone(cfg, ctx):
     from itertools import product as iproduct
 
     from . import cone
+    from .weyl import is_dominant
 
     rng = random.Random(cfg.seed)
     n, m = ctx.n, ctx.m
@@ -231,6 +232,8 @@ def _verify_cone(cfg, ctx):
 
 def _random_triple(rng, n, m, hi):
     """Random vectors (d, a, r) of a cone triple, entries in 0..hi."""
+    from .weyl import is_dominant
+
     while True:
         a = sorted((rng.randint(0, hi) for _ in range(n - m)), reverse=True)
         d = [rng.randint(0, hi) for _ in range(m)]
@@ -247,6 +250,8 @@ def _is_minimal(t, nf):
     """Check nf, the normal form of t, against the exhaustively enumerated
     feasible set."""
     from itertools import product as iproduct
+
+    from .weyl import is_dominant
 
     total = _sum_vec(t.d, t.r)
     feasible = []
@@ -267,6 +272,7 @@ def _verify_padic(cfg, ctx):
     import random
 
     from . import padic
+    from .zetafactors import delta_half_G, delta_half_MJ
 
     p = cfg.q
     n, m = ctx.n, ctx.m
@@ -344,7 +350,7 @@ def cmd_verify(cfg, ctx):
     t0 = time.time()
     try:
         ok, report = _VERIFIERS[cfg.which](cfg, ctx)
-    except (ValueError, PoleError) as exc:
+    except _failures() as exc:
         doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
         return _emit(doc, cfg.out, 1)
     doc["report"] = report
@@ -395,10 +401,10 @@ def cmd_series(cfg, ctx):
         rhs = charform.rhs_series(ctx, cfg.K)
         if cfg.mode == "exact":
             equal = charform.shintani_verify(ctx, cfg.K).ok
-            rows = [
-                {"l": l, "lhs": a.text(), "rhs": b.text(), "diff": (a - b).text()}
-                for l, (a, b) in enumerate(zip(lhs, rhs))
-            ]
+            rows = []
+            for l, (a, b) in enumerate(zip(lhs, rhs)):
+                a, b = a.ratfun(), b.ratfun()
+                rows.append({"l": l, "lhs": a.text(), "rhs": b.text(), "diff": (a - b).text()})
         else:
             point = wsformula.sample_points(ctx, 1, cfg.seed, q=cfg.q)[0]
             rows = []
@@ -406,7 +412,7 @@ def cmd_series(cfg, ctx):
                 lv, rv = a.eval_at(point), b.eval_at(point)
                 rows.append({"l": l, "lhs": _cplx(lv), "rhs": _cplx(rv), "diff": abs(lv - rv)})
             equal = all(row["diff"] < 1e-9 for row in rows)
-    except (ValueError, PoleError) as exc:
+    except _failures() as exc:
         doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
         return _emit(doc, cfg.out, 1)
     doc["rows"] = rows
@@ -516,9 +522,10 @@ def build_parser():
     checks = sub.add_parser("verify", help="machine-check one of the identities").add_subparsers(
         dest="which", required=True
     )
-    _command(checks, "constant", "the Weyl sum at d = 0, f = 0 against its closed form")
+    _command(checks, "constant", "the Weyl sum at d = 0, f = 0 is C(v), in the character basis")
     _command(checks, "gamma", "Gamma picks up gamma_s / c_s under each simple reflection")
-    pi = _command(checks, "invariance", "the same for the unnormalized value Gamma S(d, f)")
+    pi = _command(checks, "invariance", "the same for Gamma, and that the characters of S(d, f) "
+                  "are W-invariant")
     pi.add_argument("--d", type=_int_vector, help="dominant m-vector (default zero)")
     pi.add_argument("--f", type=_int_vector, help="dominant n-vector (default zero)")
     pk = _command(checks, "shintani", "the series identity for l = 0..K, at n = m+1")
@@ -566,6 +573,8 @@ def main(argv=None):
             raise ValueError("%s does not read %s" % (name, unread[0].split("=")[0]))
         ctx = None
         if "n" in cfg:
+            from .zetafactors import Context
+
             ctx = Context(cfg.n, cfg.m)  # rank validation up front
             sizes = {"f": ctx.n, "d": ctx.m, "a": ctx.n - ctx.m, "r": ctx.m}
             for option, size in sizes.items():
@@ -578,6 +587,8 @@ def main(argv=None):
             if cfg.q < 2:
                 raise ValueError("numeric mode requires a concrete q >= 2")
         if cfg.command in ("eval", "series") or which in ("constant", "invariance", "shintani"):
+            from .zetafactors import require_b_expandable
+
             require_b_expandable(ctx)
     except ValueError as exc:
         return _error(str(exc), cfg.out)

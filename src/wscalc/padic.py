@@ -26,8 +26,6 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, inf, isqrt, lcm
 
-from .weyl import positive_roots
-
 __all__ = [
     "is_prime",
     "valuation",
@@ -333,14 +331,22 @@ def _random_root_product(n, roots, rng, p):
     return g
 
 
+def _positive_roots(n):
+    """The positive roots of Sp_2n, from ``weyl``, which is imported here so
+    that the Gauss-shell oracle alone loads no other module of the package."""
+    from .weyl import positive_roots
+
+    return positive_roots(n, "sp")
+
+
 def random_upper_unipotent_G(n, rng, p):
-    return _random_root_product(n, positive_roots(n, "sp"), rng, p)
+    return _random_root_product(n, _positive_roots(n), rng, p)
 
 
 def random_unipotent_MJ(n, m, rng, p):
     """A random element of N_{M^J} = N_M (Y Z): the positive roots supported
     on coordinates n-m+1..n, times Heisenberg Y and Z coordinates."""
-    roots = [alpha for alpha in positive_roots(n, "sp") if not any(alpha[: n - m])]
+    roots = [alpha for alpha in _positive_roots(n) if not any(alpha[: n - m])]
     g = _random_root_product(n, roots, rng, p)
     if m:
         g = g * y_elem(n, m, [random_rational(rng, p) for _ in range(m)])
@@ -351,7 +357,7 @@ def random_unipotent_MJ(n, m, rng, p):
 def random_unipotent_U(n, m, rng, p):
     """A random element of U: the positive roots whose first nonzero
     coordinate is among 1..n-m-1."""
-    roots = [alpha for alpha in positive_roots(n, "sp") if any(alpha[: n - m - 1])]
+    roots = [alpha for alpha in _positive_roots(n) if any(alpha[: n - m - 1])]
     return _random_root_product(n, roots, rng, p)
 
 

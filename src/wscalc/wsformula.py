@@ -31,12 +31,13 @@ The numeric sum at a sample point (``weyl_sum_numeric``) evaluates the
 unreduced character form with the same evaluator: characters are Laurent
 polynomials, so it meets no pole and no cancellation against the Weyl
 denominators, which the 384 terms of the literal sum at (3,2) suffer where
-two angles nearly coincide.  The literal term-by-term rational-function sum
-(``weyl_sum_direct``) is kept as an independent cross-check.
+two angles nearly coincide.  The tests keep the literal term-by-term
+rational-function sum as an independent cross-check.
 
-``invariance_report`` checks exactly that the unnormalized value Gamma S
-transforms under each simple reflection as Gamma does, through
-``zetafactors.equivariance``; a wrong Gamma or a non-invariant S fails it.
+``invariance_report`` checks Gamma as ``verify gamma`` does, and that the
+simple reflections fix each character of S's form, so that Gamma S
+transforms as Gamma does; it builds no rational function of S, and cannot
+see a fault in the form's coefficients, which the series identity sees.
 """
 
 from functools import lru_cache
@@ -55,30 +56,26 @@ from .weyl import (
     character,
     distinct_permutations,
     dominant_weights,
-    enumerate_group,
     is_dominant,
+    reflection,
     straighten_weight,
 )
 from .zetafactors import (
-    b_factor,
     b_factor_poly,
-    d_factor,
     delta_half_G,
     delta_half_MJ,
-    dprime_factor,
     equivariance,
     gamma_big,
+    reflection_factors,
 )
 
 __all__ = [
     "require_dominant",
     "weyl_sum",
-    "weyl_sum_direct",
     "weyl_sum_numeric",
     "L_value",
     "LValue",
     "ws_torus",
-    "normalization_constant",
     "normalization_constant_closed",
     "invariance_report",
     "sample_points",
@@ -180,55 +177,6 @@ def weyl_sum(ctx, d, f):
     straightened character form.  The result is W_G x W_M-invariant by
     construction."""
     return RatFun.from_poly(_expand(ctx, _character_form(ctx, d, f)))
-
-
-def weyl_sum_direct(ctx, d, f):
-    """Literal term-by-term evaluation of S(d, f) as rational functions.
-
-    Exponentially slower than ``weyl_sum``; kept as an independent route for
-    cross-checks at small rank.
-    """
-    d = require_dominant(d, "d")
-    f = require_dominant(f, "f")
-    V = ctx.vars
-    n, m = ctx.n, ctx.m
-    b = b_factor(ctx)
-    dd = d_factor(ctx)
-    dp = dprime_factor(ctx)
-    total = RatFun.zero(V)
-    for w in enumerate_group(n):
-        remap_w = w.embed_remap(V.size, _G_OFF)
-        torus_x = [0] * V.size
-        for i in range(n):
-            j = w.image[i] - 1
-            torus_x[_G_OFF + i] = -w.flips[j] * f[j]
-        part_w = (
-            b.substitute_exponents(remap_w)
-            * dd.substitute_exponents(remap_w)
-            * RatFun.monomial(V, tuple(torus_x))
-        )
-        for w2 in enumerate_group(m) if m else [None]:
-            if w2 is None:
-                total = total + part_w
-                continue
-            remap_w2 = w2.embed_remap(V.size, 1 + n)
-            torus_y = [0] * V.size
-            for j in range(m):
-                t = w2.image[j] - 1
-                torus_y[1 + n + j] = -w2.flips[t] * d[t]
-            term = (
-                part_w.substitute_exponents(remap_w2)
-                * dp.substitute_exponents(remap_w2)
-                * RatFun.monomial(V, tuple(torus_y))
-            )
-            total = total + term
-    return total
-
-
-def normalization_constant(ctx):
-    """The double Weyl sum with no torus insertion: all (chi, xi) dependence
-    must cancel, leaving the constant C = zeta(1)^m prod zeta^-1(2i)."""
-    return weyl_sum(ctx, (0,) * ctx.m, (0,) * ctx.n)
 
 
 def normalization_constant_closed(ctx):
@@ -498,7 +446,8 @@ def sample_points(ctx, count, seed, q=3, radius=0.7):
 
 
 class InvarianceReport:
-    """Per-generator outcome of the equivariance check of Gamma S."""
+    """Per-generator outcome of the invariance check: Gamma's equivariance
+    and the invariance of S's characters."""
 
     def __init__(self, ctx, d, f, results):
         self.ctx = ctx
@@ -525,18 +474,36 @@ class InvarianceReport:
         }
 
 
-def invariance_report(ctx, d, f, mode="exact"):
-    """Check exactly that the unnormalized pairing value Gamma(chi, xi) S(d, f)
-    transforms under every simple reflection s of W_G and of W_M as Gamma
-    does: value(s.) c_s == gamma_s value (``zetafactors.equivariance``).
+def _fixed_by(chi, alpha):
+    """Whether the reflection s_alpha fixes the character chi, a tuple of
+    (weight, multiplicity) pairs, as a multiset of weights."""
+    act = reflection(alpha).embed_remap(len(alpha), 0)
+    return {act(e): c for e, c in chi} == dict(chi)
 
-    Gamma is not divided back out, so a Gamma that does not match the
-    gamma-factors fails, and so does a non-invariant S.  Only exact mode
-    exists.
+
+def invariance_report(ctx, d, f, mode="exact"):
+    """Check, under every simple reflection s = s_alpha of W_G and of W_M,
+    that Gamma picks up gamma_s / c_s (``zetafactors.equivariance``) and
+    that s fixes the character of every weight of its side in the character
+    form of S(d, f): chi^B_lam for W_G, chi^C_mu for W_M, read from
+    ``weyl.character``'s cache.  S is an integer combination of products of
+    those characters, so then Gamma S picks up gamma_s / c_s too; a fault in
+    the form's coefficients passes.  Only exact mode exists.
     """
     if mode != "exact":
         raise ValueError("invariance_report has only an exact mode, got %r" % (mode,))
     d = require_dominant(d, "d")
     f = require_dominant(f, "f")
-    value = gamma_big(ctx) * weyl_sum(ctx, d, f)
-    return InvarianceReport(ctx, d, f, equivariance(ctx, value))
+    form = _character_form(ctx, d, f)
+    sides = {
+        "G": ("so", {lam for (lam, _), _ in form}),
+        "M": ("sp", {mu for (_, mu), _ in form}),
+    }
+    results = []
+    for (group, alpha, *_), (_, label, ok) in zip(
+        reflection_factors(ctx), equivariance(ctx, gamma_big(ctx))
+    ):
+        kind, weights = sides[group]
+        ok = ok and all(_fixed_by(character(w, kind), alpha) for w in weights)
+        results.append((group, label, ok))
+    return InvarianceReport(ctx, d, f, results)

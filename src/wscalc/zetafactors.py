@@ -5,8 +5,9 @@ reflections, and modulus characters on torus cocharacters.
 ``equivariance`` is the one exact check of how a value transforms under the
 simple reflections: value(s.) c_s == gamma_s value, with c_s = zeta(p) /
 zeta(p + 1) at the pairing p of chi with the simple coroot of G (of xi with
-the simple root of M).  ``verify gamma`` applies it to Gamma, and
-``verify invariance`` to the unnormalized value Gamma S.  Roots are the
+the simple root of M).  ``verify gamma`` and ``verify invariance`` apply
+it to Gamma; the latter then checks that S's characters are invariant, so
+the unnormalized value Gamma S transforms as Gamma does.  Roots are the
 integer vectors of ``weyl``.
 
 Variable convention throughout: x_i = q^(-chi_i), y_j = q^(-xi_j),

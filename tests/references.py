@@ -2,7 +2,8 @@
 
 Each builds, the slow and literal way, a quantity that the engine computes
 another way (through the character basis, or by a reindexed sum), so a test
-can compare the two.  The Weyl-element matrices and the written-out minor
+can compare the two: among them the double Weyl sum term by term in
+rational functions (``weyl_sum_direct``).  The Weyl-element matrices and the written-out minor
 expansion are here too: only the tests of ``wscalc.padic`` use them; and so
 is the support partial order on dominant pairs, which only the tests check.
 """
@@ -14,7 +15,9 @@ from itertools import combinations, product
 
 from wscalc.padic import SympMatrix, minor
 from wscalc.ratfun import Poly, RatFun
-from wscalc.weyl import character, is_dominant, straighten_weight
+from wscalc.weyl import character, enumerate_group, is_dominant, straighten_weight
+from wscalc.wsformula import require_dominant
+from wscalc.zetafactors import b_factor, d_factor, dprime_factor
 
 
 def so_char(vars_, lam):
@@ -35,6 +38,51 @@ def so_char(vars_, lam):
     pad = (0,) * (vars_.size - 1 - N)
     terms = {(0,) + e + pad: sign * c for e, c in character(dom, "so")}
     return RatFun.from_poly(Poly(vars_, terms, prune=False))
+
+
+def weyl_sum_direct(ctx, d, f):
+    """Literal term-by-term evaluation of S(d, f) as rational functions:
+    b d d' (w.chi)^-1(p^f) (w'.xi)^-1(p^d), summed over W(C_n) x W(C_m).
+
+    Exponentially slower than ``wsformula.weyl_sum``, and shares no
+    character code with it; an independent route for cross-checks at small
+    rank.
+    """
+    d = require_dominant(d, "d")
+    f = require_dominant(f, "f")
+    V = ctx.vars
+    n, m = ctx.n, ctx.m
+    b = b_factor(ctx)
+    dd = d_factor(ctx)
+    dp = dprime_factor(ctx)
+    total = RatFun.zero(V)
+    for w in enumerate_group(n):
+        remap_w = w.embed_remap(V.size, 1)
+        torus_x = [0] * V.size
+        for i in range(n):
+            j = w.image[i] - 1
+            torus_x[1 + i] = -w.flips[j] * f[j]
+        part_w = (
+            b.substitute_exponents(remap_w)
+            * dd.substitute_exponents(remap_w)
+            * RatFun.monomial(V, tuple(torus_x))
+        )
+        for w2 in enumerate_group(m) if m else [None]:
+            if w2 is None:
+                total = total + part_w
+                continue
+            remap_w2 = w2.embed_remap(V.size, 1 + n)
+            torus_y = [0] * V.size
+            for j in range(m):
+                t = w2.image[j] - 1
+                torus_y[1 + n + j] = -w2.flips[t] * d[t]
+            term = (
+                part_w.substitute_exponents(remap_w2)
+                * dp.substitute_exponents(remap_w2)
+                * RatFun.monomial(V, tuple(torus_y))
+            )
+            total = total + term
+    return total
 
 
 # The right-hand side through the 2m Satake monomials v y_j^(+-1): an

@@ -41,8 +41,9 @@ def test_c01_normalization_constant():
     ok = True
     counts = []
     for ctx in CONTEXTS:
-        computed = wsformula.normalization_constant(ctx)
+        computed = wsformula.weyl_sum(ctx, (0,) * ctx.m, (0,) * ctx.n)
         ok &= computed == wsformula.normalization_constant_closed(ctx)
+        ok &= charform.coefficient_agrees(ctx, 0)
         order = len(enumerate_group(ctx.n)) * len(enumerate_group(ctx.m))
         counts.append(order)
     elapsed = time.time() - t0

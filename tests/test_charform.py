@@ -8,7 +8,7 @@ from wscalc.weyl import character, enumerate_group
 from wscalc.zetafactors import Context
 from wscalc.charform import lhs_series, rhs_series, shintani_verify
 
-from references import elementary_sym, satake_multiset, so_char
+from references import elementary_sym, satake_multiset, so_char, weyl_sum_direct
 
 C21 = Context(2, 1)
 C32 = Context(3, 2)
@@ -112,16 +112,15 @@ def test_series_truncation_guards():
 def test_series_k0():
     lhs = lhs_series(C21, 0)
     rhs = rhs_series(C21, 0)
-    assert len(lhs) == 1 and lhs[0] == 1
-    assert rhs[0] == 1
-    assert lhs == rhs
+    assert len(lhs) == 1 and lhs[0].ratfun() == 1
+    assert len(rhs) == 1 and rhs[0].ratfun() == 1
 
 
 def test_rhs_coefficient_k1():
     # T_2((1,0)) - v (y + y^-1)
     V = C21.vars
     expect = so_char(V, (1, 0)) - elementary_sym(V, satake_multiset(C21), 1)
-    assert rhs_series(C21, 1)[1] == expect
+    assert rhs_series(C21, 1)[1].ratfun() == expect
 
 
 def test_lhs_coefficient_matches_torus_value():
@@ -131,7 +130,7 @@ def test_lhs_coefficient_matches_torus_value():
     V = C21.vars
     for l in (1, 2):
         comp = RatFun.monomial(V, V.v_exp(2 * l * (C21.m + 1)))
-        assert lhs[l] * comp == ws_torus(C21, (l, 0)).ratfun()
+        assert lhs[l].ratfun() * comp == ws_torus(C21, (l, 0)).ratfun()
 
 
 def test_shintani_identity_2_1():
@@ -167,7 +166,7 @@ def test_branching_consistency_product_form():
             nxt[i] = nxt[i] + c
             nxt[i + 1] = nxt[i + 1] - c * gm
         poly_coeffs = nxt
-    assert mul_truncated(char_series, poly_coeffs) == rhs_series(C21, K)
+    assert mul_truncated(char_series, poly_coeffs) == [c.ratfun() for c in rhs_series(C21, K)]
 
 
 def rhs_form_corrupted_at(l_bad):
@@ -250,7 +249,7 @@ def test_casselman_shalika_at_m0():
             assert wsformula.ws_torus(ctx, f).ratfun() == expect
             if n <= 2:
                 # the literal Weyl sum shares no character code with so_char
-                assert _delta_half(ctx, f) * wsformula.weyl_sum_direct(ctx, (), f) == expect
+                assert _delta_half(ctx, f) * weyl_sum_direct(ctx, (), f) == expect
 
 
 def test_casselman_shalika_pin_fails_on_wrong_delta(monkeypatch):

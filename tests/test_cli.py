@@ -190,6 +190,21 @@ def test_exit_code_contract_on_failure(capsys, monkeypatch):
     assert doc["report"]["witness"] == "forced failure"
 
 
+def test_verify_reports_a_pole_error(capsys, monkeypatch):
+    """A PoleError raised by a check is its result, exit 1, as a ValueError
+    is; the command line imports PoleError only when an exception arrives."""
+    import wscalc.cli as cli_mod
+    from wscalc.ratfun import PoleError
+
+    def pole(cfg, ctx):
+        raise PoleError("forced pole")
+
+    monkeypatch.setitem(cli_mod._VERIFIERS, "gamma", pole)
+    code, doc = run_json(capsys, "verify", "gamma", "--n", "2", "--m", "1")
+    assert code == 1
+    assert doc["error"] == {"type": "PoleError", "message": "forced pole"}
+
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -525,13 +540,15 @@ def test_verify_padic_fails_on_a_shifted_delta_half(capsys, monkeypatch):
     """verify padic takes its expected kernel exponent from the modulus
     characters of L(d, f); shifting the exponent n-i+1 of delta_half_G to
     n-i+2 must fail the kernel check and nothing else."""
-    import wscalc.cli as cli_mod
     from wscalc import zetafactors
 
-    def shifted(ctx, f):
-        return zetafactors.delta_half_G(ctx, f) + 2 * sum(f)
+    delta_half_G = zetafactors.delta_half_G
 
-    monkeypatch.setattr(cli_mod, "delta_half_G", shifted)
+    def shifted(ctx, f):
+        return delta_half_G(ctx, f) + 2 * sum(f)
+
+    # verify padic imports delta_half_G from zetafactors where it runs
+    monkeypatch.setattr(zetafactors, "delta_half_G", shifted)
     code, doc = run_json(capsys, "verify", "padic", "--n", "3", "--m", "2", "--samples", "5")
     assert code == 1 and doc["pass"] is False
     report = doc["report"]
@@ -588,7 +605,125 @@ def test_verify_cone_fails_when_an_operation_leaves_the_cone(capsys, monkeypatch
     assert doc["error"] == {"type": "ValueError", "message": "d and r must be nonnegative"}
 
 
-def test_verify_constant_fails_on_a_wrong_b_factor(capsys, monkeypatch):
+def _refuse(*args, **kwargs):
+    raise AssertionError("a path that must not run did")
+
+
+def test_verify_invariance_fails_on_a_character_missing_a_weight(capsys, monkeypatch):
+    """chi^B_(1,0) of SO(5) with one non-dominant weight dropped, through the
+    name the check reads (the check keeps no cache of its own): verify
+    invariance must fail at exactly the reflections of G that move that
+    weight, s_(e1-e2) and s_(2e2) for (0, 1) and (0, -1), and s_(e1-e2)
+    alone for (-1, 0), which s_(2e2) fixes."""
+    from wscalc import weyl, wsformula
+
+    moved_by = {(0, 1): ["e1-e2", "2e2"], (0, -1): ["e1-e2", "2e2"], (-1, 0): ["e1-e2"]}
+    for weight, roots in moved_by.items():
+
+        def dropped(lam, group, weight=weight):
+            chi = weyl.character(lam, group)
+            if (lam, group) != ((1, 0), "so"):
+                return chi
+            return tuple((e, c) for e, c in chi if e != weight)
+
+        monkeypatch.setattr(wsformula, "character", dropped)
+        code, doc = run_json(capsys, "verify", "invariance", "--n", "2", "--m", "1", "--f", "1,0")
+        assert code == 1 and doc["pass"] is False
+        failing = [(g["group"], g["root"]) for g in doc["report"]["generators"] if not g["pass"]]
+        assert failing == [("G", root) for root in roots]
+
+
+def test_verify_invariance_builds_no_rational_function_of_s(capsys, monkeypatch):
+    """verify invariance reads S's characters, not S: it passes at (3,2) with
+    the expansion of character forms refused."""
+    from wscalc import wsformula
+
+    monkeypatch.setattr(wsformula, "_expand", _refuse)
+    for vectors in ([], ["--d", "1,0", "--f", "2,1,0"]):
+        code, doc = run_json(capsys, "verify", "invariance", "--n", "3", "--m", "2", *vectors)
+        assert code == 0 and doc["pass"] is True
+
+
+def test_verify_constant_decides_in_integers(capsys, monkeypatch):
+    """verify constant's verdict compares integer coefficients in the
+    character basis: it holds with RatFun equality refused."""
+    from wscalc.ratfun import RatFun
+
+    monkeypatch.setattr(RatFun, "__eq__", _refuse)
+    for n, m in ((1, 0), (2, 1), (3, 2)):
+        code, doc = run_json(capsys, "verify", "constant", "--n", str(n), "--m", str(m))
+        assert code == 0 and doc["pass"] is True
+
+
+def test_verify_constant_fails_on_an_extra_character(capsys, monkeypatch):
+    """The form at d = 0, f = 0 with chi^B_(1,0) added must fail verify
+    constant."""
+    from wscalc import wsformula
+
+    character_form = wsformula._character_form
+
+    def with_extra(ctx, d, f):
+        extra = (((1,) + (0,) * (ctx.n - 1), (0,) * ctx.m), ((0, 1),))
+        return tuple(sorted(character_form(ctx, d, f) + (extra,)))
+
+    monkeypatch.setattr(wsformula, "_character_form", with_extra)
+    code, doc = run_json(capsys, "verify", "constant", "--n", "2", "--m", "1")
+    assert code == 1 and doc["pass"] is False
+
+
+def test_numeric_paths_evaluate_no_rational_function(capsys, monkeypatch):
+    """eval and series in numeric mode evaluate LValues: they pass with
+    RatFun.eval_at refused."""
+    from wscalc.ratfun import RatFun
+
+    monkeypatch.setattr(RatFun, "eval_at", _refuse)
+    code, doc = run_json(capsys, "eval", "--n", "3", "--m", "2", "--d", "1,0", "--f", "2,1,0",
+                         "--mode", "numeric")
+    assert code == 0 and isinstance(doc["value"], list)
+    code, doc = run_json(capsys, "series", "--n", "2", "--m", "1", "--K", "5", "--mode", "numeric")
+    assert code == 0 and doc["pass"] is True
+
+
+@pytest.fixture
+def fresh_b_caches():
+    """Clear the caches that hold b and the character forms before and after
+    a test that corrupts b, so that no corrupted form outlives it."""
+    from wscalc import wsformula
+
+    caches = (wsformula._b_grouped, wsformula._straightened_b)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 2)])
+def test_what_each_verifier_sees_of_b_without_its_odd_v_terms(monkeypatch, fresh_b_caches, n, m):
+    """Dropping every term of b with an odd power of v leaves the form at
+    d = 0, f = 0 and the characters of every form as they were, so verify
+    constant and verify invariance pass; the series identity fails.  Pinned
+    so that a change in what either verifier sees shows up."""
+    from wscalc import wsformula
+    from wscalc.ratfun import Poly
+
+    b_factor_poly = wsformula.b_factor_poly
+
+    def even_v_only(ctx):
+        b = b_factor_poly(ctx)
+        return Poly(b.vars, {e: c for e, c in b.terms.items() if e[0] % 2 == 0})
+
+    monkeypatch.setattr(wsformula, "b_factor_poly", even_v_only)
+    ranks = ["--n", str(n), "--m", str(m)]
+    d = ",".join(["1"] + ["0"] * (m - 1))
+    f = ",".join(["2", "1"] + ["0"] * (n - 2))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "constant", *ranks]) == 0
+        assert main(["verify", "invariance", *ranks, "--d", d, "--f", f]) == 0
+        assert main(["verify", "shintani", *ranks, "--K", "4"]) == 1
+
+
+def test_verify_constant_fails_on_a_wrong_b_factor(capsys, monkeypatch, fresh_b_caches):
     """b with its last factor 1 - q^-(chi_n + xi_m + 1/2) replaced by
     1 - q^-(chi_n + xi_m + 3/2), through the name that the grouped b reads,
     must fail verify constant."""
@@ -601,32 +736,22 @@ def test_verify_constant_fails_on_a_wrong_b_factor(capsys, monkeypatch):
         return zetafactors._prod(ctx.vars, [zeta_inv_of(s) for s in forms]).numerator_poly()
 
     monkeypatch.setattr(wsformula, "b_factor_poly", one_factor_replaced)
-    caches = (wsformula._b_grouped, wsformula._straightened_b)
-    for cache in caches:
-        cache.cache_clear()
-    try:
-        code, doc = run_json(capsys, "verify", "constant", "--n", "2", "--m", "1")
-    finally:
-        for cache in caches:
-            cache.cache_clear()
+    code, doc = run_json(capsys, "verify", "constant", "--n", "2", "--m", "1")
     assert code == 1 and doc["pass"] is False
     assert doc["report"]["constant"] != doc["report"]["closed_form"]
 
 
-def test_verify_padic_loads_only_what_it_runs():
-    """The package imports no submodule and the command line imports each
-    command's modules where it runs them, so a fresh verify padic, and then
-    the p-adic module itself, load neither the Weyl-sum engine, the series,
-    the cone nor dataclasses.  Modules loaded at interpreter start-up do not
-    count."""
+def _loaded_by(argv):
+    """The exit code of a fresh ``wscalc argv``, then of importing
+    wscalc.padic, and the modules the process loaded after start-up."""
     child = (
         "import contextlib, io, json, sys\n"
         "before = set(sys.modules)\n"
         "from wscalc.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    rc = main(['verify', 'padic', '--n', '3', '--m', '2', '--samples', '2'])\n"
+        "    rc = main(%r)\n"
         "import wscalc.padic\n"
-        "print(json.dumps([rc, sorted(set(sys.modules) - before)]))\n"
+        "print(json.dumps([rc, sorted(set(sys.modules) - before)]))\n" % (argv,)
     )
     proc = subprocess.run(
         [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
@@ -634,9 +759,25 @@ def test_verify_padic_loads_only_what_it_runs():
     )
     assert proc.returncode == 0, proc.stderr
     rc, loaded = json.loads(proc.stdout)
-    assert rc == 0 and {"wscalc.cli", "wscalc.padic"} <= set(loaded)
+    return rc, set(loaded)
+
+
+def test_verify_padic_loads_only_what_it_runs():
+    """The package imports no submodule and the command line imports each
+    command's modules where it runs them, so a fresh verify padic, and then
+    the p-adic module itself, load neither the Weyl-sum engine, the series,
+    the cone nor dataclasses; and a fresh verify gauss, which builds no
+    Context, loads no module of the package but the command line and padic.
+    Modules loaded at interpreter start-up do not count."""
+    rc, loaded = _loaded_by(["verify", "padic", "--n", "3", "--m", "2", "--samples", "2"])
+    assert rc == 0 and {"wscalc.cli", "wscalc.padic"} <= loaded
     unwanted = {"wscalc.wsformula", "wscalc.charform", "wscalc.cone", "dataclasses"}
-    assert not unwanted & set(loaded)
+    assert not unwanted & loaded
+    rc, loaded = _loaded_by(["verify", "gauss"])
+    assert rc == 0
+    assert {name for name in loaded if name.startswith("wscalc")} == {
+        "wscalc", "wscalc.cli", "wscalc.padic"}
+    assert "dataclasses" not in loaded
 
 
 # -- the eval contract ----------------------------------------------------------
