@@ -2,7 +2,8 @@
 
 chi^B_lam is the SO_{2N+1}(C) character at diag(x_1..x_N, 1, x_N^-1..x_1^-1)
 and chi^C_mu the Sp(2m) character, both of dominant highest weight and both
-from ``weyl.character``.
+built by ``weyl.character`` from the multiplicities of their dominant
+weights (Freudenthal's formula).
 
 For n = m+1 the torus-integral identity
 

@@ -1,5 +1,5 @@
-"""Hyperoctahedral Weyl groups W(C_k): signed permutations, alternants and
-the Weyl characters of the dual groups.
+"""Hyperoctahedral Weyl groups W(C_k): signed permutations, dot-action
+straightening and the Weyl characters of the dual groups.
 
 An element w = (image, flips) sends the i-th coordinate to the image(i)-th,
 with a sign flip where flips[image(i)] = -1.  Substituting w into variables
@@ -13,21 +13,18 @@ lists them, ``simple_roots`` gives e_i - e_{i+1} and 2e_k, ``reflection``
 the signed permutation s_alpha and ``root_label`` a name such as "e1-e2".
 
 W(C_k) is also the Weyl group of SO(2k+1) (type B) and of Sp(2k) (type C),
-so one alternant serves both character formulas; they differ only in rho
-and in the long roots, e_i or 2e_i.  A character is the alternant of
-lam + rho divided by the Weyl denominator, one positive-root binomial
-x^(alpha/2) - x^(-alpha/2) at a time, in integers.
+so one straightening serves both groups; they differ only in rho and in the
+long roots, e_i or 2e_i.  A character is built from its dominant weights:
+their multiplicities come from Freudenthal's formula, in integers, and the
+character is the sum of their W-orbits.  No alternant is formed or divided.
 """
 
 from functools import lru_cache
 from itertools import permutations, product
 
-from .ratfun import Poly, Vars
-
 __all__ = [
     "SignedPerm",
     "enumerate_group",
-    "alternating_monomial_sum",
     "straighten",
     "straighten_weight",
     "character",
@@ -141,8 +138,8 @@ def enumerate_group(k):
     """
     if k > ENUMERATION_GUARD:
         raise ValueError(
-            "W(C_%d) has %d elements; enumeration is guarded at k=%d, and "
-            "exact and numeric mode both enumerate it" % (k, group_order(k), ENUMERATION_GUARD)
+            "W(C_%d) has %d elements; enumeration is guarded at k=%d"
+            % (k, group_order(k), ENUMERATION_GUARD)
         )
     out = []
     for image in permutations(range(1, k + 1)):
@@ -188,22 +185,6 @@ def straighten(mu):
             if a < b:
                 sign = -sign
     return sign, tuple(sorted(mags, reverse=True))
-
-
-def alternating_monomial_sum(vars_, mu, offset, k):
-    """The alternant sum_w sgn(w) X^(w*mu) as a Poly, acting on slots
-    offset..offset+k-1 of the exponent lattice; other slots of ``mu`` pass
-    through unchanged.  Non-regular patterns collapse to 0.
-    """
-    acc = {}
-    for w in enumerate_group(k):
-        e = w.embed_remap(vars_.size, offset)(tuple(mu))
-        s = acc.get(e, 0) + w.sgn()
-        if s:
-            acc[e] = s
-        else:
-            del acc[e]
-    return Poly(vars_, acc, prune=False)
 
 
 def _doubled_rho(k, group):
@@ -274,32 +255,74 @@ def root_label(alpha):
     return "".join(terms).lstrip("+")
 
 
-def _divide_binomial(poly, alpha):
-    """The quotient of ``poly`` ({exponent k-tuple: int}) by X^alpha - X^-alpha,
-    or None when the division is inexact.
+@lru_cache(maxsize=None)
+def distinct_permutations(mu):
+    """The distinct permutations of the tuple mu, in ascending order.  For a
+    dominant mu, X^mu's W-orbit sum is the sum over them of the product of
+    x_i^a + x_i^-a (1 where a = 0)."""
+    return tuple(sorted(set(permutations(mu))))
 
-    Each line e + Z*alpha is walked from the top: with P = Q*(X^alpha -
-    X^-alpha), Q(e - alpha) = P(e) + Q(e + alpha).  The division is exact
-    exactly when the last two carries of every line, at its lowest exponent
-    and one step below it, are zero.
+
+def _dominant_below(lam, group):
+    """The dominant mu <= lam, those with lam - mu a sum of positive roots:
+    every partial sum of lam - mu is >= 0, and for "sp", whose long roots
+    2e_i leave only the even-sum vectors in the root lattice, the total is
+    even.  Largest first entry first."""
+
+    def extend(mu, slack):
+        i = len(mu)
+        if i == len(lam):
+            if group == "so" or slack % 2 == 0:
+                yield mu
+            return
+        top = lam[i] + slack if i == 0 else min(mu[-1], lam[i] + slack)
+        for a in range(top, -1, -1):
+            yield from extend(mu + (a,), slack + lam[i] - a)
+
+    return extend((), 0)
+
+
+@lru_cache(maxsize=None)
+def dominant_weights(lam, group):
+    """The dominant weights of the irreducible representation of highest
+    weight lam of SO(2k+1) (group "so") or Sp(2k) (group "sp"), k = len(lam),
+    as (mu, multiplicity) pairs, mu in descending order.
+
+    Freudenthal's formula (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 22.3): every dominant mu <= lam is a weight, and
+
+        (|lam+rho|^2 - |mu+rho|^2) m(mu)
+            = 2 sum_(alpha>0) sum_(j>=1) m(mu + j alpha) <mu + j alpha, alpha>.
+
+    The gap on the left is <lam-mu, lam+mu+2 rho>, an integer since 2 rho
+    is.  The mu are taken in increasing gap, so every m on the right is
+    known: a weight has the multiplicity of its dominant conjugate, its
+    sorted |entries|, and each alpha-string, unbroken, stops at its first
+    zero.  lam itself, the only mu of gap 0, has multiplicity 1.  Every
+    quotient is exact and asserted.
     """
-    i = next(i for i, a in enumerate(alpha) if a)
-    step = alpha[i]
-    lines = {}
-    for e, c in poly.items():
-        t = e[i] // step
-        lines.setdefault(tuple([a - t * b for a, b in zip(e, alpha)]), {})[t] = c
-    quot = {}
-    for base, line in lines.items():
-        lo = min(line)
-        above = cur = 0  # Q at t + 1 and at t, walking t downwards
-        for t in range(max(line), lo - 1, -1):
-            above, cur = cur, line.get(t, 0) + above
-            if cur:
-                quot[tuple([a + (t - 1) * b for a, b in zip(base, alpha)])] = cur
-        if above or cur:
-            return None
-    return quot
+    rho2 = _doubled_rho(len(lam), group)
+    roots = positive_roots(len(lam), group)
+
+    def gap(mu):
+        return sum((a - b) * (a + b + r) for a, b, r in zip(lam, mu, rho2))
+
+    mult = {lam: 1}
+    for mu in sorted(_dominant_below(lam, group), key=gap)[1:]:
+        total = 0
+        for alpha in roots:
+            nu = mu
+            while True:
+                nu = tuple([a + b for a, b in zip(nu, alpha)])
+                m = mult.get(tuple(sorted(map(abs, nu), reverse=True)), 0)
+                if not m:
+                    break
+                total += m * sum(a * b for a, b in zip(nu, alpha))
+        m, rest = divmod(2 * total, gap(mu))
+        if rest:
+            raise AssertionError("Freudenthal's formula gave a non-integral multiplicity")
+        mult[mu] = m
+    return tuple(sorted(mult.items(), reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -309,37 +332,14 @@ def character(lam, group):
     (exponent k-tuple of x_1..x_k, integer multiplicity) pairs, exponents in
     descending order.
 
-    Weyl's formula A(x^(lam+rho)) / A(x^rho), on doubled exponents so that
-    rho is integral.  By the Weyl denominator formula A(x^rho) is the product
-    of x^(alpha/2) - x^(-alpha/2) over the positive roots, so the alternant is
-    divided by one binomial at a time; every division is exact and asserted.
-    Dividing by the roots e_i or 2e_i first keeps the quotients on the way
-    small.
+    The W-orbit expansion of ``dominant_weights``: each dominant mu gives
+    its distinct permutations with every choice of sign on their nonzero
+    entries, all with the multiplicity of mu.  W-invariant by construction.
     """
-    k = len(lam)
-    rho2 = _doubled_rho(k, group)
-    alt = alternating_monomial_sum(Vars(k, 0), (0,) + tuple(2 * a + r for a, r in zip(lam, rho2)), 1, k)
-    quot = {e[1:]: c for e, c in alt.terms.items()}
-    for alpha in positive_roots(k, group):
-        quot = _divide_binomial(quot, alpha)
-        if quot is None:
-            raise AssertionError("Weyl character formula failed to divide")
-    if any(a % 2 for e in quot for a in e):
-        raise AssertionError("character has a non-integral exponent")
-    return tuple((tuple(a // 2 for a in e), quot[e]) for e in sorted(quot, reverse=True))
-
-
-@lru_cache(maxsize=None)
-def dominant_weights(lam, group):
-    """The dominant part of ``character(lam, group)``: its (mu, multiplicity)
-    pairs with mu dominant.  A character is W-invariant, so it is the sum of
-    mult(mu) times the orbit sum of mu over these."""
-    return tuple((mu, c) for mu, c in character(lam, group) if is_dominant(mu))
-
-
-@lru_cache(maxsize=None)
-def distinct_permutations(mu):
-    """The distinct permutations of the tuple mu, in ascending order.  For a
-    dominant mu, X^mu's W-orbit sum is the sum over them of the product of
-    x_i^a + x_i^-a (1 where a = 0)."""
-    return tuple(sorted(set(permutations(mu))))
+    terms = [
+        (e, m)
+        for mu, m in dominant_weights(lam, group)
+        for pi in distinct_permutations(mu)
+        for e in product(*[(a, -a) if a else (0,) for a in pi])
+    ]
+    return tuple(sorted(terms, reverse=True))

@@ -3,9 +3,11 @@
 Each builds, the slow and literal way, a quantity that the engine computes
 another way (through the character basis, or by a reindexed sum), so a test
 can compare the two: among them the double Weyl sum term by term in
-rational functions (``weyl_sum_direct``).  The Weyl-element matrices and the written-out minor
-expansion are here too: only the tests of ``wscalc.padic`` use them; and so
-is the support partial order on dominant pairs, which only the tests check.
+rational functions (``weyl_sum_direct``) and the alternant of W(C_k)
+(``alternating_monomial_sum``), which the library's characters never form.
+The Weyl-element matrices and the written-out minor expansion are here
+too: only the tests of ``wscalc.padic`` use them; and so is the support
+partial order on dominant pairs, which only the tests check.
 """
 
 import cmath
@@ -18,6 +20,22 @@ from wscalc.ratfun import Poly, RatFun
 from wscalc.weyl import character, enumerate_group, is_dominant, straighten_weight
 from wscalc.wsformula import require_dominant
 from wscalc.zetafactors import b_factor, d_factor, dprime_factor
+
+
+def alternating_monomial_sum(vars_, mu, offset, k):
+    """The alternant sum_w sgn(w) X^(w*mu) as a Poly, acting on slots
+    offset..offset+k-1 of the exponent lattice; other slots of ``mu`` pass
+    through unchanged.  Non-regular patterns collapse to 0.
+    """
+    acc = {}
+    for w in enumerate_group(k):
+        e = w.embed_remap(vars_.size, offset)(tuple(mu))
+        s = acc.get(e, 0) + w.sgn()
+        if s:
+            acc[e] = s
+        else:
+            del acc[e]
+    return Poly(vars_, acc, prune=False)
 
 
 def so_char(vars_, lam):

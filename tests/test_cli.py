@@ -698,6 +698,18 @@ def fresh_b_caches():
         cache.cache_clear()
 
 
+def _only_shintani_fails(n, m):
+    """verify constant and verify invariance (d = (1,0,..), f = (2,1,0,..))
+    exit 0 at (n, m), and verify shintani --K 4 exits 1."""
+    ranks = ["--n", str(n), "--m", str(m)]
+    d = ",".join(["1"] + ["0"] * (m - 1))
+    f = ",".join(["2", "1"] + ["0"] * (n - 2))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "constant", *ranks]) == 0
+        assert main(["verify", "invariance", *ranks, "--d", d, "--f", f]) == 0
+        assert main(["verify", "shintani", *ranks, "--K", "4"]) == 1
+
+
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 2)])
 def test_what_each_verifier_sees_of_b_without_its_odd_v_terms(monkeypatch, fresh_b_caches, n, m):
     """Dropping every term of b with an odd power of v leaves the form at
@@ -714,13 +726,26 @@ def test_what_each_verifier_sees_of_b_without_its_odd_v_terms(monkeypatch, fresh
         return Poly(b.vars, {e: c for e, c in b.terms.items() if e[0] % 2 == 0})
 
     monkeypatch.setattr(wsformula, "b_factor_poly", even_v_only)
-    ranks = ["--n", str(n), "--m", str(m)]
-    d = ",".join(["1"] + ["0"] * (m - 1))
-    f = ",".join(["2", "1"] + ["0"] * (n - 2))
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["verify", "constant", *ranks]) == 0
-        assert main(["verify", "invariance", *ranks, "--d", d, "--f", f]) == 0
-        assert main(["verify", "shintani", *ranks, "--K", "4"]) == 1
+    _only_shintani_fails(n, m)
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 2)])
+def test_what_each_verifier_sees_of_a_straightening_without_its_signs(
+        monkeypatch, fresh_b_caches, n, m):
+    """A straightening that returns sign 1 for every weight, of both sides,
+    leaves the form at d = 0, f = 0 and the characters of every form as they
+    were, so verify constant and verify invariance pass; the series identity
+    fails.  Pinned so that a change in what either verifier sees shows up."""
+    from wscalc import wsformula
+
+    straighten_weight = wsformula.straighten_weight
+
+    def unsigned(lam, group):
+        st = straighten_weight(lam, group)
+        return st and (1, st[1])
+
+    monkeypatch.setattr(wsformula, "straighten_weight", unsigned)
+    _only_shintani_fails(n, m)
 
 
 def test_verify_constant_fails_on_a_wrong_b_factor(capsys, monkeypatch, fresh_b_caches):
@@ -741,25 +766,34 @@ def test_verify_constant_fails_on_a_wrong_b_factor(capsys, monkeypatch, fresh_b_
     assert doc["report"]["constant"] != doc["report"]["closed_form"]
 
 
-def _loaded_by(argv):
-    """The exit code of a fresh ``wscalc argv``, then of importing
-    wscalc.padic, and the modules the process loaded after start-up."""
+def _run_fresh(body):
+    """Run ``body`` in a fresh interpreter; return the value it leaves in
+    ``result`` and the modules the process loaded after start-up."""
     child = (
         "import contextlib, io, json, sys\n"
         "before = set(sys.modules)\n"
-        "from wscalc.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    rc = main(%r)\n"
-        "import wscalc.padic\n"
-        "print(json.dumps([rc, sorted(set(sys.modules) - before)]))\n" % (argv,)
+        "result = None\n"
+        + body
+        + "print(json.dumps([result, sorted(set(sys.modules) - before)]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=SRC),
     )
     assert proc.returncode == 0, proc.stderr
-    rc, loaded = json.loads(proc.stdout)
-    return rc, set(loaded)
+    result, loaded = json.loads(proc.stdout)
+    return result, set(loaded)
+
+
+def _loaded_by(argv):
+    """The exit code of a fresh ``wscalc argv``, then of importing
+    wscalc.padic, and the modules the process loaded after start-up."""
+    return _run_fresh(
+        "from wscalc.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    result = main(%r)\n"
+        "import wscalc.padic\n" % (argv,)
+    )
 
 
 def test_verify_padic_loads_only_what_it_runs():
@@ -778,6 +812,15 @@ def test_verify_padic_loads_only_what_it_runs():
     assert {name for name in loaded if name.startswith("wscalc")} == {
         "wscalc", "wscalc.cli", "wscalc.padic"}
     assert "dataclasses" not in loaded
+
+
+def test_weyl_loads_no_rational_functions():
+    """The characters are built in integers, so a fresh import of
+    wscalc.weyl loads no other module of the package, wscalc.ratfun least
+    of all.  Modules loaded at interpreter start-up do not count."""
+    _, loaded = _run_fresh("import wscalc.weyl\n")
+    assert "wscalc.ratfun" not in loaded
+    assert {name for name in loaded if name.startswith("wscalc")} == {"wscalc", "wscalc.weyl"}
 
 
 # -- the eval contract ----------------------------------------------------------

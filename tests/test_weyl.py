@@ -1,18 +1,17 @@
+import inspect
 import random
+import types
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wscalc import weyl
 from wscalc.ratfun import Poly, Vars
 from wscalc.weyl import (
     SignedPerm,
-    _divide_binomial,
-    alternating_monomial_sum,
     character,
+    dominant_weights,
     enumerate_group,
     is_dominant,
     positive_roots,
@@ -21,6 +20,8 @@ from wscalc.weyl import (
     simple_roots,
     straighten,
 )
+
+from references import alternating_monomial_sum
 
 
 def test_enumeration_counts():
@@ -210,76 +211,88 @@ def _weyl_dimension(lam, group):
     return dim
 
 
-@pytest.mark.parametrize("group", ["so", "sp"])
-def test_character_times_denominator_is_the_alternant(group):
-    """chi_lam * A(x^rho) == A(x^(lam+rho)) by multiplication, on doubled
-    exponents, and chi_lam(1) is Weyl's dimension, for k <= 3 and every
-    dominant lam with entries <= 3."""
-    for k in (1, 2, 3):
-        V = Vars(k, 0)
-        rho2 = _rho2(k, group)
-        denom = alternating_monomial_sum(V, (0,) + rho2, 1, k)
-        for lam in _dominant_weights(k):
-            chi = character(lam, group)
-            doubled = Poly(V, {(0,) + tuple(2 * a for a in e): c for e, c in chi})
-            top = (0,) + tuple(2 * a + r for a, r in zip(lam, rho2))
-            assert doubled * denom == alternating_monomial_sum(V, top, 1, k)
-            assert sum(c for _, c in chi) == _weyl_dimension(lam, group)
+def _is_the_alternant_quotient(chi, lam, group):
+    """Whether chi * A(x^rho) == A(x^(lam+rho)), by multiplication, on
+    doubled exponents so that rho is integral."""
+    k = len(lam)
+    V = Vars(k, 0)
+    rho2 = _rho2(k, group)
+    doubled = Poly(V, {(0,) + tuple(2 * a for a in e): c for e, c in chi})
+    top = (0,) + tuple(2 * a + r for a, r in zip(lam, rho2))
+    denom = alternating_monomial_sum(V, (0,) + rho2, 1, k)
+    return doubled * denom == alternating_monomial_sum(V, top, 1, k)
 
 
-@pytest.fixture
-def clean_characters():
-    """Clear the character cache around a test that corrupts its input."""
-    character.cache_clear()
-    yield
-    character.cache_clear()
+CHECKED = [lam for k in (1, 2, 3) for lam in _dominant_weights(k)] + _dominant_weights(4, 2)
 
 
 @pytest.mark.parametrize("group", ["so", "sp"])
-def test_corrupted_alternant_fails_to_divide(group, monkeypatch, clean_characters):
-    """One wrong coefficient of A(x^(lam+rho)) makes every binomial division
-    inexact, and ``character`` raises instead of returning a character."""
-    k, lam = 3, (2, 1, 0)
-    V = Vars(k, 0)
-    top = (0,) + tuple(2 * a + r for a, r in zip(lam, _rho2(k, group)))
-    alt = {e[1:]: c for e, c in alternating_monomial_sum(V, top, 1, k).terms.items()}
-    bad = dict(alt)
-    bad[max(bad)] += 1
-    for alpha in weyl.positive_roots(k, group):
-        assert _divide_binomial(alt, alpha) is not None
-        assert _divide_binomial(bad, alpha) is None
-
-    def corrupted(vars_, mu, offset, k_):
-        poly = alternating_monomial_sum(vars_, mu, offset, k_)
-        if mu != top:
-            return poly
-        terms = dict(poly.terms)
-        terms[max(terms)] += 1
-        return Poly(vars_, terms)
-
-    monkeypatch.setattr(weyl, "alternating_monomial_sum", corrupted)
-    with pytest.raises(AssertionError):
-        character(lam, group)
+def test_character_times_denominator_is_the_alternant(group):
+    """chi_lam * A(x^rho) == A(x^(lam+rho)) by multiplication, and chi_lam(1)
+    is Weyl's dimension, for every dominant lam with entries <= 3 at k <= 3
+    and <= 2 at k = 4."""
+    for lam in CHECKED:
+        chi = character(lam, group)
+        assert _is_the_alternant_quotient(chi, lam, group)
+        assert sum(c for _, c in chi) == _weyl_dimension(lam, group)
 
 
-@given(
-    st.integers(min_value=1, max_value=3).flatmap(
-        lambda k: st.tuples(
-            st.sampled_from(weyl.positive_roots(k, "so") + weyl.positive_roots(k, "sp")),
-            st.dictionaries(
-                st.tuples(*[st.integers(-3, 3)] * k), st.integers(-4, 4), max_size=6
-            ),
-        )
-    )
-)
-@settings(max_examples=150, deadline=None)
-def test_binomial_division_inverts_multiplication(case):
-    """(Q * (X^alpha - X^-alpha)) / (X^alpha - X^-alpha) == Q, with the product
-    formed by Poly multiplication."""
-    alpha, q = case
-    k = len(alpha)
-    V = Vars(k, 0)
-    quot = Poly(V, {(0,) + e: c for e, c in q.items()})
-    binomial = Poly(V, {(0,) + alpha: 1, (0,) + tuple(-a for a in alpha): -1})
-    prod = {e[1:]: c for e, c in (quot * binomial).terms.items()}
-    assert _divide_binomial(prod, alpha) == {e[1:]: c for e, c in quot.terms.items()}
+@pytest.mark.parametrize("group", ["so", "sp"])
+def test_dominant_weights_are_the_dominant_part_of_the_character(group):
+    """``dominant_weights`` is exactly the dominant entries of ``character``,
+    in the same (descending) order, which the numeric evaluator sums in."""
+    for lam in CHECKED:
+        chi = character(lam, group)
+        assert dominant_weights(lam, group) == tuple((mu, c) for mu, c in chi if is_dominant(mu))
+
+
+def _mutant(old, new):
+    """A copy of ``wscalc.weyl`` whose source has the text ``old``, which
+    must occur exactly once, replaced by ``new``.  Its caches are its own."""
+    source = inspect.getsource(weyl)
+    assert source.count(old) == 1
+    module = types.ModuleType(weyl.__name__ + "_mutant")
+    module.__package__ = weyl.__package__
+    exec(compile(source.replace(old, new), weyl.__file__, "exec"), module.__dict__)
+    return module
+
+
+FREUDENTHAL_MUTATIONS = {
+    "type-B roots": (
+        "roots = positive_roots(len(lam), group)",
+        "roots = positive_roots(len(lam), \"so\")",
+    ),
+    "rho of the other group": (
+        "rho2 = _doubled_rho(len(lam), group)\n    roots",
+        "rho2 = _doubled_rho(len(lam), {\"so\": \"sp\", \"sp\": \"so\"}[group])\n    roots",
+    ),
+    "no factor 2": ("divmod(2 * total, gap(mu))", "divmod(total, gap(mu))"),
+}
+
+
+@pytest.mark.parametrize("mutation,group", [
+    ("type-B roots", "sp"),
+    ("rho of the other group", "so"),
+    ("rho of the other group", "sp"),
+    ("no factor 2", "so"),
+    ("no factor 2", "sp"),
+])
+def test_freudenthal_mutants_fail(mutation, group):
+    """Each fault in Freudenthal's formula makes ``character`` raise or fail
+    the alternant cross-check on at least 20 of the 34 dominant lam with
+    entries <= 3 at k <= 3 (25 to 31 in fact); ``weyl`` itself passes on
+    all of them."""
+    def broken(module):
+        count = 0
+        for k in (1, 2, 3):
+            for lam in _dominant_weights(k):
+                try:
+                    chi = module.character(lam, group)
+                except AssertionError:
+                    count += 1
+                else:
+                    count += not _is_the_alternant_quotient(chi, lam, group)
+        return count
+
+    assert broken(weyl) == 0
+    assert broken(_mutant(*FREUDENTHAL_MUTATIONS[mutation])) >= 20

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from wscalc import wsformula
 from wscalc.ratfun import PoleError, Poly, RatFun, eval_terms
 from wscalc.weyl import (
-    alternating_monomial_sum,
     character,
     enumerate_group,
     is_dominant,
@@ -38,7 +37,7 @@ from wscalc.wsformula import (
 )
 from wscalc.wsformula import _G_OFF
 
-from references import weyl_sum_direct
+from references import alternating_monomial_sum, weyl_sum_direct
 
 C10 = Context(1, 0)
 C21 = Context(2, 1)
