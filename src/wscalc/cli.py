@@ -313,6 +313,15 @@ def _verify_padic(cfg, ctx):
     }
 
 
+def _shell_text(coeffs, measure, order):
+    """measure * sum c zeta^e over coeffs {e: c}, zeta = exp(2 pi i / order),
+    as text: a rational number when only the constant term is there."""
+    if not coeffs.keys() - {0}:
+        return str(coeffs.get(0, 0) * measure)
+    terms = " ".join("%+d*z^%d" % (c, e) for e, c in sorted(coeffs.items()))
+    return "%s*(%s), z = exp(2*pi*i/%d)" % (measure, terms, order)
+
+
 def _verify_gauss(cfg, ctx):
     from itertools import product as iproduct
 
@@ -324,9 +333,16 @@ def _verify_gauss(cfg, ctx):
         for i, j in iproduct(range(-4, 5), repeat=2):
             checked += 1
             closed = padic.gauss_shell(i, j, q)
-            numeric = padic.gauss_shell_numeric(i, j, q)
-            if abs(complex(closed) - numeric) > 1e-9:
-                failures.append({"q": q, "i": i, "j": j})
+            measure = padic.gauss_shell_measure(i, j, q)
+            coeffs = padic.gauss_shell_sum(i, j, q)
+            # the oracle passes only as the integer constant closed / measure
+            expected = closed / measure
+            if coeffs != ({0: expected} if expected else {}):
+                failures.append({
+                    "q": q, "i": i, "j": j,
+                    "oracle": _shell_text(coeffs, measure, q ** (j - i)),
+                    "closed": str(closed),
+                })
     ok = not failures
     return ok, {"checked": checked, "failures": failures, "pass": ok}
 

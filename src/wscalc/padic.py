@@ -9,9 +9,10 @@ is polynomial or valuation-theoretic, so matrices and minors do not depend
 on p: the prime is passed only where a valuation is taken or a random
 rational drawn.  Matrix products skip zero entries,
 since the factory elements are mostly identity.  The Gauss-shell oracle sums
-its character over integer residues: the p-adic fractional part it needs is
-a residue over a power of p, summed over the units directly because
-inverting them only permutes them.
+its character over integer residues, exactly in Z[zeta_{p^k}]: the p-adic
+fractional part it needs is a residue over p^k, summed over the units
+directly because inverting them only permutes them, and the sum of the
+units' powers of zeta is reduced modulo the cyclotomic polynomial.
 
 The symplectic group Sp_2n is realized with respect to the form
 S[i, 2n+1-i] = 1 for i <= n and -1 for i > n (1-indexed), the convention
@@ -51,12 +52,16 @@ __all__ = [
     "factor_valuations",
     "abs_cell_kernel",
     "gauss_shell",
+    "gauss_shell_sum",
+    "gauss_shell_measure",
     "gauss_shell_numeric",
 ]
 
 
+@lru_cache(maxsize=64)
 def is_prime(q):
-    """Trial division; q is capped at 2^31 so that the check stays instant."""
+    """Trial division; q is capped at 2^31 so that the check stays instant.
+    Cached, because the Gauss-shell oracle asks it once per case."""
     if not 2 <= q < 2 ** 31:
         return False
     return all(q % k for k in range(2, isqrt(q) + 1))
@@ -523,31 +528,81 @@ def gauss_shell(i, j, q):
     return Fraction(0)
 
 
-def gauss_shell_numeric(i, j, q):
-    """Brute-force oracle for gauss_shell: the character sum over unit
-    representatives of the shell p^j O^* modulo p^(j+M), with psi(a) =
-    exp(2 pi i {a}_p) of conductor zero.
+def _precision(i, j):
+    """M = max(1, j - i): the shell p^j O^* is cut into the classes mod
+    p^(j+M), on each of which psi(t^-1 x) is constant for |x| = q^-i; M >= 1
+    so that the classes still tell the units apart."""
+    return max(1, j - i)
 
-    For t = p^j u, t^-1 x = p^(i-j) u^-1, and with k = j - i its p-adic
-    fractional part is an integer residue over p^k:
 
-        {p^(i-j) u^-1}_p = (u^-1 mod p^k) / p^k   if k > 0,   else 0.
+def _reduce_mod_cyclotomic(vec, p, k):
+    """Reduce sum_u vec[u] X^u (u < p^k) modulo the cyclotomic polynomial
+    Phi_{p^k}(X) = sum_{t<p} X^(t p^(k-1)): the result is the same element of
+    Z[zeta], zeta = exp(2 pi i / p^k), in the basis zeta^e, e < phi(p^k).
 
-    Since u -> u^-1 permutes the units mod p^M, the sum runs over psi(u / p^k)
-    instead, still one term per unit, with no modular inverse.  The units
-    are the residues not divisible by q only for q prime (for q = 4 they
-    would include 2), so any other q is refused.
+    Since X^((p-1) p^(k-1) + r) = -sum_{t<p-1} X^(t p^(k-1) + r), the top
+    block of p^(k-1) coefficients is subtracted from each lower block.
+    Blocks are compared whole first (as bytes, for a bytes vector), and
+    differences taken only where a block differs from the top.  Returns the
+    nonzero coordinates {e: c}.
     """
-    import cmath
+    b = p ** (k - 1)
+    top = vec[(p - 1) * b:]
+    out = {}
+    for t in range(p - 1):
+        block = vec[t * b:(t + 1) * b]
+        if block != top:
+            for r, (c, c_top) in enumerate(zip(block, top)):
+                if c != c_top:
+                    out[t * b + r] = c - c_top
+    return out
 
+
+def gauss_shell_sum(i, j, q):
+    """The character sum behind gauss_shell, exactly, as an element of
+    Z[zeta] with zeta = exp(2 pi i / p^k), k = j - i: the nonzero
+    coordinates {e: c} of sum_u psi(u / p^k) in the basis zeta^e, e below
+    phi(p^k), over the units u mod p^M (M = max(1, k)), with
+    psi(a) = exp(2 pi i {a}_p) of conductor zero.
+
+    The shell integral int_{|t| = q^-j} psi(t^-1 x) dt for |x| = q^-i is this
+    sum times the measure q^-(j+M) of one class.  For t = p^j u the p-adic
+    fractional part of t^-1 x = p^(i-j) u^-1 is the residue
+    (u^-1 mod p^k) / p^k when k > 0, and 0 otherwise; u -> u^-1 permutes the
+    units, so the sum runs over psi(u / p^k) with no modular inverse.  It
+    stays brute force: the units are a 0/1 vector with one byte per
+    residue, unit u contributing X^u, reduced modulo Phi_{p^k} by
+    ``_reduce_mod_cyclotomic``, which knows nothing of the closed form.  For
+    k <= 0 psi is trivial and the sum is the number of units.  The units are
+    the residues not divisible by q only for q prime (for q = 4 they would
+    include 2), so any other q is refused.
+    """
     if not is_prime(q):
         raise ValueError("the Gauss-shell oracle needs a prime q, got %r" % q)
     k = j - i
-    M = max(1, k)
-    pM = q ** M
-    step = 2j * cmath.pi / pM if k > 0 else 0j
-    total = 0j
-    for u in range(1, pM):
-        if u % q:
-            total += cmath.exp(step * u)
-    return total * q ** -(j + M)
+    M = _precision(i, j)
+    units = (b"\0" + b"\1" * (q - 1)) * q ** (M - 1)
+    if k <= 0:
+        return {0: units.count(1)}
+    return _reduce_mod_cyclotomic(units, q, k)
+
+
+def gauss_shell_measure(i, j, q):
+    """The measure q^-(j+M) of one class of the shell p^j O^* mod p^(j+M)."""
+    return Fraction(q) ** -(j + _precision(i, j))
+
+
+def gauss_shell_numeric(i, j, q):
+    """Brute-force oracle for gauss_shell, as a complex number: the exact
+    character sum ``gauss_shell_sum`` evaluated at zeta = exp(2 pi i / p^k)
+    (one exp per nonzero coordinate, none for the constant term) times the
+    measure q^-(j+M) as a float."""
+    coeffs = gauss_shell_sum(i, j, q)
+    total = complex(coeffs.pop(0, 0))
+    if coeffs:
+        import cmath
+
+        step = 2j * cmath.pi / q ** (j - i)
+        for e, c in coeffs.items():
+            total += c * cmath.exp(step * e)
+    return total * q ** -(j + _precision(i, j))

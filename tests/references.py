@@ -5,12 +5,17 @@ another way (through the character basis, or by a reindexed sum), so a test
 can compare the two: among them the double Weyl sum term by term in
 rational functions (``weyl_sum_direct``) and the alternant of W(C_k)
 (``alternating_monomial_sum``), which the library's characters never form.
-The Weyl-element matrices and the written-out minor expansion are here
-too: only the tests of ``wscalc.padic`` use them; and so is the support
-partial order on dominant pairs, which only the tests check.
+The Weyl-element matrices, the written-out minor expansion and long
+division by a cyclotomic polynomial are here too: only the tests of
+``wscalc.padic`` use them; and so is the support
+partial order on dominant pairs, which only the tests check.  So is
+``mutant``, which builds the deliberately broken copies of a module that
+the mutation tests feed to the verifiers.
 """
 
 import cmath
+import inspect
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -155,6 +160,26 @@ def gauss_shell_inverse_sum(i, j, q):
     return total * float(measure)
 
 
+def cyclotomic_remainder(coeffs, p, k):
+    """The remainder of sum_u coeffs[u] X^u on division by the cyclotomic
+    polynomial Phi_{p^k}(X) = sum_{t<p} X^(t p^(k-1)), by schoolbook long
+    division: while the degree is at least phi(p^k), subtract the leading
+    coefficient times X^(degree - phi) Phi.  A reference for
+    ``padic._reduce_mod_cyclotomic``; returns the phi(p^k) coefficients of
+    1, X, .., X^(phi - 1)."""
+    b = p ** (k - 1)
+    phi = (p - 1) * b
+    divisor = [1 if e % b == 0 else 0 for e in range(phi + 1)]
+    rem = list(coeffs)
+    for top in range(len(rem) - 1, phi - 1, -1):
+        lead = rem[top]
+        if lead:
+            shift = top - phi
+            for e, d in enumerate(divisor):
+                rem[shift + e] -= lead * d
+    return rem[:phi]
+
+
 # Matrix constructions that only the tests use: a monomial representative of
 # each Weyl element, and the triple-product minor expansion written out term
 # by term against ``padic.minor``.
@@ -268,3 +293,14 @@ def ws_leq(p, q):
         ):
             return False
     return True
+
+
+def mutant(module, old, new):
+    """A copy of ``module`` whose source has the text ``old``, which must
+    occur exactly once, replaced by ``new``.  Its caches are its own."""
+    source = inspect.getsource(module)
+    assert source.count(old) == 1
+    copy = types.ModuleType(module.__name__ + "_mutant")
+    copy.__package__ = module.__package__
+    exec(compile(source.replace(old, new), module.__file__, "exec"), copy.__dict__)
+    return copy

@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wscalc.cli import main
+
+from references import mutant
 
 
 def run(capsys, *argv):
@@ -492,8 +495,49 @@ def test_verify_gauss_names_failing_case(monkeypatch):
     ok, report = cli_mod._verify_gauss(None, None)
     assert not ok and not report["pass"]
     assert report["failures"] == [
-        {"q": q, "i": i, "j": i + 1} for q in (3, 5) for i in range(-4, 4)
+        {
+            "q": q, "i": i, "j": i + 1,
+            "oracle": str(-Fraction(q) ** -(i + 2)),
+            "closed": str(Fraction(q) ** -(i + 2)),
+        }
+        for q in (3, 5) for i in range(-4, 4)
     ]
+
+
+GAUSS_CASES = [(q, i, j) for q in (3, 5) for i in range(-4, 5) for j in range(-4, 5)]
+
+# (old, new, the cases of verify gauss that the mutant must fail)
+GAUSS_MUTATIONS = {
+    "top block dropped": (
+        "top = vec[(p - 1) * b:]", "top = bytes(b)", lambda q, i, j: j > i,
+    ),
+    "residue 0 a unit": (
+        "    if k <= 0:\n",
+        "    units = b\"\\1\" + units[1:]\n    if k <= 0:\n",
+        lambda q, i, j: True,
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(GAUSS_MUTATIONS))
+def test_verify_gauss_fails_on_a_broken_oracle(capsys, monkeypatch, mutation):
+    """A reduction that drops the top block instead of subtracting it fails
+    every case with j > i; counting residue 0 as a unit fails all 162.  Each
+    failure names its case, with the oracle's value and the closed form."""
+    from wscalc import padic
+
+    old, new, fails = GAUSS_MUTATIONS[mutation]
+    monkeypatch.setattr(padic, "gauss_shell_sum", mutant(padic, old, new).gauss_shell_sum)
+    code, doc = run_json(capsys, "verify", "gauss")
+    assert code == 1 and doc["pass"] is False
+    failures = doc["report"]["failures"]
+    assert [(w["q"], w["i"], w["j"]) for w in failures] == [c for c in GAUSS_CASES if fails(*c)]
+    assert all(w["oracle"] != w["closed"] for w in failures)
+    if mutation == "top block dropped":
+        assert {
+            "q": 3, "i": 0, "j": 1,
+            "oracle": "1/9*(+1*z^1), z = exp(2*pi*i/3)", "closed": "-1/9",
+        } in failures
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+import cmath
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd, inf, lcm, prod
 
@@ -10,13 +12,16 @@ from hypothesis import strategies as st
 from wscalc.padic import (
     SympMatrix,
     _mat_mul,
+    _reduce_mod_cyclotomic,
     abs_cell_kernel,
     alpha_k,
     beta_l,
     d_torus,
     factor_valuations,
     gauss_shell,
+    gauss_shell_measure,
     gauss_shell_numeric,
+    gauss_shell_sum,
     j_elem,
     lam_element,
     minor,
@@ -34,9 +39,16 @@ from wscalc.padic import (
     y_elem,
     z_elem,
 )
-from wscalc.weyl import SignedPerm, positive_roots
+from wscalc.weyl import SignedPerm, character, positive_roots
+from wscalc.wsformula import L_value
+from wscalc.zetafactors import Context
 
-from references import gauss_shell_inverse_sum, minor_expansion_check, weyl_matrix
+from references import (
+    cyclotomic_remainder,
+    gauss_shell_inverse_sum,
+    minor_expansion_check,
+    weyl_matrix,
+)
 
 P = 3
 
@@ -369,3 +381,111 @@ def test_gauss_shell_numeric_refuses_non_prime_q(q):
     inverted."""
     with pytest.raises(ValueError):
         gauss_shell_numeric(0, 0, q)
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in (2, 3, 5) for k in (1, 2, 3, 4)])
+def test_cyclotomic_reduction_is_long_division(p, k):
+    """Reducing a random integer vector of length p^k modulo Phi_{p^k} block
+    by block gives the remainder of long division, and its value at
+    zeta = exp(2 pi i / p^k) is the vector's within 1e-12.  Half the vectors
+    repeat one block with a few entries changed, so that blocks equal to the
+    top one, which the reduction skips, occur too."""
+    rng = random.Random(100 * p + k)
+    N, b = p ** k, p ** (k - 1)
+    step = 2j * cmath.pi / N
+    for trial in range(20):
+        if trial % 2:
+            vec = [rng.randint(-2, 2) for _ in range(b)] * p
+            for _ in range(rng.randint(0, 2)):
+                vec[rng.randrange(N)] = rng.randint(-2, 2)
+        else:
+            vec = [rng.randint(-2, 2) for _ in range(N)]
+        reduced = _reduce_mod_cyclotomic(vec, p, k)
+        remainder = cyclotomic_remainder(vec, p, k)
+        assert reduced == {e: c for e, c in enumerate(remainder) if c}
+        before = sum(c * cmath.exp(step * u) for u, c in enumerate(vec))
+        after = sum(c * cmath.exp(step * e) for e, c in reduced.items())
+        assert abs(before - after) < 1e-12
+
+
+def test_gauss_oracle_stays_under_a_megabyte():
+    """The largest case of verify gauss runs over 5^8 = 390,625 residues: one
+    byte each keeps the peak under 1 MB, where a list of Python ints would
+    need about 3 MB."""
+    gauss_shell_numeric(-4, 4, 5)
+    tracemalloc.start()
+    try:
+        gauss_shell_numeric(-4, 4, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+# -- the rank-one Jacquet chain: Gauss shells -> W(t_f) -> L((), (f,)) --------
+
+
+def _exact_shell(i, j, q):
+    """The oracle's value as a Fraction; its sum must be a constant."""
+    coeffs = gauss_shell_sum(i, j, q)
+    assert not coeffs.keys() - {0}
+    return coeffs.get(0, 0) * gauss_shell_measure(i, j, q)
+
+
+def _jacquet_w(f, x, q, shell, drop=None, delta=lambda f: -f):
+    """The Jacquet integral of the spherical vector of Sp(2) split into Gauss
+    shells, W(t_f) = x^-f q^-f [1 + sum_{k=1}^{2f+1} x^k q^k shell(2f, k, q)];
+    ``drop`` leaves one shell out and ``delta`` replaces the exponent -f."""
+    inner = 1 + sum(
+        x ** k * q ** k * shell(2 * f, k, q) for k in range(1, 2 * f + 2) if k != drop
+    )
+    return x ** -f * Fraction(q) ** delta(f) * inner
+
+
+def _L_exact(L, q, x):
+    """A rank-one L's character form at v^2 = 1/q, exactly: v^shift / den(v)
+    times sum c v^k chi^B_lam(x).  Every power of v in it must be even."""
+    powers = [L.shift] + [k for k, c in enumerate(L.den) if c]
+    powers += [k for _, terms in L.form for k, _ in terms]
+    assert not any(k % 2 for k in powers)
+    v2 = Fraction(1, q)
+    den = sum(c * v2 ** (k // 2) for k, c in enumerate(L.den))
+    total = 0
+    for (lam, _), terms in L.form:
+        chi = sum(mult * x ** e for (e,), mult in character(lam, "so"))
+        total += sum(c * v2 ** (k // 2) for k, c in terms) * chi
+    return v2 ** (L.shift // 2) * total / den
+
+
+JACQUET_XS = (Fraction(2, 7), Fraction(-3, 5), Fraction(5, 3))
+JACQUET_CASES = [(q, x, f) for q in (2, 3, 5) for x in JACQUET_XS for f in range(5)]
+
+
+def _jacquet_chain_holds(q, x, f, **mutation):
+    """W(1) = 1 - x/q, and W(t_f)/W(1) is L((), (f,)) at v = q^-1/2, both
+    exactly, with the exact oracle."""
+    w1 = _jacquet_w(0, x, q, _exact_shell, **mutation)
+    ratio = _jacquet_w(f, x, q, _exact_shell, **mutation) / w1
+    return w1 == 1 - x / q and ratio == _L_exact(L_value(Context(1, 0), (), (f,)), q, x)
+
+
+@pytest.mark.parametrize("q,x,f", JACQUET_CASES)
+def test_gauss_shells_chain_to_the_rank_one_value(q, x, f):
+    """The brute-force shell sums, put through the rank-one Jacquet
+    integral, give L(d, f) at (1, 0): exactly with the exact oracle, and
+    within 1e-12 with the complex one against ``LValue.eval_at``."""
+    assert _jacquet_chain_holds(q, x, f)
+    xf = float(x)
+    ratio = _jacquet_w(f, xf, q, gauss_shell_numeric) / _jacquet_w(0, xf, q, gauss_shell_numeric)
+    L = L_value(Context(1, 0), (), (f,))
+    assert abs(ratio - L.eval_at((q ** -0.5, xf))) < 1e-12
+
+
+@pytest.mark.parametrize("mutation", [
+    {"drop": 1},
+    {"delta": lambda f: -(f + 1)},
+], ids=["one shell dropped", "q^-f off by one"])
+def test_jacquet_chain_fails_on_a_broken_integral(mutation):
+    """Leaving out the first shell, or taking q^-(f+1) for q^-f, breaks the
+    chain at every case: W(1) is no longer 1 - x/q."""
+    assert not any(_jacquet_chain_holds(q, x, f, **mutation) for q, x, f in JACQUET_CASES)

@@ -1,6 +1,4 @@
-import inspect
 import random
-import types
 from fractions import Fraction
 from itertools import product
 
@@ -21,7 +19,7 @@ from wscalc.weyl import (
     straighten,
 )
 
-from references import alternating_monomial_sum
+from references import alternating_monomial_sum, mutant
 
 
 def test_enumeration_counts():
@@ -246,17 +244,6 @@ def test_dominant_weights_are_the_dominant_part_of_the_character(group):
         assert dominant_weights(lam, group) == tuple((mu, c) for mu, c in chi if is_dominant(mu))
 
 
-def _mutant(old, new):
-    """A copy of ``wscalc.weyl`` whose source has the text ``old``, which
-    must occur exactly once, replaced by ``new``.  Its caches are its own."""
-    source = inspect.getsource(weyl)
-    assert source.count(old) == 1
-    module = types.ModuleType(weyl.__name__ + "_mutant")
-    module.__package__ = weyl.__package__
-    exec(compile(source.replace(old, new), weyl.__file__, "exec"), module.__dict__)
-    return module
-
-
 FREUDENTHAL_MUTATIONS = {
     "type-B roots": (
         "roots = positive_roots(len(lam), group)",
@@ -295,4 +282,4 @@ def test_freudenthal_mutants_fail(mutation, group):
         return count
 
     assert broken(weyl) == 0
-    assert broken(_mutant(*FREUDENTHAL_MUTATIONS[mutation])) >= 20
+    assert broken(mutant(weyl, *FREUDENTHAL_MUTATIONS[mutation])) >= 20
