@@ -17,6 +17,9 @@ from three layers:
     expands numerators over a shared denominator.  Equal factors cancel;
     nothing is divided, so a value is exact but not reduced.
 
+The local zeta factor zeta(s) = 1/(1 - q^(-s)) and its inverse are built
+from the monomial q^(-s) (``zeta_of``, ``zeta_inv_of``).
+
 All values are immutable after construction and safe to share.
 """
 
@@ -28,7 +31,6 @@ __all__ = [
     "Vars",
     "Poly",
     "RatFun",
-    "LinearForm",
     "zeta_of",
     "zeta_inv_of",
     "eval_terms",
@@ -178,15 +180,7 @@ class Poly:
         return Poly(self.vars, res, prune=False)
 
     def __sub__(self, other):
-        _check_same(self, other)
-        res = dict(self.terms)
-        for e, c in other.terms.items():
-            s = res.get(e, 0) - c
-            if s:
-                res[e] = s
-            else:
-                res.pop(e, None)
-        return Poly(self.vars, res, prune=False)
+        return self + (-other)
 
     def __neg__(self):
         return Poly(self.vars, {e: -c for e, c in self.terms.items()}, prune=False)
@@ -329,13 +323,13 @@ class RatFun:
     """Exact rational function, value = coeff * X^mono * prod(nfac) / prod(dfac).
 
     ``nfac`` and ``dfac`` are sorted tuples of canonical factor keys.  The
-    quotient is lazy: products only concatenate factor lists, and
-    ``from_num_den``, addition, multiplication and substitution cancel
-    equal keys in numerator and denominator, nothing more.  No polynomial is
-    divided, so a value need not be in lowest terms (e.g. (1-x^2)/(1-x)
-    stays as built); equality is exact all the same.  ``wsformula.L_value``
-    reduces in the character basis, by a gcd in Z[v], so its RatFun view
-    (``LValue.ratfun``) is in lowest terms.  The denominator is never zero.
+    quotient is lazy: products only concatenate factor lists, and addition,
+    multiplication and substitution cancel equal keys in numerator and
+    denominator, nothing more.  No polynomial is divided, so a value need
+    not be in lowest terms (e.g. (1-x^2)/(1-x) stays as built); equality is
+    exact all the same.  ``wsformula.L_value`` reduces in the character
+    basis, by a gcd in Z[v], so its RatFun view (``LValue.ratfun``) is in
+    lowest terms.  The denominator is never zero.
     """
 
     __slots__ = ("vars", "coeff", "mono", "nfac", "dfac")
@@ -378,31 +372,6 @@ class RatFun:
             return cls.zero(poly.vars)
         coeff, mono, key = canonical_factor(poly)
         return cls(poly.vars, coeff, mono, _factors(key), ())
-
-    @classmethod
-    def from_num_den(cls, num, den):
-        """Build num/den from Polys (den may be a Poly or an iterable of Polys).
-
-        Equal factor keys cancel; nothing is divided, so num/den is
-        kept as given even where den divides num.
-        """
-        if isinstance(den, Poly):
-            den = (den,)
-        vars_ = num.vars
-        coeff, mono = _ONE, vars_.zero_exp()
-        dfac = ()
-        for d in den:
-            if d.is_zero():
-                raise ZeroDivisionError("zero denominator")
-            c, e, key = canonical_factor(d)
-            coeff /= c
-            mono = tuple(map(sub, mono, e))
-            dfac += _factors(key)
-        if num.is_zero():
-            return cls.zero(vars_)
-        c, e, key = canonical_factor(num)
-        nfac, dfac = _cancel_multisets(_factors(key), dfac)
-        return cls(vars_, coeff * c, exp_mul(mono, e), nfac, dfac)
 
     # -- predicates and views ------------------------------------------
 
@@ -593,130 +562,21 @@ def _cancel_multisets(nfac, dfac):
     return nonly, donly
 
 
-# -- linear forms in (chi, xi) with half-integer constants -----------------
+# -- local zeta factors ----------------------------------------------------
 
 
-class LinearForm:
-    """A formal zeta argument s = sum c_i chi_i + sum e_j xi_j + kappa.
+def zeta_inv_of(m):
+    """1/zeta(s) = 1 - q^(-s) as a RatFun, from the monomial m = q^(-s).
 
-    The constant kappa is stored as an integer number of halves so that the
-    corresponding monomial q^(-s) stays on the integer exponent grid
-    (v = q^(-1/2) carries the halves).
+    Raises PoleError at s = 0 (m = 1), where the factor degenerates.
     """
-
-    __slots__ = ("vars", "chi", "xi", "halves")
-
-    def __init__(self, vars_, chi=None, xi=None, halves=0):
-        self.vars = vars_
-        self.chi = tuple(chi) if chi is not None else (0,) * vars_.n
-        self.xi = tuple(xi) if xi is not None else (0,) * vars_.m
-        if len(self.chi) != vars_.n or len(self.xi) != vars_.m:
-            raise ContextMismatchError("linear form shape does not match context")
-        self.halves = int(halves)
-
-    @classmethod
-    def chi_term(cls, vars_, i, c=1):
-        chi = [0] * vars_.n
-        chi[i - 1] = c
-        return cls(vars_, chi=chi)
-
-    @classmethod
-    def xi_term(cls, vars_, j, c=1):
-        xi = [0] * vars_.m
-        xi[j - 1] = c
-        return cls(vars_, xi=xi)
-
-    @classmethod
-    def const(cls, vars_, value):
-        value = Fraction(value)
-        halves = value * 2
-        if halves.denominator != 1:
-            raise ValueError("constant must be a half-integer")
-        return cls(vars_, halves=halves.numerator)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LinearForm.const(self.vars, other)
-        _check_same(self, other)
-        return LinearForm(
-            self.vars,
-            [a + b for a, b in zip(self.chi, other.chi)],
-            [a + b for a, b in zip(self.xi, other.xi)],
-            self.halves + other.halves,
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LinearForm.const(self.vars, other)
-        return self + other.__neg__()
-
-    def __neg__(self):
-        return LinearForm(
-            self.vars,
-            [-a for a in self.chi],
-            [-a for a in self.xi],
-            -self.halves,
-        )
-
-    def __mul__(self, k):
-        return LinearForm(
-            self.vars,
-            [a * k for a in self.chi],
-            [a * k for a in self.xi],
-            self.halves * k,
-        )
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return not self.halves and not any(self.chi) and not any(self.xi)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearForm)
-            and self.vars == other.vars
-            and self.chi == other.chi
-            and self.xi == other.xi
-            and self.halves == other.halves
-        )
-
-    def __hash__(self):
-        return hash((self.vars, self.chi, self.xi, self.halves))
-
-    def monomial(self):
-        """Exponent tuple of q^(-s): v^halves * prod x_i^{c_i} * prod y_j^{e_j}."""
-        return (self.halves,) + self.chi + self.xi
-
-    def __repr__(self):
-        bits = []
-        for i, c in enumerate(self.chi, 1):
-            if c:
-                bits.append("%+d*chi%d" % (c, i))
-        for j, c in enumerate(self.xi, 1):
-            if c:
-                bits.append("%+d*xi%d" % (c, j))
-        if self.halves or not bits:
-            bits.append("%+g" % (self.halves / 2.0))
-        return "LinearForm(%s)" % " ".join(bits)
-
-
-def zeta_of(form):
-    """The local zeta factor zeta(s) = 1/(1 - q^(-s)) as a RatFun.
-
-    Raises PoleError for s identically zero, where the factor degenerates.
-    """
-    if form.is_zero():
+    one = Poly.constant(m.vars, 1)
+    if m == one:
         raise PoleError("zeta pole at s=0")
-    one = Poly.constant(form.vars, 1)
-    den = one - Poly.monomial(form.vars, form.monomial())
-    return RatFun.from_num_den(one, den)
+    return RatFun.from_poly(one - m)
 
 
-def zeta_inv_of(form):
-    """1/zeta(s) = 1 - q^(-s) as a RatFun."""
-    if form.is_zero():
-        raise PoleError("zeta pole at s=0")
-    one = Poly.constant(form.vars, 1)
-    return RatFun.from_poly(one - Poly.monomial(form.vars, form.monomial()))
+def zeta_of(m):
+    """The local zeta factor zeta(s) = 1/(1 - q^(-s)) as a RatFun, from the
+    monomial m = q^(-s); PoleError at s = 0."""
+    return zeta_inv_of(m).inverse()

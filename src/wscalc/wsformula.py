@@ -46,7 +46,6 @@ from math import gcd, prod
 from .ratfun import (
     POLE_TOL,
     ContextMismatchError,
-    LinearForm,
     PoleError,
     Poly,
     RatFun,
@@ -185,10 +184,9 @@ def normalization_constant_closed(ctx):
     out = RatFun.one(V)
     if ctx.m == 0:
         return out
-    one = LinearForm.const(V, 1)
-    z1 = zeta_of(one)
+    z1 = zeta_of(ctx.v(2))  # zeta(1), from q^-1 = v^2
     for i in range(1, ctx.m + 1):
-        out = out * z1 / zeta_of(LinearForm.const(V, 2 * i))
+        out = out * z1 / zeta_of(ctx.v(4 * i))
     return out
 
 
@@ -293,12 +291,13 @@ class LValue:
         return "LValue(shift=%r, den=%r, form=%r)" % (self.shift, self.den, self.form)
 
     def eval_at(self, point):
-        """Evaluate at a complex point (v, x_1..x_n, y_1..y_m); raise
-        PoleError where |den(v)| < POLE_TOL."""
+        """Evaluate at a point (v, x_1..x_n, y_1..y_m) of complex numbers,
+        or exactly at a point of Fractions; raise PoleError where
+        |den(v)| < POLE_TOL."""
         if len(point) != self.ctx.vars.size:
             raise ContextMismatchError("point shape does not match context")
         v = point[0]
-        den = 0j
+        den = 0
         for c in reversed(self.den):
             den = den * v + c
         if abs(den) < POLE_TOL:
@@ -396,8 +395,8 @@ def _characters_at(z, group, top):
 
 
 def _eval_form(form, point, n):
-    """The character form ((lam, mu), ((k, c), ...)), ... at a complex point:
-    sum of c v^k chi^B_lam(x) chi^C_mu(y).
+    """The character form ((lam, mu), ((k, c), ...)), ... at a complex point,
+    or exactly at a point of Fractions: sum of c v^k chi^B_lam(x) chi^C_mu(y).
 
     Characters are Laurent polynomials, so there is no pole to meet and no
     cancellation against the Weyl denominators.  Each character is evaluated
@@ -410,7 +409,7 @@ def _eval_form(form, point, n):
     top = max((max(lam[:1] + mu[:1]) for (lam, mu), _ in form), default=0)
     chi_x = _characters_at(xs, "so", top)
     chi_y = _characters_at(ys, "sp", top)
-    total = 0j
+    total = 0
     for (lam, mu), vpoly in form:
         total += sum(c * v ** k for k, c in vpoly) * chi_x(lam) * chi_y(mu)
     return total

@@ -11,14 +11,17 @@ the unnormalized value Gamma S transforms as Gamma does.  Roots are the
 integer vectors of ``weyl``.
 
 Variable convention throughout: x_i = q^(-chi_i), y_j = q^(-xi_j),
-v = q^(-1/2), so each zeta argument (an affine form in chi, xi with
-half-integer constant) becomes a Laurent monomial and every factor is an
-exact rational function.
+v = q^(-1/2), so each zeta argument s is held as the monomial q^(-s) and
+every factor is an exact rational function.  A sum of arguments is the
+product of their monomials, so zeta(chi_i - xi_j + 1/2) is
+``zeta_of(x(i) * y(j, -1) * v)`` and zeta(s + 1) is ``zeta_of(m * v^2)``
+at m = q^(-s).  The docstrings keep the paper's zeta(s).
 """
 
 from functools import lru_cache
+from math import prod
 
-from .ratfun import LinearForm, Poly, RatFun, Vars, zeta_of, zeta_inv_of
+from .ratfun import Poly, RatFun, Vars, zeta_of, zeta_inv_of
 from .weyl import positive_roots, reflection, root_label, simple_roots
 
 __all__ = [
@@ -69,22 +72,22 @@ class Context:
     def vars(self):
         return Vars(self.n, self.m)
 
-    def chi(self, i):
-        return LinearForm.chi_term(self.vars, i)
+    def _power(self, slot, k):
+        e = [0] * (1 + self.n + self.m)
+        e[slot] = k
+        return Poly.monomial(self.vars, e)
 
-    def xi(self, j):
-        return LinearForm.xi_term(self.vars, j)
+    def x(self, i, k=1):
+        """The monomial x_i^k = q^(-k chi_i)."""
+        return self._power(i, k)
 
-    def half(self, k=1):
-        """The constant linear form k/2."""
-        return LinearForm(self.vars, halves=k)
+    def y(self, j, k=1):
+        """The monomial y_j^k = q^(-k xi_j)."""
+        return self._power(self.n + j, k)
 
-
-def _prod(vars_, factors):
-    out = RatFun.one(vars_)
-    for f in factors:
-        out = out * f
-    return out
+    def v(self, k=1):
+        """The monomial v^k = q^(-k/2)."""
+        return self._power(0, k)
 
 
 @lru_cache(maxsize=None)
@@ -92,7 +95,7 @@ def d_factor(ctx):
     """d(chi) = prod over the positive roots of C_n of zeta(<chi, alpha-check>):
     zeta(chi_a - chi_b) zeta(chi_a + chi_b) for a < b, and zeta(chi_i)."""
     roots = positive_roots(ctx.n, "sp")
-    return _prod(ctx.vars, [zeta_of(_coroot_pairing_chi(ctx, r)) for r in roots])
+    return prod((zeta_of(_coroot_pairing_chi(ctx, r)) for r in roots), start=RatFun.one(ctx.vars))
 
 
 @lru_cache(maxsize=None)
@@ -100,35 +103,36 @@ def dprime_factor(ctx):
     """d'(xi) = prod over the positive roots of C_m of zeta(<xi, alpha>):
     zeta(xi_a - xi_b) zeta(xi_a + xi_b) for a < b, and zeta(2 xi_j)."""
     roots = positive_roots(ctx.m, "sp")
-    return _prod(ctx.vars, [zeta_of(_root_pairing_xi(ctx, r)) for r in roots])
+    return prod((zeta_of(_root_pairing_xi(ctx, r)) for r in roots), start=RatFun.one(ctx.vars))
 
 
-def b_linear_forms(ctx):
-    """The zeta arguments of b(chi, xi), one per inverse-zeta factor.
-
-    The diagonal i = j + n - m belongs to neither one-sided product.
+def b_monomials(ctx):
+    """The monomials q^(-s) of the zeta arguments s of b(chi, xi), one per
+    inverse-zeta factor: chi_i - xi_j + 1/2 below the diagonal
+    i = j + n - m, -chi_i + xi_j + 1/2 above it (the diagonal belongs to
+    neither one-sided product), xi_j + 1/2 and chi_i + xi_j + 1/2.
     """
-    forms = []
-    half = ctx.half()
+    x, y, v = ctx.x, ctx.y, ctx.v()
+    out = []
     shift = ctx.n - ctx.m
     for j in range(1, ctx.m + 1):
         for i in range(1, ctx.n + 1):
             if i < j + shift:
-                forms.append(ctx.chi(i) - ctx.xi(j) + half)
+                out.append(x(i) * y(j, -1) * v)
             elif i > j + shift:
-                forms.append(-1 * ctx.chi(i) + ctx.xi(j) + half)
+                out.append(x(i, -1) * y(j) * v)
     for j in range(1, ctx.m + 1):
-        forms.append(ctx.xi(j) + half)
+        out.append(y(j) * v)
     for i in range(1, ctx.n + 1):
         for j in range(1, ctx.m + 1):
-            forms.append(ctx.chi(i) + ctx.xi(j) + half)
-    return forms
+            out.append(x(i) * y(j) * v)
+    return out
 
 
 @lru_cache(maxsize=None)
 def b_factor(ctx):
     """The polynomial factor b(chi, xi): a product of inverse zeta factors."""
-    return _prod(ctx.vars, [zeta_inv_of(s) for s in b_linear_forms(ctx)])
+    return prod((zeta_inv_of(m) for m in b_monomials(ctx)), start=RatFun.one(ctx.vars))
 
 
 # b has 2nm factors; at (4,3) its 24 expand to 765,904 terms (about 6 s and
@@ -163,26 +167,23 @@ def gamma_big(ctx):
     and xi, and the full grid of zeta pairs.
     """
     V = ctx.vars
-    one = LinearForm.const(V, 1)
-    half = ctx.half()
+    x, y, v, q1 = ctx.x, ctx.y, ctx.v(), ctx.v(2)
     out = RatFun.one(V)
     for root in positive_roots(ctx.n, "sp"):
-        out = out * zeta_inv_of(_coroot_pairing_chi(ctx, root) + one)
+        out = out * zeta_inv_of(_coroot_pairing_chi(ctx, root) * q1)
     for root in positive_roots(ctx.m, "sp"):
         if 2 not in root:  # a short root; the factor 1 + v*y_j below stands for 2e_j
-            out = out * zeta_inv_of(_root_pairing_xi(ctx, root) + one)
+            out = out * zeta_inv_of(_root_pairing_xi(ctx, root) * q1)
     for j in range(1, ctx.m + 1):
         # 1 + xi_j(p)|p|^(1/2) = 1 + v*y_j
-        p = Poly.constant(V, 1) + Poly.monomial(V, (ctx.xi(j) + half).monomial())
-        out = out * RatFun.from_poly(p)
+        out = out * RatFun.from_poly(Poly.constant(V, 1) + y(j) * v)
     for j in range(1, ctx.m + 1):
         for i in range(1, (ctx.n - ctx.m) + j):
-            out = out * zeta_of(ctx.chi(i) - ctx.xi(j) + half)
-            out = out / zeta_of(-1 * ctx.chi(i) + ctx.xi(j) + half)
+            out = out * zeta_of(x(i) * y(j, -1) * v)
+            out = out / zeta_of(x(i, -1) * y(j) * v)
     for i in range(1, ctx.n + 1):
         for j in range(1, ctx.m + 1):
-            out = out * zeta_of(ctx.chi(i) + ctx.xi(j) + half)
-            out = out * zeta_of(-1 * ctx.chi(i) + ctx.xi(j) + half)
+            out = out * zeta_of(x(i) * y(j) * v) * zeta_of(x(i, -1) * y(j) * v)
     return out
 
 
@@ -190,28 +191,26 @@ def gamma_big(ctx):
 
 
 def _coroot_pairing_chi(ctx, root):
-    """<chi, alpha-check> for a root of G: e_a-e_b -> chi_a-chi_b,
+    """q^-<chi, alpha-check> for a root of G: e_a-e_b -> chi_a-chi_b,
     e_a+e_b -> chi_a+chi_b, 2e_i -> chi_i."""
     terms = [(i + 1, c) for i, c in enumerate(root) if c]
     if len(terms) == 1:
         (i, c), = terms
         assert abs(c) == 2
-        return ctx.chi(i) * (c // 2)
+        return ctx.x(i, c // 2)
     (a, ca), (b, cb) = terms
-    return ctx.chi(a) * ca + ctx.chi(b) * cb
+    return ctx.x(a, ca) * ctx.x(b, cb)
 
 
 def _root_pairing_xi(ctx, root):
-    """<xi, alpha> for a root of M: the plain pairing, so 2e_j -> 2 xi_j."""
-    return sum(
-        (ctx.xi(i + 1) * c for i, c in enumerate(root) if c),
-        LinearForm(ctx.vars),
-    )
+    """q^-<xi, alpha> for a root of M: the plain pairing, so 2e_j -> 2 xi_j."""
+    return prod((ctx.y(j, c) for j, c in enumerate(root, 1) if c), start=Poly.constant(ctx.vars, 1))
 
 
-def _c_simple(p):
-    """The rank-one Gindikin-Karpelevich factor c_s = zeta(p)/zeta(p+1)."""
-    return zeta_of(p) / zeta_of(p + 1)
+def _c_simple(ctx, m):
+    """The rank-one Gindikin-Karpelevich factor c_s = zeta(p)/zeta(p+1),
+    from m = q^-p."""
+    return zeta_of(m) / zeta_of(m * ctx.v(2))
 
 
 def gamma_alpha(ctx, alpha):
@@ -223,30 +222,22 @@ def gamma_alpha(ctx, alpha):
     """
     if alpha not in simple_roots(ctx.n):
         raise ValueError("expected a simple root of G")
-    V = ctx.vars
-    one = LinearForm.const(V, 1)
-    half = ctx.half()
-    out = _c_simple(_coroot_pairing_chi(ctx, alpha))
+    x, y, v, q1 = ctx.x, ctx.y, ctx.v(), ctx.v(2)
+    out = _c_simple(ctx, _coroot_pairing_chi(ctx, alpha))
     if 2 in alpha:
-        return out * zeta_of(ctx.chi(ctx.n) + one) / zeta_of(-1 * ctx.chi(ctx.n) + one)
+        return out * zeta_of(x(ctx.n) * q1) / zeta_of(x(ctx.n, -1) * q1)
     i = alpha.index(1) + 1
-    out = (
-        out
-        * zeta_of(ctx.chi(i) - ctx.chi(i + 1) + one)
-        / zeta_of(ctx.chi(i + 1) - ctx.chi(i) + one)
-    )
+    out = out * zeta_of(x(i) * x(i + 1, -1) * q1) / zeta_of(x(i + 1) * x(i, -1) * q1)
     if i <= ctx.n - ctx.m - 1:
         return out
-    ip = i - (ctx.n - ctx.m)
-    xi = ctx.xi(ip + 1)
-    out = (
+    j = i - (ctx.n - ctx.m) + 1  # xi_{i'+1}
+    return (
         out
-        * zeta_of(ctx.chi(i + 1) - xi + half)
-        * zeta_of(-1 * ctx.chi(i) + xi + half)
-        / zeta_of(ctx.chi(i) - xi + half)
-        / zeta_of(-1 * ctx.chi(i + 1) + xi + half)
+        * zeta_of(x(i + 1) * y(j, -1) * v)
+        * zeta_of(x(i, -1) * y(j) * v)
+        / zeta_of(x(i) * y(j, -1) * v)
+        / zeta_of(x(i + 1, -1) * y(j) * v)
     )
-    return out
 
 
 def gamma_beta(ctx, beta):
@@ -256,40 +247,36 @@ def gamma_beta(ctx, beta):
     """
     if beta not in simple_roots(ctx.m):
         raise ValueError("expected a simple root of M")
-    V = ctx.vars
-    one = LinearForm.const(V, 1)
-    half = ctx.half()
+    y, v, q1 = ctx.y, ctx.v(), ctx.v(2)
     shift = ctx.n - ctx.m
 
-    def chit(i):
-        return ctx.chi(shift + i)
+    def xt(i, k=1):
+        return ctx.x(shift + i, k)
 
-    out = _c_simple(_root_pairing_xi(ctx, beta))
+    out = _c_simple(ctx, _root_pairing_xi(ctx, beta))
     if 2 not in beta:
         i = beta.index(1) + 1
-        out = (
+        return (
             out
-            * zeta_of(ctx.xi(i) - ctx.xi(i + 1) + one)
-            * zeta_of(-1 * chit(i) + ctx.xi(i + 1) + half)
-            * zeta_of(chit(i) - ctx.xi(i) + half)
-            / zeta_of(-1 * ctx.xi(i) + ctx.xi(i + 1) + one)
-            / zeta_of(chit(i) - ctx.xi(i + 1) + half)
-            / zeta_of(-1 * chit(i) + ctx.xi(i) + half)
+            * zeta_of(y(i) * y(i + 1, -1) * q1)
+            * zeta_of(xt(i, -1) * y(i + 1) * v)
+            * zeta_of(xt(i) * y(i, -1) * v)
+            / zeta_of(y(i, -1) * y(i + 1) * q1)
+            / zeta_of(xt(i) * y(i + 1, -1) * v)
+            / zeta_of(xt(i, -1) * y(i) * v)
         )
-        return out
     mm = ctx.m
-    out = (
+    return (
         out
-        * zeta_of(-1 * ctx.xi(mm) - chit(mm) + half)
-        * zeta_of(-1 * ctx.xi(mm) + chit(mm) + half)
-        * zeta_of(ctx.xi(mm) * 2 + one)
-        * zeta_of(-1 * ctx.xi(mm) + half)
-        / zeta_of(ctx.xi(mm) - chit(mm) + half)
-        / zeta_of(ctx.xi(mm) + chit(mm) + half)
-        / zeta_of(ctx.xi(mm) * -2 + one)
-        / zeta_of(ctx.xi(mm) + half)
+        * zeta_of(y(mm, -1) * xt(mm, -1) * v)
+        * zeta_of(y(mm, -1) * xt(mm) * v)
+        * zeta_of(y(mm, 2) * q1)
+        * zeta_of(y(mm, -1) * v)
+        / zeta_of(y(mm) * xt(mm, -1) * v)
+        / zeta_of(y(mm) * xt(mm) * v)
+        / zeta_of(y(mm, -2) * q1)
+        / zeta_of(y(mm) * v)
     )
-    return out
 
 
 # -- equivariance under the simple reflections -------------------------------
@@ -308,7 +295,7 @@ def reflection_factors(ctx):
     )
     return tuple(
         (group, alpha, reflection(alpha).embed_remap(size, offset),
-         _c_simple(pairing(ctx, alpha)), gamma(ctx, alpha))
+         _c_simple(ctx, pairing(ctx, alpha)), gamma(ctx, alpha))
         for group, rank, offset, pairing, gamma in blocks
         for alpha in simple_roots(rank)
     )

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -437,7 +438,7 @@ def test_verify_gamma_fails_on_an_inverted_gamma_factor(capsys, monkeypatch):
     """gamma_alpha of the long root with zeta(chi_n + 1)/zeta(-chi_n + 1)
     inverted."""
     from wscalc import zetafactors
-    from wscalc.ratfun import LinearForm, zeta_of
+    from wscalc.ratfun import zeta_of
 
     gamma_alpha = zetafactors.gamma_alpha
 
@@ -445,8 +446,8 @@ def test_verify_gamma_fails_on_an_inverted_gamma_factor(capsys, monkeypatch):
         out = gamma_alpha(ctx, alpha)
         if 2 not in alpha:
             return out
-        one = LinearForm.const(ctx.vars, 1)
-        ratio = zeta_of(ctx.chi(ctx.n) + one) / zeta_of(-1 * ctx.chi(ctx.n) + one)
+        q1 = ctx.v(2)
+        ratio = zeta_of(ctx.x(ctx.n) * q1) / zeta_of(ctx.x(ctx.n, -1) * q1)
         return out / (ratio * ratio)
 
     monkeypatch.setattr(zetafactors, "gamma_alpha", inverted)
@@ -797,12 +798,12 @@ def test_verify_constant_fails_on_a_wrong_b_factor(capsys, monkeypatch, fresh_b_
     1 - q^-(chi_n + xi_m + 3/2), through the name that the grouped b reads,
     must fail verify constant."""
     from wscalc import wsformula, zetafactors
-    from wscalc.ratfun import zeta_inv_of
+    from wscalc.ratfun import RatFun, zeta_inv_of
 
     def one_factor_replaced(ctx):
-        forms = zetafactors.b_linear_forms(ctx)
-        forms[-1] = forms[-1] + ctx.half(2)
-        return zetafactors._prod(ctx.vars, [zeta_inv_of(s) for s in forms]).numerator_poly()
+        ms = zetafactors.b_monomials(ctx)
+        ms[-1] = ms[-1] * ctx.v(2)
+        return prod((zeta_inv_of(m) for m in ms), start=RatFun.one(ctx.vars)).numerator_poly()
 
     monkeypatch.setattr(wsformula, "b_factor_poly", one_factor_replaced)
     code, doc = run_json(capsys, "verify", "constant", "--n", "2", "--m", "1")

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -325,6 +326,46 @@ def test_L_eval_matches_its_ratfun_view():
     assert len(cases) == 15 * 5 + 10 * 3 + 2
     for L, R, pts in cases:
         assert _views_agree(L, R, pts), (L.ctx, L.form)
+
+
+# two rational points (v, x_1..x_4, y_1..y_3), truncated to the rank
+EXACT_POINTS = {
+    "P1": (Fraction(2, 7), (Fraction(3, 5), Fraction(5, 11), Fraction(7, 13), Fraction(11, 17)),
+           (Fraction(2, 9), Fraction(4, 15), Fraction(6, 23))),
+    "P2": (Fraction(-5, 3), (Fraction(7, 4), Fraction(-2, 13), Fraction(9, 5), Fraction(3, 19)),
+           (Fraction(-7, 6), Fraction(5, 17), Fraction(13, 8))),
+}
+
+
+def _fraction_sum(poly, point):
+    """The Laurent polynomial at a point of Fractions p_i = a_i/b_i, exactly.
+    With lo_i and hi_i the least and greatest exponents of slot i, each term
+    times prod a_i^-lo_i b_i^hi_i is an integer, so the terms are summed in
+    integers and the sum is divided once."""
+    lo, hi = poly.min_exponents(), tuple(map(max, zip(*poly.terms)))
+    total = sum(
+        c * prod(p.numerator ** (k - l) * p.denominator ** (h - k)
+                 for p, k, l, h in zip(point, e, lo, hi))
+        for e, c in poly.terms.items()
+    )
+    return total / prod(Fraction(p.numerator) ** -l * p.denominator ** h
+                        for p, l, h in zip(point, lo, hi))
+
+
+@pytest.mark.parametrize("ctx", [C21, C31, C32], ids=["2,1", "3,1", "3,2"])
+def test_L_evaluates_exactly_at_rational_points(ctx):
+    """At a point of Fractions, LValue.eval_at returns a Fraction, equal to
+    the RatFun view's numerator over its denominator, each summed exactly."""
+    for d in _dominant(ctx.m, 2):
+        for f in _dominant(ctx.n, 2):
+            L = L_value(ctx, d, f)
+            R = L.ratfun()
+            num, den = R.numerator_poly(), R.denominator_poly()
+            for v, xs, ys in EXACT_POINTS.values():
+                point = (v,) + xs[: ctx.n] + ys[: ctx.m]
+                got = L.eval_at(point)
+                assert type(got) is Fraction
+                assert got == _fraction_sum(num, point) / _fraction_sum(den, point), (d, f)
 
 
 def _bump_first_coefficient(L):

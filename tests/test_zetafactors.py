@@ -4,13 +4,14 @@ from math import prod
 
 import pytest
 
-from wscalc.ratfun import LinearForm, Poly, RatFun, zeta_inv_of, zeta_of
+from wscalc import zetafactors
+from wscalc.ratfun import Poly, RatFun, zeta_inv_of, zeta_of
 from wscalc.weyl import reflection, simple_roots
 from wscalc.zetafactors import (
     Context,
     b_factor,
     b_factor_poly,
-    b_linear_forms,
+    b_monomials,
     d_factor,
     delta_half_G,
     delta_half_MJ,
@@ -22,6 +23,8 @@ from wscalc.zetafactors import (
     reflection_factors,
 )
 
+from references import mutant
+
 C10 = Context(1, 0)
 C21 = Context(2, 1)
 C31 = Context(3, 1)
@@ -29,13 +32,14 @@ C32 = Context(3, 2)
 
 
 def zeta(ctx, chi=(), xi=(), half=0):
-    V = ctx.vars
-    form = LinearForm(V, halves=half)
+    """zeta(s) at s = sum c chi_i over (i, c) in chi + sum c xi_j over (j, c)
+    in xi + half/2, built from the exponent tuple of q^(-s)."""
+    e = [half] + [0] * (ctx.n + ctx.m)
     for i, c in chi:
-        form = form + LinearForm.chi_term(V, i, c)
+        e[i] += c
     for j, c in xi:
-        form = form + LinearForm.xi_term(V, j, c)
-    return zeta_of(form)
+        e[ctx.n + j] += c
+    return zeta_of(Poly.monomial(ctx.vars, e))
 
 
 def test_rank_constraint():
@@ -87,7 +91,7 @@ def test_b_factor_2_1():
         binom(1, 1, 0, -1) * binom(1, 0, 0, 1) * binom(1, 1, 0, 1) * binom(1, 0, 1, 1)
     )
     assert b_factor(C21) == expect
-    assert len(b_linear_forms(C21)) == 4
+    assert len(b_monomials(C21)) == 4
 
 
 def test_b_factor_empty_products():
@@ -110,7 +114,7 @@ def test_b_factor_3_1_index_count():
                 count += 1
     count += m + n * m
     assert count == 6
-    assert len(b_linear_forms(C31)) == 6
+    assert len(b_monomials(C31)) == 6
 
 
 def test_gamma_big_1_0():
@@ -136,24 +140,22 @@ def test_gamma_big_2_1_contains_plus_factor():
 def _hand_written(ctx):
     """d, d' and Gamma with their root blocks written out as loops over
     a < b: a reference for their construction from ``weyl.positive_roots``."""
-    V, one, half = ctx.vars, LinearForm.const(ctx.vars, 1), ctx.half()
-    chi, xi = ctx.chi, ctx.xi
+    V, x, y, v, q1 = ctx.vars, ctx.x, ctx.y, ctx.v(), ctx.v(2)
     G_pairs = [(a, b, s) for a, b in combinations(range(1, ctx.n + 1), 2) for s in (-1, 1)]
     M_pairs = [(a, b, s) for a, b in combinations(range(1, ctx.m + 1), 2) for s in (-1, 1)]
-    d = [zeta_of(chi(a) + s * chi(b)) for a, b, s in G_pairs]
-    d += [zeta_of(chi(i)) for i in range(1, ctx.n + 1)]
-    dp = [zeta_of(xi(a) + s * xi(b)) for a, b, s in M_pairs]
-    dp += [zeta_of(xi(j) * 2) for j in range(1, ctx.m + 1)]
-    g = [zeta_inv_of(chi(a) + s * chi(b) + one) for a, b, s in G_pairs]
-    g += [zeta_inv_of(chi(i) + one) for i in range(1, ctx.n + 1)]
-    g += [zeta_inv_of(xi(a) + s * xi(b) + one) for a, b, s in M_pairs]
+    d = [zeta_of(x(a) * x(b, s)) for a, b, s in G_pairs]
+    d += [zeta_of(x(i)) for i in range(1, ctx.n + 1)]
+    dp = [zeta_of(y(a) * y(b, s)) for a, b, s in M_pairs]
+    dp += [zeta_of(y(j, 2)) for j in range(1, ctx.m + 1)]
+    g = [zeta_inv_of(x(a) * x(b, s) * q1) for a, b, s in G_pairs]
+    g += [zeta_inv_of(x(i) * q1) for i in range(1, ctx.n + 1)]
+    g += [zeta_inv_of(y(a) * y(b, s) * q1) for a, b, s in M_pairs]
     for j in range(1, ctx.m + 1):
-        v_yj = Poly.monomial(V, (xi(j) + half).monomial())
-        g.append(RatFun.from_poly(Poly.constant(V, 1) + v_yj))
+        g.append(RatFun.from_poly(Poly.constant(V, 1) + v * y(j)))
         for i in range(1, ctx.n - ctx.m + j):
-            g.append(zeta_of(chi(i) - xi(j) + half) / zeta_of(-1 * chi(i) + xi(j) + half))
+            g.append(zeta_of(x(i) * y(j, -1) * v) / zeta_of(x(i, -1) * y(j) * v))
         for i in range(1, ctx.n + 1):
-            g.append(zeta_of(chi(i) + xi(j) + half) * zeta_of(-1 * chi(i) + xi(j) + half))
+            g.append(zeta_of(x(i) * y(j) * v) * zeta_of(x(i, -1) * y(j) * v))
     return [prod(fs, start=RatFun.one(V)) for fs in (d, dp, g)]
 
 
@@ -290,6 +292,37 @@ def test_equivariance_of_gamma_and_a_wrong_gamma():
     assert all(ok for _, _, ok in equivariance(C32, gamma_big(C32)))
     wrong = gamma_big(C21) * zeta(C21, xi=[(1, 1)], half=1)
     assert [(g, label) for g, label, ok in equivariance(C21, wrong) if not ok] == [("M", "2e1")]
+
+
+# (old, new, the roots (group, label) that fail at (2,1) and at (3,2)): each
+# mutant slips one exponent of one zeta argument's monomial q^(-s)
+MONOMIAL_MUTATIONS = {
+    "gamma_beta long root: +1/2 for +1": (
+        "y(mm, 2) * q1", "y(mm, 2) * v",
+        [("M", "2e1")], [("M", "2e2")],
+    ),
+    "gamma_alpha mixed: +chi_i for -chi_i": (
+        "\n        * zeta_of(x(i, -1) * y(j) * v)", "\n        * zeta_of(x(i) * y(j) * v)",
+        [("G", "e1-e2")], [("G", "e1-e2"), ("G", "e2-e3")],
+    ),
+    "gamma_big one-sided: -xi_j for +xi_j": (
+        "out = out / zeta_of(x(i, -1) * y(j) * v)", "out = out / zeta_of(x(i, -1) * y(j, -1) * v)",
+        [("G", "e1-e2"), ("M", "2e1")],
+        [("G", "e1-e2"), ("G", "e2-e3"), ("M", "e1-e2"), ("M", "2e2")],
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MONOMIAL_MUTATIONS))
+def test_equivariance_fails_on_a_slipped_monomial_exponent(mutation):
+    """A copy of ``zetafactors`` with one exponent of one zeta argument
+    slipped: Gamma's equivariance must fail, at the pinned roots."""
+    old, new, *failing = MONOMIAL_MUTATIONS[mutation]
+    mod = mutant(zetafactors, old, new)
+    for (n, m), expect in zip([(2, 1), (3, 2)], failing):
+        ctx = mod.Context(n, m)
+        got = [(g, label) for g, label, ok in mod.equivariance(ctx, mod.gamma_big(ctx)) if not ok]
+        assert got == expect
 
 
 def test_delta_half_G():
