@@ -195,6 +195,7 @@ def _doubled_rho(k, group):
     return tuple(2 * (k - i) - odd for i in range(k))
 
 
+@lru_cache(maxsize=None)
 def straighten_weight(lam, group):
     """The dot action: chi_lam = sign * chi_dom for any integer weight lam.
 
@@ -202,7 +203,8 @@ def straighten_weight(lam, group):
     Sp(2k), rho = (k, ..., 1).  Returns (sign, dom) with dom dominant, the
     straightening of lam + rho minus rho, or None when lam + rho is singular
     and the character vanishes.  Works on doubled weights, where both rhos
-    are integral.
+    are integral.  Cached, like ``character``, keyed by the weight tuple
+    lam and the group, so each weight is straightened once per process.
     """
     rho2 = _doubled_rho(len(lam), group)
     st = straighten(tuple(2 * a + r for a, r in zip(lam, rho2)))

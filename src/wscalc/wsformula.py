@@ -15,14 +15,15 @@ Sp(2m), so the Weyl sum of one term c v^k x^a y^b of b is a product of
 characters, c v^k chi^B_(f-a)(x) chi^C_(d-b)(y) (the Brauer-Klimyk rule).
 A character of a non-dominant weight is straightened by the dot action:
 lam + rho is reflected into the dominant chamber with sign sgn(w), and
-dropped when it is singular.  b is grouped by weight, so each distinct
-x-exponent a and y-exponent b is straightened once per (d, f).  The engine
-therefore computes S as a short integer combination of characters, the
-character form; no rational function is divided.
+dropped when it is singular.  b is grouped by weight, and the dot action
+is cached, so each distinct weight f - a and d - b is straightened once per
+process.  The engine therefore computes S as a short integer combination of
+characters, the character form; no rational function is divided.
 
 L(d, f) is held in that basis, as an ``LValue``: the shift v^k of
 delta^(1/2), the monic denominator den(v) and the form's integer
-coefficient polynomials in v, divided by their common gcd in Z[v].  It is
+coefficient polynomials in v, divided by their common gcd in Z[v]; a form
+whose gcd with C(v) is 1 is kept as it is, over C(v).  It is
 evaluated there, each distinct character once per point, and expanded into
 a ``RatFun`` only as a view, for printing and for rational-function
 arithmetic (``LValue.ratfun``).
@@ -327,21 +328,23 @@ def L_value(ctx, d, f):
     The constant C(v) and the integer coefficient polynomials in v of the
     character form are divided by their common gcd, taken in Z[v].  C(v) is
     monic, so the gcd is monic and every quotient is integral, and the
-    reduced form is canonical.  Nothing is expanded.
+    reduced form is canonical.  When the gcd is 1 the form and C(v) are
+    returned as they are, and a coefficient polynomial is listed only when
+    the gcd loop reaches it.  Nothing is expanded.
     """
-    coeffs = {key: _v_list(dict(vpoly)) for key, vpoly in _character_form(ctx, d, f)}
+    form = _character_form(ctx, d, f)
     den = _constant_v(ctx)
     g = den
-    for p in coeffs.values():
+    for _, vpoly in form:
         if len(g) == 1:
             break
-        g = _v_gcd(g, p)
-    form = tuple(
-        (key, tuple((k, c) for k, c in enumerate(_v_exact_quotient(p, g)) if c))
-        for key, p in coeffs.items()
-    )
+        g = _v_gcd(g, _v_list(dict(vpoly)))
+    if len(g) > 1:
+        quotients = ((key, _v_exact_quotient(_v_list(dict(vpoly)), g)) for key, vpoly in form)
+        form = tuple((key, tuple((k, c) for k, c in enumerate(q) if c)) for key, q in quotients)
+        den = tuple(_v_exact_quotient(den, g))
     shift = delta_half_G(ctx, f) + delta_half_MJ(ctx, d)
-    return LValue(ctx, shift, tuple(_v_exact_quotient(den, g)), form)
+    return LValue(ctx, shift, den, form)
 
 
 def ws_torus(ctx, f):

@@ -8,9 +8,11 @@ rational functions (``weyl_sum_direct``) and the alternant of W(C_k)
 The Weyl-element matrices, the written-out minor expansion and long
 division by a cyclotomic polynomial are here too: only the tests of
 ``wscalc.padic`` use them; and so is the support
-partial order on dominant pairs, which only the tests check.  So is
-``mutant``, which builds the deliberately broken copies of a module that
-the mutation tests feed to the verifiers.
+partial order on dominant pairs, which only the tests check.  So is the
+reduction of L(d, f) that divides by the gcd even when it is 1
+(``L_value_always_divided``), and ``mutant``, which builds the
+deliberately broken copies of a module that the mutation tests feed to the
+verifiers.
 """
 
 import cmath
@@ -20,11 +22,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
+from wscalc import wsformula
 from wscalc.padic import SympMatrix, minor
 from wscalc.ratfun import Poly, RatFun
 from wscalc.weyl import character, enumerate_group, is_dominant, straighten_weight
 from wscalc.wsformula import require_dominant
-from wscalc.zetafactors import b_factor, d_factor, dprime_factor
+from wscalc.zetafactors import (
+    b_factor,
+    d_factor,
+    delta_half_G,
+    delta_half_MJ,
+    dprime_factor,
+)
 
 
 def alternating_monomial_sum(vars_, mu, offset, k):
@@ -106,6 +115,29 @@ def weyl_sum_direct(ctx, d, f):
             )
             total = total + term
     return total
+
+
+def L_value_always_divided(ctx, d, f):
+    """(shift, den, form) of L(d, f), with C(v) and every coefficient
+    polynomial of the character form divided by their common gcd in Z[v]
+    even when the gcd is 1: the reduction that ``wsformula.L_value`` makes
+    only where the gcd is not 1."""
+    coeffs = {
+        key: wsformula._v_list(dict(vpoly))
+        for key, vpoly in wsformula._character_form(ctx, d, f)
+    }
+    den = wsformula._constant_v(ctx)
+    g = den
+    for p in coeffs.values():
+        if len(g) == 1:
+            break
+        g = wsformula._v_gcd(g, p)
+    form = tuple(
+        (key, tuple((k, c) for k, c in enumerate(wsformula._v_exact_quotient(p, g)) if c))
+        for key, p in coeffs.items()
+    )
+    shift = delta_half_G(ctx, f) + delta_half_MJ(ctx, d)
+    return shift, tuple(wsformula._v_exact_quotient(den, g)), form
 
 
 # The right-hand side through the 2m Satake monomials v y_j^(+-1): an

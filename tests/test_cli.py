@@ -84,7 +84,7 @@ def test_verify_constant(capsys):
     assert code == 0
     assert doc["pass"] is True
     assert doc["report"]["constant"] == "1 + 1*v^2"
-    assert doc["report"]["terms"] == 16
+    assert doc["report"]["b_terms"] == 16
 
 
 def test_verify_shintani_small(capsys):

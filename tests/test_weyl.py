@@ -17,6 +17,7 @@ from wscalc.weyl import (
     root_label,
     simple_roots,
     straighten,
+    straighten_weight,
 )
 
 from references import alternating_monomial_sum, mutant
@@ -283,3 +284,47 @@ def test_freudenthal_mutants_fail(mutation, group):
 
     assert broken(weyl) == 0
     assert broken(mutant(weyl, *FREUDENTHAL_MUTATIONS[mutation])) >= 20
+
+
+# -- the dot-action cache ------------------------------------------------------
+
+
+def test_cached_straightening_equals_the_uncached_one():
+    """On every weight with entries in -4..4 at k <= 3, of both groups."""
+    straighten_weight.cache_clear()
+    for group in ("so", "sp"):
+        for k in range(4):
+            for lam in product(range(-4, 5), repeat=k):
+                assert straighten_weight(lam, group) == straighten_weight.__wrapped__(lam, group)
+
+
+def _groups_kept_apart(module):
+    """Whether the same weights, straightened as "so" and then as "sp" on a
+    cleared cache, get each group's own answer."""
+    module.straighten_weight.cache_clear()
+    weights = [(-1,), (0, -1), (1, -2, 0)]
+    got = {(lam, g): module.straighten_weight(lam, g) for g in ("so", "sp") for lam in weights}
+    return all(st == module.straighten_weight.__wrapped__(*key) for key, st in got.items())
+
+
+def test_the_cache_is_keyed_by_weight_and_group():
+    """A cache keyed on the weight alone answers "sp" with "so"'s
+    straightening: (-1,) is chi^B_0 with sign -1, but lam + rho is singular
+    for Sp(2)."""
+    assert straighten_weight((-1,), "so") == (-1, (0,))
+    assert straighten_weight((-1,), "sp") is None
+    assert _groups_kept_apart(weyl)
+    by_weight = mutant(weyl, "@lru_cache(maxsize=None)\ndef straighten_weight(", (
+        "def _by_weight(fn):\n"
+        "    memo = {}\n"
+        "    def cached(lam, group):\n"
+        "        if lam not in memo:\n"
+        "            memo[lam] = fn(lam, group)\n"
+        "        return memo[lam]\n"
+        "    cached.cache_clear, cached.__wrapped__ = memo.clear, fn\n"
+        "    return cached\n"
+        "\n"
+        "@_by_weight\n"
+        "def straighten_weight("
+    ))
+    assert not _groups_kept_apart(by_weight)

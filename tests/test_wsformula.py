@@ -38,7 +38,12 @@ from wscalc.wsformula import (
 )
 from wscalc.wsformula import _G_OFF
 
-from references import alternating_monomial_sum, weyl_sum_direct
+from references import (
+    L_value_always_divided,
+    alternating_monomial_sum,
+    mutant,
+    weyl_sum_direct,
+)
 
 C10 = Context(1, 0)
 C21 = Context(2, 1)
@@ -408,6 +413,72 @@ def test_L_path_expands_nothing(monkeypatch):
         L.eval_at(sample_points(ctx, 1, seed=3)[0])
     with pytest.raises(AssertionError):
         L.ratfun()
+
+
+# -- the reduction: divide only where the gcd is not 1 -------------------------
+
+
+def _reduction_pairs():
+    """Every dominant (d, f) with entries <= 4 at (2,1) and <= 2 at (1,0),
+    (3,1) and (3,2)."""
+    for ctx, bound in ((C21, 4), (C10, 2), (C31, 2), (C32, 2)):
+        for f in _dominant(ctx.n, bound):
+            for d in _dominant(ctx.m, bound):
+                yield ctx, d, f
+
+
+def test_L_divides_only_where_the_gcd_is_not_one():
+    """L_value agrees field for field with the reduction that always
+    divides.  Where the gcd is 1 its form is the character form itself, not
+    a copy; every rank with m >= 1 has cases on both paths, and at (1,0),
+    where C(v) = 1, every case has gcd 1."""
+    paths = {}
+    for ctx, d, f in _reduction_pairs():
+        L = L_value(ctx, d, f)
+        shift, den, form = L_value_always_divided(ctx, d, f)
+        assert (L.shift, L.den, L.form) == (shift, den, form), (ctx, d, f)
+        gcd_one = den == wsformula._constant_v(ctx)
+        assert gcd_one == (L.form is wsformula._character_form(ctx, d, f)), (ctx, d, f)
+        paths.setdefault((ctx.n, ctx.m), set()).add(gcd_one)
+    assert paths == {(2, 1): {True, False}, (1, 0): {True},
+                     (3, 1): {True, False}, (3, 2): {True, False}}
+
+
+def test_never_dividing_leaves_L_at_the_origin_unreduced():
+    """A copy of wsformula that takes the gcd-1 path whatever the gcd
+    returns C(v)/C(v) for L(0, 0), not the reduced 1/1.  Its RatFun view
+    still equals 1, since RatFun equality is that of rational functions, so
+    the check is on the LValue's fields."""
+    broken = mutant(wsformula, "    if len(g) > 1:\n", "    if False:\n")
+    for ctx in (C21, C31, C32):
+        zero_d, zero_f = (0,) * ctx.m, (0,) * ctx.n
+        one = (((zero_f, zero_d), ((0, 1),)),)
+        L = L_value(ctx, zero_d, zero_f)
+        assert (L.den, L.form) == ((1,), one)
+        bad = broken.L_value(ctx, zero_d, zero_f)
+        assert bad.den == wsformula._constant_v(ctx) != (1,)
+        assert bad.form != one
+        assert bad.ratfun() == 1
+
+
+def test_each_weight_is_straightened_once_per_process():
+    """On cleared caches, the exact L grid of the evalgrid benchmark at (3,1)
+    (entries <= 2) misses the dot-action cache once per distinct (weight,
+    group) pair that the grouped b produces, and hits it for the rest."""
+    ctx = C31
+    ys, blocks = wsformula._b_grouped(ctx)
+    grid = [(d, f) for f in _dominant(ctx.n, 2) for d in _dominant(ctx.m, 2)]
+    pairs = set()
+    for d, f in grid:
+        pairs |= {(tuple(x - y for x, y in zip(f, a)), "so") for a, *_ in blocks}
+        pairs |= {(tuple(x - y for x, y in zip(d, b)), "sp") for b in ys}
+    wsformula._straightened_b.cache_clear()
+    straighten_weight.cache_clear()
+    for d, f in grid:
+        L_value(ctx, d, f)
+    info = straighten_weight.cache_info()
+    assert info.misses == len(pairs)
+    assert info.hits > 0
 
 
 def test_L_eval_raises_pole_error_at_a_root_of_den():
