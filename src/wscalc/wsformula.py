@@ -15,8 +15,9 @@ Sp(2m), so the Weyl sum of one term c v^k x^a y^b of b is a product of
 characters, c v^k chi^B_(f-a)(x) chi^C_(d-b)(y) (the Brauer-Klimyk rule).
 A character of a non-dominant weight is straightened by the dot action:
 lam + rho is reflected into the dominant chamber with sign sgn(w), and
-dropped when it is singular.  b is grouped by weight, and the dot action
-is cached, so each distinct weight f - a and d - b is straightened once per
+dropped when it is singular.  b is grouped by weight, its x-side is
+straightened once per f and its y-side once per d, and the dot action is
+cached, so each distinct weight f - a and d - b is straightened once per
 process.  The engine therefore computes S as a short integer combination of
 characters, the character form; no rational function is divided.
 
@@ -24,12 +25,14 @@ L(d, f) is held in that basis, as an ``LValue``: the shift v^k of
 delta^(1/2), the monic denominator den(v) and the form's integer
 coefficient polynomials in v, divided by their common gcd in Z[v]; a form
 whose gcd with C(v) is 1 is kept as it is, over C(v).  It is
-evaluated there, each distinct character once per point, and expanded into
-a ``RatFun`` only as a view, for printing and for rational-function
-arithmetic (``LValue.ratfun``).
+evaluated there, from a plan cached per form that holds all that does not
+depend on the point (``_form_plan``): each distinct character as W-orbit
+sums, each orbit as its permutations.  It is expanded into a ``RatFun``
+only as a view, for printing and for rational-function arithmetic
+(``LValue.ratfun``).
 
 The numeric sum at a sample point (``weyl_sum_numeric``) evaluates the
-unreduced character form with the same evaluator: characters are Laurent
+unreduced character form with the same plan: characters are Laurent
 polynomials, so it meets no pole and no cancellation against the Weyl
 denominators, which the 384 terms of the literal sum at (3,2) suffer where
 two angles nearly coincide.  The tests keep the literal term-by-term
@@ -42,7 +45,7 @@ see a fault in the form's coefficients, which the series identity sees.
 """
 
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 
 from .ratfun import (
     POLE_TOL,
@@ -119,26 +122,22 @@ def _character_form(ctx, d, f):
 
     Each term c v^k x^a y^b of b contributes c v^k chi^B_(f-a) chi^C_(d-b),
     straightened by the dot action (Brauer-Klimyk).  Straightening works on
-    b grouped by weight: f - a once per x-exponent, a singular one skipping
-    its whole block, and d - b once per y-exponent.  The form is built once
-    per (ctx, d, f) and shared by the exact and the numeric sum.
+    b grouped by weight, each side once: f - a once per x-exponent and f
+    (``_straightened_x``), a singular one dropping its whole block, and
+    d - b once per y-exponent and d (``_straightened_y``), so a (d, f) pair
+    only accumulates.  The form is built once per (ctx, d, f) and shared by
+    the exact and the numeric sum.
     """
     return _straightened_b(ctx, require_dominant(d, "d"), require_dominant(f, "f"))
 
 
 @lru_cache(maxsize=None)
 def _straightened_b(ctx, d, f):
-    n, m = ctx.n, ctx.m
-    if len(f) != n or len(d) != m:
+    if len(f) != ctx.n or len(d) != ctx.m:
         raise ValueError("shape mismatch: need |f| = n, |d| = m")
-    ys, blocks = _b_grouped(ctx)
-    st_y = [straighten_weight(tuple(di - bi for di, bi in zip(d, b)), "sp") for b in ys]
+    st_y = _straightened_y(ctx, d)
     form = {}
-    for a, js, ks, cs in blocks:
-        st_b = straighten_weight(tuple(fi - ai for fi, ai in zip(f, a)), "so")
-        if st_b is None:
-            continue
-        sx, lam = st_b
+    for sx, lam, js, ks, cs in _straightened_x(ctx, f):
         for j, k, c in zip(js, ks, cs):
             st_c = st_y[j]
             if st_c is None:
@@ -152,6 +151,30 @@ def _straightened_b(ctx, d, f):
         if vpoly:
             out.append((key, vpoly))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _straightened_x(ctx, f):
+    """The x-blocks of the grouped b straightened against f, once per (ctx,
+    f): (sx, lam, js, ks, cs) for each block (a, js, ks, cs) whose weight
+    f - a is not singular, with chi^B_(f-a) = sx chi^B_lam."""
+    out = []
+    for a, js, ks, cs in _b_grouped(ctx)[1]:
+        st = straighten_weight(tuple(fi - ai for fi, ai in zip(f, a)), "so")
+        if st is not None:
+            out.append((*st, js, ks, cs))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _straightened_y(ctx, d):
+    """The y-exponents of the grouped b straightened against d, once per
+    (ctx, d): (sy, mu) with chi^C_(d-b) = sy chi^C_mu, or None where d - b
+    is singular."""
+    return tuple(
+        straighten_weight(tuple(di - bi for di, bi in zip(d, b)), "sp")
+        for b in _b_grouped(ctx)[0]
+    )
 
 
 def _expand(ctx, coeffs, shift=0):
@@ -330,11 +353,14 @@ def L_value(ctx, d, f):
     monic, so the gcd is monic and every quotient is integral, and the
     reduced form is canonical.  When the gcd is 1 the form and C(v) are
     returned as they are, and a coefficient polynomial is listed only when
-    the gcd loop reaches it.  Nothing is expanded.
+    the gcd loop reaches it.  A coefficient that is one monomial c v^k
+    settles the gcd as 1 with no loop: C(v) is monic with constant term 1,
+    so no divisor of c v^k of positive degree divides it.  Nothing is
+    expanded.
     """
     form = _character_form(ctx, d, f)
     den = _constant_v(ctx)
-    g = den
+    g = [1] if any(len(vpoly) == 1 for _, vpoly in form) else den
     for _, vpoly in form:
         if len(g) == 1:
             break
@@ -355,46 +381,71 @@ def ws_torus(ctx, f):
 # -- numeric backend ---------------------------------------------------------
 
 
-def _orbit_rows(z, top):
-    """One row per coordinate z_i: c_a(z_i) for a = 0..top, where c_0 = 1 and
-    c_a(t) = t^a + t^-a."""
-    rows = []
+def _side_plan(weights, group):
+    """The plan of one side of a form with the dominant weights ``weights``:
+    (top, orbits, chars).  top is the largest entry of any weight, and so of
+    any weight of its representation; each orbit is the distinct
+    permutations pi of a dominant mu, each pi the flat indices i * (top + 1)
+    + pi_i into the table of c_a(z_i) of its nonzero entries (c_0 = 1); each
+    character chi_lam is ((orbit index, mult(mu)), ...) over the dominant
+    weights mu of V(lam), orbits shared between characters."""
+    top = max((lam[0] for lam in weights if lam), default=0)
+    orbit_of = {}
+    chars = tuple(
+        tuple((orbit_of.setdefault(mu, len(orbit_of)), mult)
+              for mu, mult in dominant_weights(lam, group))
+        for lam in weights
+    )
+    orbits = tuple(
+        tuple(tuple(i * (top + 1) + a for i, a in enumerate(pi) if a)
+              for pi in distinct_permutations(mu))
+        for mu in orbit_of
+    )
+    return top, orbits, chars
+
+
+def _side_at(z, plan):
+    """The value at the coordinates z of each character of a side plan: one
+    table of c_a(z_i) = z_i^a + z_i^-a for a = 0..top, one product per
+    permutation of each orbit, and one sum per character."""
+    top, orbits, chars = plan
+    table = []
     for t in z:
-        inv, up, down, row = 1 / t, 1, 1, [1]
+        inv, up, down = 1 / t, 1, 1
+        table.append(1)
         for _ in range(top):
             up *= t
             down *= inv
-            row.append(up + down)
-        rows.append(row)
-    return rows
+            table.append(up + down)
+    sums = []
+    for orbit in orbits:
+        acc = 0
+        for pi in orbit:
+            term = 1
+            for i in pi:
+                term *= table[i]
+            acc += term
+        sums.append(acc)
+    values = []
+    for char in chars:
+        acc = 0
+        for o, mult in char:
+            acc += mult * sums[o]
+        values.append(acc)
+    return values
 
 
-def _characters_at(z, group, top):
-    """chi_lam(z) of ``group`` as a function of the dominant weight lam, with
-    no entry of lam above top.  A character is W-invariant, so chi_lam is
-    the sum of mult(mu) M_mu(z) over the dominant weights mu of V(lam), and
-    the orbit sum M_mu(z) is the sum over the distinct permutations pi of mu
-    of prod_i c_(pi_i)(z_i).  Each orbit sum and each character is computed
-    once, and orbit sums are shared by the characters."""
-    rows = _orbit_rows(z, top)
-    orbits = {}
-    chars = {}
-
-    def chi(lam):
-        val = chars.get(lam)
-        if val is None:
-            val = 0
-            for mu, mult in dominant_weights(lam, group):
-                orbit = orbits.get(mu)
-                if orbit is None:
-                    orbit = orbits[mu] = sum(
-                        prod(map(list.__getitem__, rows, pi)) for pi in distinct_permutations(mu)
-                    )
-                val += mult * orbit
-            chars[lam] = val
-        return val
-
-    return chi
+@lru_cache(maxsize=None)
+def _form_plan(form):
+    """The evaluation plan of a character form, built once per form: the
+    side plans of its distinct lam and mu, and its terms as (lam index, mu
+    index, vpoly)."""
+    lams, mus = {}, {}
+    terms = tuple(
+        (lams.setdefault(lam, len(lams)), mus.setdefault(mu, len(mus)), vpoly)
+        for (lam, mu), vpoly in form
+    )
+    return _side_plan(tuple(lams), "so"), _side_plan(tuple(mus), "sp"), terms
 
 
 def _eval_form(form, point, n):
@@ -402,25 +453,30 @@ def _eval_form(form, point, n):
     or exactly at a point of Fractions: sum of c v^k chi^B_lam(x) chi^C_mu(y).
 
     Characters are Laurent polynomials, so there is no pole to meet and no
-    cancellation against the Weyl denominators.  Each character is evaluated
-    as a sum of W-orbit sums over its dominant weights (``_characters_at``),
-    from one table per side of x_i^a + x_i^-a; each orbit sum and each
-    character is evaluated once per call.
+    cancellation against the Weyl denominators.  A character is
+    W-invariant, so chi_lam is the sum of mult(mu) times the orbit sum of
+    mu over the dominant weights mu of V(lam), and the orbit sum is the sum
+    over the distinct permutations pi of mu of prod_i c_(pi_i)(z_i).  What
+    does not depend on the point is the form's plan (``_form_plan``), built
+    once per form; a point costs one table of c_a(z_i) per side, one product
+    per permutation and one pass over the terms.
     """
-    v, xs, ys = point[0], point[1 : 1 + n], point[1 + n :]
-    # every weight of V(lam) has entries at most lam_1
-    top = max((max(lam[:1] + mu[:1]) for (lam, mu), _ in form), default=0)
-    chi_x = _characters_at(xs, "so", top)
-    chi_y = _characters_at(ys, "sp", top)
+    x_plan, y_plan, terms = _form_plan(form)
+    v = point[0]
+    chi_x = _side_at(point[1 : 1 + n], x_plan)
+    chi_y = _side_at(point[1 + n :], y_plan)
     total = 0
-    for (lam, mu), vpoly in form:
-        total += sum(c * v ** k for k, c in vpoly) * chi_x(lam) * chi_y(mu)
+    for i, j, vpoly in terms:
+        coeff = 0
+        for k, c in vpoly:
+            coeff += c * v ** k
+        total += coeff * chi_x[i] * chi_y[j]
     return total
 
 
 def weyl_sum_numeric(ctx, d, f, point):
-    """S(d, f) at a numeric point: its unreduced character form, evaluated by
-    the evaluator of ``LValue``."""
+    """S(d, f) at a numeric point: its unreduced character form, evaluated
+    from its cached plan as ``LValue.eval_at`` evaluates a reduced one."""
     return _eval_form(_character_form(ctx, d, f), point, ctx.n)
 
 

@@ -10,9 +10,10 @@ division by a cyclotomic polynomial are here too: only the tests of
 ``wscalc.padic`` use them; and so is the support
 partial order on dominant pairs, which only the tests check.  So is the
 reduction of L(d, f) that divides by the gcd even when it is 1
-(``L_value_always_divided``), and ``mutant``, which builds the
+(``L_value_always_divided``), ``mutant``, which builds the
 deliberately broken copies of a module that the mutation tests feed to the
-verifiers.
+verifiers, and ``clear_engine_caches``, which the tests that patch a piece
+of the engine in place run before and after.
 """
 
 import cmath
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from wscalc import wsformula
+from wscalc import weyl, wsformula
 from wscalc.padic import SympMatrix, minor
 from wscalc.ratfun import Poly, RatFun
 from wscalc.weyl import character, enumerate_group, is_dominant, straighten_weight
@@ -336,3 +337,15 @@ def mutant(module, old, new):
     copy.__package__ = module.__package__
     exec(compile(source.replace(old, new), module.__file__, "exec"), copy.__dict__)
     return copy
+
+
+def clear_engine_caches():
+    """Empty every ``lru_cache`` of ``wscalc.weyl`` and ``wscalc.wsformula``:
+    b grouped and straightened, the character forms, their evaluation
+    plans and the characters.  A test that patches a piece of the engine
+    in place runs it before and after, so that it neither reads a form
+    built without its patch nor leaves one built with it."""
+    for module in (weyl, wsformula):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from wscalc.cli import main
 
-from references import mutant
+from references import clear_engine_caches, mutant
 
 
 def run(capsys, *argv):
@@ -731,16 +731,11 @@ def test_numeric_paths_evaluate_no_rational_function(capsys, monkeypatch):
 
 @pytest.fixture
 def fresh_b_caches():
-    """Clear the caches that hold b and the character forms before and after
-    a test that corrupts b, so that no corrupted form outlives it."""
-    from wscalc import wsformula
-
-    caches = (wsformula._b_grouped, wsformula._straightened_b)
-    for cache in caches:
-        cache.cache_clear()
+    """Clear the engine's caches before and after a test that corrupts b or
+    its straightening, so that no corrupted form outlives it."""
+    clear_engine_caches()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    clear_engine_caches()
 
 
 def _only_shintani_fails(n, m):

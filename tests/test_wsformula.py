@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wscalc import wsformula
+from wscalc import weyl, wsformula
 from wscalc.ratfun import PoleError, Poly, RatFun, eval_terms
 from wscalc.weyl import (
     character,
@@ -41,6 +41,7 @@ from wscalc.wsformula import _G_OFF
 from references import (
     L_value_always_divided,
     alternating_monomial_sum,
+    clear_engine_caches,
     mutant,
     weyl_sum_direct,
 )
@@ -185,8 +186,8 @@ def _close(got, ref):
 
 @pytest.fixture
 def unsigned_straightening(monkeypatch):
-    """A straightening that forgets sgn(w), on a cleared character-form
-    cache, so that no corrupted form outlives the test."""
+    """A straightening that forgets sgn(w), on cleared engine caches, so
+    that no corrupted form outlives the test."""
     straighten = wsformula.straighten_weight
 
     def unsigned(lam, group):
@@ -194,9 +195,9 @@ def unsigned_straightening(monkeypatch):
         return None if st is None else (1, st[1])
 
     monkeypatch.setattr(wsformula, "straighten_weight", unsigned)
-    wsformula._straightened_b.cache_clear()
+    clear_engine_caches()
     yield
-    wsformula._straightened_b.cache_clear()
+    clear_engine_caches()
 
 
 def test_dropping_the_straightening_sign_breaks_the_engine(unsigned_straightening):
@@ -250,36 +251,44 @@ def _orbit_cases():
 
 @pytest.mark.parametrize("group", ["so", "sp"])
 def test_orbit_sums_match_the_monomial_characters(group):
-    """The orbit-sum value of chi_lam, at seeded points, equals the sum of
-    its monomials one at a time."""
+    """The orbit-sum value of chi_lam from a side plan, at seeded points,
+    equals the sum of its monomials one at a time."""
     for k, lam in _orbit_cases():
+        plan = wsformula._side_plan((lam,), group)
         for pt in sample_points(Context(k, 0), 3, seed=k + 7):
             z = pt[1:]
-            got = wsformula._characters_at(z, group, 3)(lam)
+            (got,) = wsformula._side_at(z, plan)
             ref = eval_terms(character(lam, group), z, [{} for _ in z])
             assert abs(got - ref) <= 1e-12 * abs(ref), (group, lam, got, ref)
 
 
 def test_orbit_sum_of_no_coordinates_is_one():
     """At m = 0 the y-side weight is (), and its character is 1."""
-    assert wsformula._characters_at((), "sp", 3)(()) == 1
+    assert wsformula._side_at((), wsformula._side_plan(((),), "sp")) == [1]
     ctx = Context(2, 0)
     for pt in sample_points(ctx, 3, seed=2):
         assert _close(weyl_sum_numeric(ctx, (), (2, 1), pt), weyl_sum(ctx, (), (2, 1)).eval_at(pt))
 
 
-def test_dropping_the_inverse_half_of_the_orbit_table_breaks_the_numeric_sum(monkeypatch):
+def test_dropping_the_inverse_half_of_the_orbit_table_breaks_the_numeric_sum():
     """The cross-check of the numeric sum against the exact one can fail: an
     orbit table with c_a = z^a, which drops z^-a, gives other values."""
-    def one_sided(z, top):
-        return [[t ** a for a in range(top + 1)] for t in z]
-
+    one_sided = mutant(wsformula, "table.append(up + down)", "table.append(up)")
     cases = [(C21, (1,), (1, 1)), (C32, (1, 0), (2, 1, 0))]
-    exact = {(ctx, d, f): weyl_sum(ctx, d, f) for ctx, d, f in cases}
-    monkeypatch.setattr(wsformula, "_orbit_rows", one_sided)
     for ctx, d, f in cases:
+        exact = weyl_sum(ctx, d, f)
         for pt in sample_points(ctx, 3, seed=4):
-            assert not _close(weyl_sum_numeric(ctx, d, f, pt), exact[ctx, d, f].eval_at(pt))
+            assert not _close(one_sided.weyl_sum_numeric(ctx, d, f, pt), exact.eval_at(pt))
+
+
+def test_one_plan_serves_every_point_of_a_form():
+    """100 points of one character form build its evaluation plan once and
+    read it 99 times."""
+    clear_engine_caches()
+    for pt in sample_points(C32, 100, seed=6):
+        weyl_sum_numeric(C32, (1, 0), (2, 1, 0), pt)
+    info = wsformula._form_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 99)
 
 
 def _L_numeric_reference(ctx, d, f, point):
@@ -461,24 +470,78 @@ def test_never_dividing_leaves_L_at_the_origin_unreduced():
         assert bad.ratfun() == 1
 
 
+def test_the_cache_reset_empties_every_cache_of_the_engine():
+    """Every function of weyl and wsformula that bears cache_clear, found
+    here by introspection (among them the zetafactors caches that wsformula
+    imports), is filled by one L value, its view, its evaluation and its
+    invariance report, and is empty after clear_engine_caches."""
+    caches = {
+        (module.__name__, name): obj
+        for module in (weyl, wsformula)
+        for name, obj in vars(module).items()
+        if hasattr(obj, "cache_clear")
+    }
+    assert {name for _, name in caches} >= {
+        "_b_grouped", "_straightened_b", "_straightened_x", "_straightened_y",
+        "_form_plan", "straighten_weight", "dominant_weights", "character",
+    }
+    L = L_value(C21, (1,), (1, 1))
+    L.ratfun()
+    L.eval_at(sample_points(C21, 1, seed=3)[0])
+    invariance_report(C21, (1,), (1, 1))
+    enumerate_group(2)
+    for key, cache in caches.items():
+        assert cache.cache_info().currsize > 0, key
+    clear_engine_caches()
+    for key, cache in caches.items():
+        assert cache.cache_info().currsize == 0, key
+
+
+def _evalgrid_31():
+    """The exact L grid of the evalgrid benchmark at (3,1): every dominant
+    (d, f) with entries <= 2."""
+    return [(d, f) for f in _dominant(C31.n, 2) for d in _dominant(C31.m, 2)]
+
+
 def test_each_weight_is_straightened_once_per_process():
     """On cleared caches, the exact L grid of the evalgrid benchmark at (3,1)
-    (entries <= 2) misses the dot-action cache once per distinct (weight,
-    group) pair that the grouped b produces, and hits it for the rest."""
+    misses the dot-action cache once per distinct (weight, group) pair that
+    the grouped b produces, and hits it for the rest."""
     ctx = C31
     ys, blocks = wsformula._b_grouped(ctx)
-    grid = [(d, f) for f in _dominant(ctx.n, 2) for d in _dominant(ctx.m, 2)]
     pairs = set()
-    for d, f in grid:
+    for d, f in _evalgrid_31():
         pairs |= {(tuple(x - y for x, y in zip(f, a)), "so") for a, *_ in blocks}
         pairs |= {(tuple(x - y for x, y in zip(d, b)), "sp") for b in ys}
-    wsformula._straightened_b.cache_clear()
-    straighten_weight.cache_clear()
-    for d, f in grid:
+    clear_engine_caches()
+    for d, f in _evalgrid_31():
         L_value(ctx, d, f)
     info = straighten_weight.cache_info()
     assert info.misses == len(pairs)
     assert info.hits > 0
+
+
+def test_each_side_of_b_is_straightened_once_per_d_and_once_per_f(monkeypatch):
+    """On cleared caches, the (3,1) grid of the evalgrid benchmark
+    straightens the x-blocks of b once per f and the y-exponents once per d,
+    not once per (d, f)."""
+    ctx = C31
+    grid = _evalgrid_31()
+    calls = {"so": 0, "sp": 0}
+    straighten = wsformula.straighten_weight
+
+    def counted(lam, group):
+        calls[group] += 1
+        return straighten(lam, group)
+
+    clear_engine_caches()
+    monkeypatch.setattr(wsformula, "straighten_weight", counted)
+    ys, blocks = wsformula._b_grouped(ctx)
+    for d, f in grid:
+        L_value(ctx, d, f)
+    assert calls == {"so": len({f for _, f in grid}) * len(blocks),
+                     "sp": len({d for d, _ in grid}) * len(ys)}
+    assert len(grid) > len({f for _, f in grid}) > 1
 
 
 def test_L_eval_raises_pole_error_at_a_root_of_den():
