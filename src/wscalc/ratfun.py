@@ -13,9 +13,11 @@ from three layers:
     ever divided by another;
   * ``RatFun`` -- a lazy quotient, kept in factored form: a scalar unit
     times a product of canonical polynomial factors over another such
-    product.  Multiplication and division never expand anything; addition
-    expands numerators over a shared denominator.  Equal factors cancel;
-    nothing is divided, so a value is exact but not reduced.
+    product.  It is a product type: it multiplies, divides, substitutes
+    and compares, and never adds, since every sum of values is taken in
+    the character basis (``wsformula``).  Multiplication and division
+    never expand anything.  Equal factors cancel; nothing is divided, so a
+    value is exact but not reduced.
 
 The local zeta factor zeta(s) = 1/(1 - q^(-s)) and its inverse are built
 from the monomial q^(-s) (``zeta_of``, ``zeta_inv_of``).
@@ -323,11 +325,11 @@ class RatFun:
     """Exact rational function, value = coeff * X^mono * prod(nfac) / prod(dfac).
 
     ``nfac`` and ``dfac`` are sorted tuples of canonical factor keys.  The
-    quotient is lazy: products only concatenate factor lists, and addition,
+    quotient is lazy: products only concatenate factor lists, and
     multiplication and substitution cancel equal keys in numerator and
-    denominator, nothing more.  No polynomial is divided, so a value need
-    not be in lowest terms (e.g. (1-x^2)/(1-x) stays as built); equality is
-    exact all the same.  ``wsformula.L_value`` reduces in the character
+    denominator, nothing more.  There is no addition.  No polynomial is
+    divided, so a value need not be in lowest terms (e.g. (1-x^2)/(1-x)
+    stays as built); equality is exact all the same.  ``wsformula.L_value`` reduces in the character
     basis, by a gcd in Z[v], so its RatFun view (``LValue.ratfun``) is in
     lowest terms.  The denominator is never zero.
     """
@@ -422,38 +424,6 @@ class RatFun:
             return self * (_ONE / Fraction(other))
         return self * other.inverse()
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFun.constant(self.vars, other)
-        _check_same(self, other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        common, amore, bmore = _split_common(self.dfac, other.dfac)
-        na = self.numerator_poly()
-        for key in bmore:
-            na = na * _key_to_poly(self.vars, key)
-        nb = other.numerator_poly()
-        for key in amore:
-            nb = nb * _key_to_poly(self.vars, key)
-        num = na + nb
-        if num.is_zero():
-            return RatFun.zero(self.vars)
-        c, e, key = canonical_factor(num)
-        nfac, dfac = _cancel_multisets(_factors(key), common + amore + bmore)
-        return RatFun(self.vars, c, e, nfac, dfac)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFun.constant(self.vars, other)
-        return self + (other * -1)
-
-    def __neg__(self):
-        return self * -1
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RatFun.constant(self.vars, other)
@@ -542,24 +512,19 @@ class RatFun:
         return "RatFun(%s)" % self.text()
 
 
-def _split_common(a, b):
-    """Split two sorted factor tuples into (common, a_only, b_only) multisets."""
-    common, amore = [], []
-    rest = list(b)
-    for key in a:
-        try:
-            rest.remove(key)
-            common.append(key)
-        except ValueError:
-            amore.append(key)
-    return tuple(common), tuple(amore), tuple(rest)
-
-
 def _cancel_multisets(nfac, dfac):
+    """Cancel the keys that the factor tuples nfac and dfac share, as
+    multisets: (nfac without them, dfac without them)."""
     if not nfac or not dfac:
         return tuple(nfac), tuple(dfac)
-    common, nonly, donly = _split_common(tuple(nfac), tuple(dfac))
-    return nonly, donly
+    rest = list(dfac)
+    nonly = []
+    for key in nfac:
+        try:
+            rest.remove(key)
+        except ValueError:
+            nonly.append(key)
+    return tuple(nonly), tuple(rest)
 
 
 # -- local zeta factors ----------------------------------------------------

@@ -145,12 +145,20 @@ def _straightened_b(ctx, d, f):
             sy, mu = st_c
             acc = form.setdefault((lam, mu), {})
             acc[k] = acc.get(k, 0) + sx * sy * c
+    return _normal_form(form)
+
+
+def _normal_form(acc):
+    """The character form of {(lam, mu): {k: c}}: its nonzero coefficients
+    c v^k, each polynomial in v sorted by power and the nonempty ones sorted
+    by (lam, mu).  Zero coefficients and empty polynomials are pruned, so two
+    sums of the same value give the same tuple, and one that cancels gives ()."""
     out = []
-    for key, acc in sorted(form.items()):
-        vpoly = tuple((k, c) for k, c in sorted(acc.items()) if c)
+    for key, poly in acc.items():
+        vpoly = tuple(sorted((k, c) for k, c in poly.items() if c))
         if vpoly:
             out.append((key, vpoly))
-    return tuple(out)
+    return tuple(sorted(out))
 
 
 @lru_cache(maxsize=None)
@@ -342,23 +350,36 @@ class LValue:
 
 def L_value(ctx, d, f):
     """The normalized integrated Whittaker-Shintani value L(d, f), exactly,
-    as an ``LValue`` in the character basis.
+    as an ``LValue`` in the character basis: the character form of S(d, f)
+    over C(v), shifted by delta^(1/2)(p^f) delta_MJ^(1/2)(p^d) and reduced
+    (``_over_constant``).
 
     Exact for dominant d in Z^m, f in Z^n; the prefactor is the closed-form
     reciprocal of the normalization constant, so L(0, 0) = 1 is a theorem
-    about the Weyl sum, not a convention.
-
-    The constant C(v) and the integer coefficient polynomials in v of the
-    character form are divided by their common gcd, taken in Z[v].  C(v) is
-    monic, so the gcd is monic and every quotient is integral, and the
-    reduced form is canonical.  When the gcd is 1 the form and C(v) are
-    returned as they are, and a coefficient polynomial is listed only when
-    the gcd loop reaches it.  A coefficient that is one monomial c v^k
-    settles the gcd as 1 with no loop: C(v) is monic with constant term 1,
-    so no divisor of c v^k of positive degree divides it.  Nothing is
-    expanded.
+    about the Weyl sum, not a convention.  Nothing is expanded.
     """
-    form = _character_form(ctx, d, f)
+    shift = delta_half_G(ctx, f) + delta_half_MJ(ctx, d)
+    return _over_constant(ctx, shift, _character_form(ctx, d, f))
+
+
+def _over_constant(ctx, shift, form):
+    """v^shift / C(v) times the character form ``form``, as a reduced
+    ``LValue``.
+
+    The form's lowest power of v moves into the shift, so its coefficient
+    polynomials start at v^0.  C(v) and those integer polynomials are then
+    divided by their common gcd, taken in Z[v].  C(v) is monic, so the gcd
+    is monic and every quotient is integral, and the reduced value is
+    canonical.  When the gcd is 1 the form and C(v) are returned as they
+    are, and a coefficient polynomial is listed only when the gcd loop
+    reaches it.  A coefficient that is one monomial c v^k settles the gcd
+    as 1 with no loop: C(v) is monic with constant term 1, so no divisor of
+    c v^k of positive degree divides it.  An empty form is 0, over den 1.
+    """
+    low = min((vpoly[0][0] for _, vpoly in form), default=0)
+    if low:
+        form = tuple((key, tuple((k - low, c) for k, c in vpoly)) for key, vpoly in form)
+        shift += low
     den = _constant_v(ctx)
     g = [1] if any(len(vpoly) == 1 for _, vpoly in form) else den
     for _, vpoly in form:
@@ -369,7 +390,6 @@ def L_value(ctx, d, f):
         quotients = ((key, _v_exact_quotient(_v_list(dict(vpoly)), g)) for key, vpoly in form)
         form = tuple((key, tuple((k, c) for k, c in enumerate(q) if c)) for key, q in quotients)
         den = tuple(_v_exact_quotient(den, g))
-    shift = delta_half_G(ctx, f) + delta_half_MJ(ctx, d)
     return LValue(ctx, shift, den, form)
 
 

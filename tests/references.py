@@ -22,10 +22,18 @@ import types
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 from wscalc import weyl, wsformula
 from wscalc.padic import SympMatrix, minor
-from wscalc.ratfun import Poly, RatFun
+from wscalc.ratfun import (
+    ContextMismatchError,
+    Poly,
+    RatFun,
+    _cancel_multisets,
+    _factors,
+    canonical_factor,
+)
 from wscalc.weyl import character, enumerate_group, is_dominant, straighten_weight
 from wscalc.wsformula import require_dominant
 from wscalc.zetafactors import (
@@ -73,6 +81,40 @@ def so_char(vars_, lam):
     return RatFun.from_poly(Poly(vars_, terms, prune=False))
 
 
+def add(a, b):
+    """a + b for RatFuns: each numerator times the denominator factors that
+    only the other one has, expanded and summed over the shared
+    denominator.  ``wscalc.ratfun.RatFun`` has no addition; the references
+    and the tests of rational functions add with this one."""
+    if a.vars != b.vars:
+        raise ContextMismatchError("operands live over different variable contexts")
+    if a.is_zero() or b.is_zero():
+        return b if a.is_zero() else a
+    b_only, a_only = list(b.dfac), []
+    for key in a.dfac:
+        if key in b_only:
+            b_only.remove(key)
+        else:
+            a_only.append(key)
+    num = a.numerator_poly() * _key_product(a.vars, b_only)
+    num = num + b.numerator_poly() * _key_product(a.vars, a_only)
+    if num.is_zero():
+        return RatFun.zero(a.vars)
+    coeff, mono, key = canonical_factor(num)
+    nfac, dfac = _cancel_multisets(_factors(key), a.dfac + tuple(b_only))
+    return RatFun(a.vars, coeff, mono, nfac, dfac)
+
+
+def sub(a, b):
+    """a - b for RatFuns (``add``)."""
+    return add(a, b * -1)
+
+
+def _key_product(vars_, keys):
+    return prod((Poly(vars_, dict(key), prune=False) for key in keys),
+                start=Poly.constant(vars_, 1))
+
+
 def weyl_sum_direct(ctx, d, f):
     """Literal term-by-term evaluation of S(d, f) as rational functions:
     b d d' (w.chi)^-1(p^f) (w'.xi)^-1(p^d), summed over W(C_n) x W(C_m).
@@ -102,7 +144,7 @@ def weyl_sum_direct(ctx, d, f):
         )
         for w2 in enumerate_group(m) if m else [None]:
             if w2 is None:
-                total = total + part_w
+                total = add(total, part_w)
                 continue
             remap_w2 = w2.embed_remap(V.size, 1 + n)
             torus_y = [0] * V.size
@@ -114,7 +156,7 @@ def weyl_sum_direct(ctx, d, f):
                 * dp.substitute_exponents(remap_w2)
                 * RatFun.monomial(V, tuple(torus_y))
             )
-            total = total + term
+            total = add(total, term)
     return total
 
 

@@ -8,7 +8,15 @@ from wscalc.weyl import character, enumerate_group
 from wscalc.zetafactors import Context
 from wscalc.charform import lhs_series, rhs_series, shintani_verify
 
-from references import elementary_sym, satake_multiset, so_char, weyl_sum_direct
+from references import (
+    add,
+    elementary_sym,
+    mutant,
+    satake_multiset,
+    so_char,
+    sub,
+    weyl_sum_direct,
+)
 
 C21 = Context(2, 1)
 C32 = Context(3, 2)
@@ -97,16 +105,16 @@ def test_exterior_powers_of_sp_standard():
 
 
 def test_series_truncation_guards():
-    with pytest.raises(ValueError):
-        lhs_series(Context(3, 1), 2)  # needs n = m+1
-    with pytest.raises(ValueError):
-        rhs_series(Context(3, 1), 2)
-    with pytest.raises(ValueError):
-        shintani_verify(Context(3, 1), 2)
-    with pytest.raises(ValueError):
-        lhs_series(C21, -1)
-    with pytest.raises(ValueError):
-        shintani_verify(C21, -1)
+    # every n >= m+1 computes, and (3,1) passes
+    assert len(lhs_series(Context(3, 1), 2)) == len(rhs_series(Context(3, 1), 2)) == 3
+    assert shintani_verify(Context(3, 1), 2).ok
+    for ctx in (C21, Context(3, 1)):
+        with pytest.raises(ValueError):
+            lhs_series(ctx, -1)
+        with pytest.raises(ValueError):
+            rhs_series(ctx, -1)
+        with pytest.raises(ValueError):
+            shintani_verify(ctx, -1)
 
 
 def test_series_k0():
@@ -119,24 +127,43 @@ def test_series_k0():
 def test_rhs_coefficient_k1():
     # T_2((1,0)) - v (y + y^-1)
     V = C21.vars
-    expect = so_char(V, (1, 0)) - elementary_sym(V, satake_multiset(C21), 1)
+    expect = sub(so_char(V, (1, 0)), elementary_sym(V, satake_multiset(C21), 1))
     assert rhs_series(C21, 1)[1].ratfun() == expect
 
 
 def test_lhs_coefficient_matches_torus_value():
+    """The coefficient of T^l on the left is W0(p^(l,0,..)) |p|^(-ln)."""
     from wscalc.wsformula import ws_torus
 
-    lhs = lhs_series(C21, 2)
-    V = C21.vars
-    for l in (1, 2):
-        comp = RatFun.monomial(V, V.v_exp(2 * l * (C21.m + 1)))
-        assert lhs[l].ratfun() * comp == ws_torus(C21, (l, 0)).ratfun()
+    for ctx in (C21, Context(3, 1)):
+        lhs = lhs_series(ctx, 2)
+        V = ctx.vars
+        for l in (1, 2):
+            comp = RatFun.monomial(V, V.v_exp(2 * l * ctx.n))
+            f = (l,) + (0,) * (ctx.n - 1)
+            assert lhs[l].ratfun() * comp == ws_torus(ctx, f).ratfun()
 
 
 def test_shintani_identity_2_1():
     rep = shintani_verify(C21, 8)
     assert rep.ok
-    assert len(rep.results) == 9
+    assert len(rep.diffs) == 9
+
+
+@pytest.mark.parametrize("n,m,K", [(3, 1, 5), (2, 0, 3), (3, 0, 5)])
+def test_shintani_identity_beyond_n_equal_m_plus_1(n, m, K):
+    """With the normalization |p|^(-ln) the identity holds at n > m+1 too,
+    an observation of this package (the paper proves n = m+1)."""
+    assert shintani_verify(Context(n, m), K).ok
+
+
+def test_the_old_normalization_fails_beyond_n_equal_m_plus_1():
+    """The series normalized by |p|^(-l(m+1)), right only at n = m+1, fails
+    at (3,1) at every l from 1 to 5, and still passes at (2,1)."""
+    broken = mutant(charform, "2 * l * ctx.n", "2 * l * (ctx.m + 1)")
+    diffs = broken.shintani_verify(Context(3, 1), 5).diffs
+    assert [bool(diff) for diff in diffs] == [False] + [True] * 5
+    assert broken.shintani_verify(C21, 5).ok
 
 
 def test_branching_consistency_product_form():
@@ -151,7 +178,7 @@ def test_branching_consistency_product_form():
             acc = RatFun.zero(V)
             for i in range(k + 1):
                 if i < len(a) and k - i < len(b):
-                    acc = acc + a[i] * b[k - i]
+                    acc = add(acc, a[i] * b[k - i])
             out.append(acc)
         return out
 
@@ -163,8 +190,8 @@ def test_branching_consistency_product_form():
         gm = RatFun.monomial(V, g)
         nxt = [RatFun.zero(V) for _ in range(len(poly_coeffs) + 1)]
         for i, c in enumerate(poly_coeffs):
-            nxt[i] = nxt[i] + c
-            nxt[i + 1] = nxt[i + 1] - c * gm
+            nxt[i] = add(nxt[i], c)
+            nxt[i + 1] = sub(nxt[i + 1], c * gm)
         poly_coeffs = nxt
     assert mul_truncated(char_series, poly_coeffs) == [c.ratfun() for c in rhs_series(C21, K)]
 
@@ -189,11 +216,20 @@ def rhs_form_corrupted_at(l_bad):
 
 
 def test_failing_coefficient_is_reported_not_raised(monkeypatch):
+    """The failing coefficient carries its witness, the difference that
+    `series` prints; passing ones carry l and pass alone."""
     monkeypatch.setattr(charform, "_rhs_form", rhs_form_corrupted_at(2))
     for ctx in (C21, C32):
         rep = shintani_verify(ctx, 4)
-        assert [l for l, eq in rep.results if not eq] == [2]
-        assert rep.as_dict()["pass"] is False
+        assert [l for l, diff in enumerate(rep.diffs) if diff] == [2]
+        doc = rep.as_dict()
+        assert doc["pass"] is False
+        witness = charform.difference_text(ctx, charform.coefficient_difference(ctx, 2))
+        assert witness != "0"
+        assert doc["coefficients"][2] == {"l": 2, "pass": False, "diff": witness}
+        assert [c for c in doc["coefficients"] if c["l"] != 2] == [
+            {"l": l, "pass": True} for l in (0, 1, 3, 4)
+        ]
 
 
 def test_corrupted_coefficient_fails_verify_and_series(monkeypatch, capsys):
@@ -207,10 +243,38 @@ def test_corrupted_coefficient_fails_verify_and_series(monkeypatch, capsys):
     assert main(["verify", "shintani", "--n", "2", "--m", "1", "--K", "4"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is False and doc["report"]["failing"] == [2]
+    witness = doc["report"]["coefficients"][2]["diff"]
     assert main(["series", "--n", "2", "--m", "1", "--K", "4"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is False
     assert [row["l"] for row in doc["rows"] if row["diff"] != "0"] == [2]
+    # the diff is the value of left - right, as the tests' reference adder
+    # takes it from the two sides' rational functions
+    lhs, rhs = lhs_series(C21, 2)[2], rhs_series(C21, 2)[2]
+    assert doc["rows"][2]["diff"] == witness == sub(lhs.ratfun(), rhs.ratfun()).text()
+
+
+@pytest.mark.parametrize("offset", [1, -1], ids=["plus1", "minus1"])
+def test_a_shifted_delta_half_fails_verify_and_series(monkeypatch, capsys, offset):
+    """delta^(1/2)(p^f) off by one power of v, on the left of the series,
+    fails every coefficient of `verify shintani` and `series` with a nonzero
+    diff; neither raises.  At -1 the difference has a negative power of v,
+    which the reduction moves into the shift."""
+    import json
+
+    from wscalc.cli import main
+
+    delta_half_G = charform.delta_half_G
+    monkeypatch.setattr(charform, "delta_half_G", lambda ctx, f: delta_half_G(ctx, f) + offset)
+    assert main(["verify", "shintani", "--n", "2", "--m", "1", "--K", "3"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert "error" not in doc and doc["report"]["failing"] == [0, 1, 2, 3]
+    witnesses = [c["diff"] for c in doc["report"]["coefficients"]]
+    assert main(["series", "--n", "2", "--m", "1", "--K", "3"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert "error" not in doc and doc["pass"] is False
+    assert [row["diff"] for row in doc["rows"]] == witnesses
+    assert "0" not in witnesses
 
 
 @pytest.mark.parametrize("ctx", [C21, C32], ids=["21", "32"])
@@ -223,7 +287,7 @@ def test_wrong_constant_fails_every_coefficient(monkeypatch, ctx):
 
     monkeypatch.setattr(wsformula, "_constant_v", scaled)
     rep = shintani_verify(ctx, 4)
-    assert not any(eq for _, eq in rep.results)
+    assert all(rep.diffs)
 
 
 # Casselman-Shalika: at m = 0 the value is the SO(2n+1) character of f,

@@ -163,9 +163,13 @@ def test_series_numeric(capsys):
 
 
 def test_series_rank_guard(capsys):
+    """The series identity is decided at every n >= m+1: (3,1) computes and
+    passes; a negative truncation is still a config error."""
     code, doc = run_json(capsys, "series", "--n", "3", "--m", "1", "--K", "2")
-    assert code == 1
-    assert "n = m+1" in doc["error"]["message"]
+    assert code == 0 and doc["pass"] is True
+    assert [row["diff"] for row in doc["rows"]] == ["0"] * 3
+    code, doc = run_json(capsys, "series", "--n", "3", "--m", "1", "--K=-1")
+    assert code == 2 and doc["error"]["type"] == "config"
 
 
 def test_deterministic_output(tmp_path, capsys):
@@ -949,7 +953,7 @@ def command_argv(draw):
     it: 0 if valid, 1 for a weight that is not dominant, 2 otherwise."""
     command = draw(st.sampled_from(("reduce", "series") + tuple("verify " + c for c in CHECKS)))
     m = draw(st.integers(0, 2))
-    n = m + 1 if command in ("series", "verify shintani") else draw(st.integers(m + 1, 3))
+    n = draw(st.integers(m + 1, 3))
     fault = draw(st.sampled_from(("none", "none", "rank", "option") + OWN_FAULTS.get(command, ())))
     if fault == "rank":
         m = draw(st.sampled_from((-1, n, n + 1)))
@@ -1022,11 +1026,6 @@ def test_eval_contract(warm_ranks, case):
         assert "value" in doc or argv[0] != "eval"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: the series identity is decided only at n = m+1, "
-    "so a rank it does not cover exits 1 as if the check had failed",
-)
 def test_verify_shintani_outside_n_equal_m_plus_1_is_not_a_failure(capsys):
     """Exit 1 means that a verification failed.  An input outside the
     domain is either checked (exit 0) or refused as a config error (exit 2)."""

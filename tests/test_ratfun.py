@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import add, sub
 from wscalc.ratfun import (
     ContextMismatchError,
     PoleError,
@@ -35,19 +36,20 @@ def test_partial_fraction_identity():
     # 1/(1-x1) + 1/(1-x1^-1) = 1
     a = zeta_of(q_s(V1, x=(1,)))
     b = zeta_of(q_s(V1, x=(-1,)))
-    assert a + b == RatFun.one(V1)
+    assert add(a, b) == RatFun.one(V1)
 
 
 def test_add_zero_identity():
     f = zeta_of(q_s(V1, x=(1,)))
-    assert f + RatFun.zero(V1) == f
+    assert add(f, RatFun.zero(V1)) == f
+    assert add(RatFun.zero(V1), f) == f
 
 
 def test_add_zero_canonicalizes_common_factor():
     num = Poly.constant(V1, 1) - Poly.monomial(V1, (0, 2))
     den = Poly.constant(V1, 1) - Poly.monomial(V1, (0, 1))
     f = RatFun.from_poly(num) / RatFun.from_poly(den)
-    g = f + RatFun.zero(V1)
+    g = add(f, RatFun.zero(V1))
     assert g == RatFun.from_poly(Poly.constant(V1, 1) + Poly.monomial(V1, (0, 1)))
 
 
@@ -70,7 +72,7 @@ def test_context_mismatch_is_error():
     f = zeta_of(q_s(V1, x=(1,)))
     g = zeta_of(q_s(V, x=(1,)))
     with pytest.raises(ContextMismatchError):
-        f + g
+        add(f, g)
     with pytest.raises(ContextMismatchError):
         f * g
 
@@ -158,9 +160,44 @@ def test_unreduced_forms_compare_and_hash_equal(f, g, h):
     if g.is_zero() or h.is_zero():
         return
     F, G = RatFun.from_poly(f), RatFun.from_poly(h) / RatFun.from_poly(g)
-    for other in (RatFun.from_poly(f * g) / RatFun.from_poly(g), (F + G) - G):
+    for other in (RatFun.from_poly(f * g) / RatFun.from_poly(g), sub(add(F, G), G)):
         assert other == F
         assert hash(other) == hash(F)
+
+
+def _exact_at(p, point):
+    """A Poly at a point of Fractions, exactly."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        term = Fraction(c)
+        for base, k in zip(point, e):
+            term *= base ** k
+        total += term
+    return total
+
+
+@given(poly_strategy(V1), poly_strategy(V1), poly_strategy(V1), poly_strategy(V1))
+@settings(max_examples=100, deadline=None)
+def test_reference_arithmetic_matches_fractions(f, g, h, k):
+    """add, sub and * of f/g and h/k, at a rational point, are the sum,
+    difference and product of the two values as Fractions."""
+    point = (Fraction(2, 7), Fraction(3, 5))
+    if not (_exact_at(g, point) and _exact_at(k, point)):
+        return
+    a = RatFun.from_poly(f) / RatFun.from_poly(g)
+    b = RatFun.from_poly(h) / RatFun.from_poly(k)
+    fa = _exact_at(f, point) / _exact_at(g, point)
+    fb = _exact_at(h, point) / _exact_at(k, point)
+    for got, ref in ((add(a, b), fa + fb), (sub(a, b), fa - fb), (a * b, fa * fb)):
+        value = _exact_at(got.numerator_poly(), point) / _exact_at(got.denominator_poly(), point)
+        assert value == ref
+
+
+def test_ratfun_does_not_add():
+    """RatFun is a product type: sums are taken in the character basis, and
+    the tests add with their reference."""
+    for name in ("__add__", "__radd__", "__sub__", "__neg__"):
+        assert name not in vars(RatFun)
 
 
 def test_numeric_symbolic_agreement():
@@ -195,10 +232,10 @@ def test_numeric_symbolic_agreement():
 
 
 def test_serialization_deterministic_and_sorted():
-    f = zeta_of(q_s(V, x=(1,))) + zeta_of(q_s(V, y=(2,)))
+    f = add(zeta_of(q_s(V, x=(1,))), zeta_of(q_s(V, y=(2,))))
     assert f.text() == f.text()
     # subtraction detects equality through zero
-    g = f - f
+    g = sub(f, f)
     assert g.is_zero() and g == RatFun.zero(V)
 
 
