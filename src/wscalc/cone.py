@@ -10,6 +10,7 @@ componentwise-minimal d among all equivalent dominant-shaped triples.
 
 from operator import add
 
+from .ratfun import Context
 from .weyl import is_dominant
 
 __all__ = ["ConeTriple", "op1", "op2", "op3", "normal_form"]
@@ -23,8 +24,7 @@ class ConeTriple:
 
     def __init__(self, n, m, d, a, r):
         d, a, r = tuple(map(int, d)), tuple(map(int, a)), tuple(map(int, r))
-        if n < m + 1:
-            raise ValueError("rank constraint violated: need n >= m+1")
+        Context(n, m)  # validates the ranks
         if len(d) != m or len(r) != m:
             raise ValueError("d and r must have length m")
         if len(a) != n - m:

@@ -1,11 +1,16 @@
 """Exact arithmetic in the field Q(v, x_1..x_n, y_1..y_m) of Laurent rational functions.
 
+Every value lives over a ``Context``: the pair Sp(2n) x Sp(2m) with
+n >= m+1, its variables v = q^(-1/2), x_i = q^(-chi_i), y_j = q^(-xi_j) and
+their monomials (``x``, ``y``, ``v``).  It is defined here, the lowest layer
+that needs it; ``zetafactors`` and the layers above take it from there.
+
 Everything downstream (local factors, Weyl sums, character formulas) is built
 from three layers:
 
   * exponent tuples -- a monomial is a tuple of integers, one slot per
-    variable, in the fixed order (v, x_1, ..., x_n, y_1, ..., y_m);
-    exponents may be negative;
+    variable, in the fixed order (v, x_1, ..., x_n, y_1, ..., y_m) of the
+    context; exponents may be negative;
   * ``Poly`` -- a sparse Laurent polynomial with exact rational
     coefficients: an ``int`` when integral, else a ``Fraction``, so that
     integer inputs (every factor key, character and value here) are
@@ -30,7 +35,7 @@ from math import gcd, lcm
 from operator import sub
 
 __all__ = [
-    "Vars",
+    "Context",
     "Poly",
     "RatFun",
     "zeta_of",
@@ -71,30 +76,39 @@ class PoleError(ArithmeticError):
         self.magnitude = magnitude
 
 
-class Vars:
-    """The variable context (v, x_1..x_n, y_1..y_m).
+class Context:
+    """The pair G = Sp_2n, M = Sp_2m, n >= m+1, and its variables
+    (v, x_1..x_n, y_1..y_m), one slot each of an exponent tuple.
 
     Index 0 is v = q^(-1/2); indices 1..n are the x_i = q^(-chi_i) and
-    indices n+1..n+m are the y_j = q^(-xi_j).
+    indices n+1..n+m are the y_j = q^(-xi_j).  Immutable, and compared and
+    hashed by (n, m): it keys the factor caches.
     """
 
     __slots__ = ("n", "m", "size")
 
     def __init__(self, n, m):
-        if n < 0 or m < 0:
-            raise ValueError("variable counts must be nonnegative")
-        self.n = n
-        self.m = m
-        self.size = 1 + n + m
+        if m < 0:
+            raise ValueError("m must be nonnegative")
+        if n < m + 1:
+            raise ValueError("rank constraint violated: need n >= m+1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "size", 1 + n + m)
+
+    def __setattr__(self, *args):
+        raise AttributeError("Context is immutable")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
-        return isinstance(other, Vars) and self.n == other.n and self.m == other.m
+        return isinstance(other, Context) and self.n == other.n and self.m == other.m
 
     def __hash__(self):
         return hash((self.n, self.m))
 
     def __repr__(self):
-        return "Vars(n=%d, m=%d)" % (self.n, self.m)
+        return "Context(n=%r, m=%r)" % (self.n, self.m)
 
     def zero_exp(self):
         return (0,) * self.size
@@ -109,6 +123,23 @@ class Vars:
         if index <= self.n:
             return "x%d" % index
         return "y%d" % (index - self.n)
+
+    def _power(self, slot, k):
+        e = [0] * self.size
+        e[slot] = k
+        return Poly.monomial(self, e)
+
+    def x(self, i, k=1):
+        """The monomial x_i^k = q^(-k chi_i)."""
+        return self._power(i, k)
+
+    def y(self, j, k=1):
+        """The monomial y_j^k = q^(-k xi_j)."""
+        return self._power(self.n + j, k)
+
+    def v(self, k=1):
+        """The monomial v^k = q^(-k/2)."""
+        return self._power(0, k)
 
 
 def _check_same(a, b):

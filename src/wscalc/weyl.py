@@ -80,26 +80,6 @@ class SignedPerm:
             inv[j - 1] = i
         return tuple(inv)
 
-    def sgn(self):
-        """Determinant character: permutation parity times (-1)^#flips."""
-        sign = 1
-        seen = [False] * self.k
-        for i in range(self.k):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.image[j] - 1
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        for f in self.flips:
-            if f == -1:
-                sign = -sign
-        return sign
-
     # -- actions -------------------------------------------------------
 
     def act_on_point(self, values):

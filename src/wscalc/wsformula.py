@@ -78,7 +78,6 @@ __all__ = [
     "weyl_sum_numeric",
     "L_value",
     "LValue",
-    "ws_torus",
     "normalization_constant_closed",
     "invariance_report",
     "sample_points",
@@ -200,7 +199,7 @@ def _expand(ctx, coeffs, shift=0):
                 for k, c in vpoly:
                     key = (k + shift,) + exy
                     acc[key] = get(key, 0) + c * cxy
-    return Poly(ctx.vars, {e: c for e, c in acc.items() if c}, prune=False)
+    return Poly(ctx, {e: c for e, c in acc.items() if c}, prune=False)
 
 
 def weyl_sum(ctx, d, f):
@@ -212,8 +211,7 @@ def weyl_sum(ctx, d, f):
 
 def normalization_constant_closed(ctx):
     """C = zeta(1)^m prod_{i=1}^m zeta^-1(2i), straight from the closed form."""
-    V = ctx.vars
-    out = RatFun.one(V)
+    out = RatFun.one(ctx)
     if ctx.m == 0:
         return out
     z1 = zeta_of(ctx.v(2))  # zeta(1), from q^-1 = v^2
@@ -325,9 +323,9 @@ class LValue:
     def eval_at(self, point):
         """Evaluate at a point (v, x_1..x_n, y_1..y_m) of complex numbers,
         or exactly at a point of Fractions; raise PoleError where
-        |den(v)| < POLE_TOL."""
-        if len(point) != self.ctx.vars.size:
-            raise ContextMismatchError("point shape does not match context")
+        |den(v)| < POLE_TOL, and ContextMismatchError first on a point
+        of the wrong length."""
+        total = _eval_form(self.form, point, self.ctx)
         v = point[0]
         den = 0
         for c in reversed(self.den):
@@ -337,14 +335,14 @@ class LValue:
                 "evaluation within %g of a pole (|denominator| = %g)" % (POLE_TOL, abs(den)),
                 magnitude=abs(den),
             )
-        return v ** self.shift * _eval_form(self.form, point, self.ctx.n) / den
+        return v ** self.shift * total / den
 
     def ratfun(self):
         """The value as a RatFun: the form expanded through the cached
         characters, over den(v).  In lowest terms, since the form is."""
-        V = self.ctx.vars
-        num = _expand(self.ctx, self.form, self.shift)
-        den = Poly(V, {V.v_exp(k): c for k, c in enumerate(self.den)})
+        ctx = self.ctx
+        num = _expand(ctx, self.form, self.shift)
+        den = Poly(ctx, {ctx.v_exp(k): c for k, c in enumerate(self.den)})
         return RatFun.from_poly(num) / RatFun.from_poly(den)
 
 
@@ -391,11 +389,6 @@ def _over_constant(ctx, shift, form):
         form = tuple((key, tuple((k, c) for k, c in enumerate(q) if c)) for key, q in quotients)
         den = tuple(_v_exact_quotient(den, g))
     return LValue(ctx, shift, den, form)
-
-
-def ws_torus(ctx, f):
-    """The normalized Whittaker-Shintani function at p^f: W0(p^f) = L(0, f)."""
-    return L_value(ctx, (0,) * ctx.m, f)
 
 
 # -- numeric backend ---------------------------------------------------------
@@ -468,9 +461,11 @@ def _form_plan(form):
     return _side_plan(tuple(lams), "so"), _side_plan(tuple(mus), "sp"), terms
 
 
-def _eval_form(form, point, n):
+def _eval_form(form, point, ctx):
     """The character form ((lam, mu), ((k, c), ...)), ... at a complex point,
     or exactly at a point of Fractions: sum of c v^k chi^B_lam(x) chi^C_mu(y).
+    A point without one coordinate per variable of ``ctx`` raises
+    ContextMismatchError before any arithmetic.
 
     Characters are Laurent polynomials, so there is no pole to meet and no
     cancellation against the Weyl denominators.  A character is
@@ -481,10 +476,12 @@ def _eval_form(form, point, n):
     once per form; a point costs one table of c_a(z_i) per side, one product
     per permutation and one pass over the terms.
     """
+    if len(point) != ctx.size:
+        raise ContextMismatchError("point shape does not match context")
     x_plan, y_plan, terms = _form_plan(form)
     v = point[0]
-    chi_x = _side_at(point[1 : 1 + n], x_plan)
-    chi_y = _side_at(point[1 + n :], y_plan)
+    chi_x = _side_at(point[1 : 1 + ctx.n], x_plan)
+    chi_y = _side_at(point[1 + ctx.n :], y_plan)
     total = 0
     for i, j, vpoly in terms:
         coeff = 0
@@ -497,7 +494,7 @@ def _eval_form(form, point, n):
 def weyl_sum_numeric(ctx, d, f, point):
     """S(d, f) at a numeric point: its unreduced character form, evaluated
     from its cached plan as ``LValue.eval_at`` evaluates a reduced one."""
-    return _eval_form(_character_form(ctx, d, f), point, ctx.n)
+    return _eval_form(_character_form(ctx, d, f), point, ctx)
 
 
 def sample_points(ctx, count, seed, q=3, radius=0.7):

@@ -10,7 +10,8 @@ it to Gamma; the latter then checks that S's characters are invariant, so
 the unnormalized value Gamma S transforms as Gamma does.  Roots are the
 integer vectors of ``weyl``.
 
-Variable convention throughout: x_i = q^(-chi_i), y_j = q^(-xi_j),
+Every function takes the ``Context`` of ``ratfun`` (re-exported here): the
+ranks (n, m) and the variables x_i = q^(-chi_i), y_j = q^(-xi_j),
 v = q^(-1/2), so each zeta argument s is held as the monomial q^(-s) and
 every factor is an exact rational function.  A sum of arguments is the
 product of their monomials, so zeta(chi_i - xi_j + 1/2) is
@@ -21,7 +22,7 @@ at m = q^(-s).  The docstrings keep the paper's zeta(s).
 from functools import lru_cache
 from math import prod
 
-from .ratfun import Poly, RatFun, Vars, zeta_of, zeta_inv_of
+from .ratfun import Context, Poly, RatFun, zeta_of, zeta_inv_of
 from .weyl import positive_roots, reflection, root_label, simple_roots
 
 __all__ = [
@@ -40,62 +41,12 @@ __all__ = [
 ]
 
 
-class Context:
-    """Ranks of the two symplectic groups, G = Sp_2n and M = Sp_2m; n >= m+1.
-    Immutable, and compared and hashed by (n, m): it keys the factor caches."""
-
-    __slots__ = ("n", "m")
-
-    def __init__(self, n, m):
-        if m < 0:
-            raise ValueError("m must be nonnegative")
-        if n < m + 1:
-            raise ValueError("rank constraint violated: need n >= m+1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Context is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return isinstance(other, Context) and (self.n, self.m) == (other.n, other.m)
-
-    def __hash__(self):
-        return hash((self.n, self.m))
-
-    def __repr__(self):
-        return "Context(n=%r, m=%r)" % (self.n, self.m)
-
-    @property
-    def vars(self):
-        return Vars(self.n, self.m)
-
-    def _power(self, slot, k):
-        e = [0] * (1 + self.n + self.m)
-        e[slot] = k
-        return Poly.monomial(self.vars, e)
-
-    def x(self, i, k=1):
-        """The monomial x_i^k = q^(-k chi_i)."""
-        return self._power(i, k)
-
-    def y(self, j, k=1):
-        """The monomial y_j^k = q^(-k xi_j)."""
-        return self._power(self.n + j, k)
-
-    def v(self, k=1):
-        """The monomial v^k = q^(-k/2)."""
-        return self._power(0, k)
-
-
 @lru_cache(maxsize=None)
 def d_factor(ctx):
     """d(chi) = prod over the positive roots of C_n of zeta(<chi, alpha-check>):
     zeta(chi_a - chi_b) zeta(chi_a + chi_b) for a < b, and zeta(chi_i)."""
     roots = positive_roots(ctx.n, "sp")
-    return prod((zeta_of(_coroot_pairing_chi(ctx, r)) for r in roots), start=RatFun.one(ctx.vars))
+    return prod((zeta_of(_coroot_pairing_chi(ctx, r)) for r in roots), start=RatFun.one(ctx))
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +54,7 @@ def dprime_factor(ctx):
     """d'(xi) = prod over the positive roots of C_m of zeta(<xi, alpha>):
     zeta(xi_a - xi_b) zeta(xi_a + xi_b) for a < b, and zeta(2 xi_j)."""
     roots = positive_roots(ctx.m, "sp")
-    return prod((zeta_of(_root_pairing_xi(ctx, r)) for r in roots), start=RatFun.one(ctx.vars))
+    return prod((zeta_of(_root_pairing_xi(ctx, r)) for r in roots), start=RatFun.one(ctx))
 
 
 def b_monomials(ctx):
@@ -132,7 +83,7 @@ def b_monomials(ctx):
 @lru_cache(maxsize=None)
 def b_factor(ctx):
     """The polynomial factor b(chi, xi): a product of inverse zeta factors."""
-    return prod((zeta_inv_of(m) for m in b_monomials(ctx)), start=RatFun.one(ctx.vars))
+    return prod((zeta_inv_of(m) for m in b_monomials(ctx)), start=RatFun.one(ctx))
 
 
 # b has 2nm factors; at (4,3) its 24 expand to 765,904 terms (about 6 s and
@@ -166,9 +117,8 @@ def gamma_big(ctx):
     with the factors 1 + v*y_j, a one-sided block of zeta ratios mixing chi
     and xi, and the full grid of zeta pairs.
     """
-    V = ctx.vars
     x, y, v, q1 = ctx.x, ctx.y, ctx.v(), ctx.v(2)
-    out = RatFun.one(V)
+    out = RatFun.one(ctx)
     for root in positive_roots(ctx.n, "sp"):
         out = out * zeta_inv_of(_coroot_pairing_chi(ctx, root) * q1)
     for root in positive_roots(ctx.m, "sp"):
@@ -176,7 +126,7 @@ def gamma_big(ctx):
             out = out * zeta_inv_of(_root_pairing_xi(ctx, root) * q1)
     for j in range(1, ctx.m + 1):
         # 1 + xi_j(p)|p|^(1/2) = 1 + v*y_j
-        out = out * RatFun.from_poly(Poly.constant(V, 1) + y(j) * v)
+        out = out * RatFun.from_poly(Poly.constant(ctx, 1) + y(j) * v)
     for j in range(1, ctx.m + 1):
         for i in range(1, (ctx.n - ctx.m) + j):
             out = out * zeta_of(x(i) * y(j, -1) * v)
@@ -204,7 +154,7 @@ def _coroot_pairing_chi(ctx, root):
 
 def _root_pairing_xi(ctx, root):
     """q^-<xi, alpha> for a root of M: the plain pairing, so 2e_j -> 2 xi_j."""
-    return prod((ctx.y(j, c) for j, c in enumerate(root, 1) if c), start=Poly.constant(ctx.vars, 1))
+    return prod((ctx.y(j, c) for j, c in enumerate(root, 1) if c), start=Poly.constant(ctx, 1))
 
 
 def _c_simple(ctx, m):
@@ -288,7 +238,7 @@ def reflection_factors(ctx):
     alpha, remap, c_s, gamma_s): remap is s acting on exponent tuples, c_s is
     zeta(p)/zeta(p+1) at p = <chi, alpha-check> for G and <xi, alpha> for M,
     and gamma_s is the gamma-factor of s."""
-    size = ctx.vars.size
+    size = ctx.size
     blocks = (
         ("G", ctx.n, 1, _coroot_pairing_chi, gamma_alpha),
         ("M", ctx.m, 1 + ctx.n, _root_pairing_xi, gamma_beta),

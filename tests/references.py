@@ -4,8 +4,9 @@ Each builds, the slow and literal way, a quantity that the engine computes
 another way (through the character basis, or by a reindexed sum), so a test
 can compare the two: among them the double Weyl sum term by term in
 rational functions (``weyl_sum_direct``) and the alternant of W(C_k)
-(``alternating_monomial_sum``), which the library's characters never form.
-The Weyl-element matrices, the written-out minor expansion and long
+(``alternating_monomial_sum``), which the library's characters never form,
+with its sign character ``sgn``.  ``ws_torus``, W0(p^f) = L(0, f), is here
+because only the tests read L at d = 0 by that name.  The Weyl-element matrices, the written-out minor expansion and long
 division by a cyclotomic polynomial are here too: only the tests of
 ``wscalc.padic`` use them; and so is the support
 partial order on dominant pairs, which only the tests check.  So is the
@@ -45,6 +46,28 @@ from wscalc.zetafactors import (
 )
 
 
+def sgn(w):
+    """The sign character of W(C_k) at the signed permutation w: the parity
+    of its permutation times (-1)^#flips, its determinant."""
+    sign = 1
+    seen = [False] * w.k
+    for i in range(w.k):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = w.image[j] - 1
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    for f in w.flips:
+        if f == -1:
+            sign = -sign
+    return sign
+
+
 def alternating_monomial_sum(vars_, mu, offset, k):
     """The alternant sum_w sgn(w) X^(w*mu) as a Poly, acting on slots
     offset..offset+k-1 of the exponent lattice; other slots of ``mu`` pass
@@ -53,7 +76,7 @@ def alternating_monomial_sum(vars_, mu, offset, k):
     acc = {}
     for w in enumerate_group(k):
         e = w.embed_remap(vars_.size, offset)(tuple(mu))
-        s = acc.get(e, 0) + w.sgn()
+        s = acc.get(e, 0) + sgn(w)
         if s:
             acc[e] = s
         else:
@@ -125,39 +148,43 @@ def weyl_sum_direct(ctx, d, f):
     """
     d = require_dominant(d, "d")
     f = require_dominant(f, "f")
-    V = ctx.vars
     n, m = ctx.n, ctx.m
     b = b_factor(ctx)
     dd = d_factor(ctx)
     dp = dprime_factor(ctx)
-    total = RatFun.zero(V)
+    total = RatFun.zero(ctx)
     for w in enumerate_group(n):
-        remap_w = w.embed_remap(V.size, 1)
-        torus_x = [0] * V.size
+        remap_w = w.embed_remap(ctx.size, 1)
+        torus_x = [0] * ctx.size
         for i in range(n):
             j = w.image[i] - 1
             torus_x[1 + i] = -w.flips[j] * f[j]
         part_w = (
             b.substitute_exponents(remap_w)
             * dd.substitute_exponents(remap_w)
-            * RatFun.monomial(V, tuple(torus_x))
+            * RatFun.monomial(ctx, tuple(torus_x))
         )
         for w2 in enumerate_group(m) if m else [None]:
             if w2 is None:
                 total = add(total, part_w)
                 continue
-            remap_w2 = w2.embed_remap(V.size, 1 + n)
-            torus_y = [0] * V.size
+            remap_w2 = w2.embed_remap(ctx.size, 1 + n)
+            torus_y = [0] * ctx.size
             for j in range(m):
                 t = w2.image[j] - 1
                 torus_y[1 + n + j] = -w2.flips[t] * d[t]
             term = (
                 part_w.substitute_exponents(remap_w2)
                 * dp.substitute_exponents(remap_w2)
-                * RatFun.monomial(V, tuple(torus_y))
+                * RatFun.monomial(ctx, tuple(torus_y))
             )
             total = add(total, term)
     return total
+
+
+def ws_torus(ctx, f):
+    """The normalized Whittaker-Shintani function at p^f: W0(p^f) = L(0, f)."""
+    return wsformula.L_value(ctx, (0,) * ctx.m, f)
 
 
 def L_value_always_divided(ctx, d, f):
@@ -191,11 +218,10 @@ def L_value_always_divided(ctx, d, f):
 def satake_multiset(ctx):
     """The multiset q^(-gamma) for gamma in {xi_j + 1/2, -xi_j + 1/2}:
     the 2m monomials v*y_j and v*y_j^-1, as exponent tuples."""
-    V = ctx.vars
     out = []
     for j in range(1, ctx.m + 1):
         for sign in (1, -1):
-            e = [0] * V.size
+            e = [0] * ctx.size
             e[0] = 1
             e[ctx.n + j] = sign
             out.append(tuple(e))

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from wscalc import charform, cone, padic, wsformula
-from wscalc.ratfun import Poly, RatFun, Vars
+from wscalc.ratfun import Poly, RatFun
 from wscalc.weyl import SignedPerm, enumerate_group, reflection, simple_roots
 from wscalc.zetafactors import (
     Context,
@@ -68,18 +68,17 @@ def test_c03_gamma_consistency():
     ok = True
     checked = 0
     for ctx in (Context(2, 1), Context(3, 2)):
-        V = ctx.vars
         gamma = gamma_big(ctx)
         c = {(g, a): c for g, a, _, c, _ in reflection_factors(ctx)}
         for alpha in simple_roots(ctx.n):
-            remap = reflection(alpha).embed_remap(V.size, 1)
+            remap = reflection(alpha).embed_remap(ctx.size, 1)
             ok &= (
                 gamma.substitute_exponents(remap) * c["G", alpha]
                 == gamma * gamma_alpha(ctx, alpha)
             )
             checked += 1
         for beta in simple_roots(ctx.m):
-            remap = reflection(beta).embed_remap(V.size, 1 + ctx.n)
+            remap = reflection(beta).embed_remap(ctx.size, 1 + ctx.n)
             ok &= (
                 gamma.substitute_exponents(remap) * c["M", beta]
                 == gamma * gamma_beta(ctx, beta)
@@ -94,9 +93,8 @@ def test_c03_gamma_consistency():
 
 
 def _one_minus_x1(ctx):
-    V = ctx.vars
-    x1 = Poly.monomial(V, (0, 1) + (0,) * (V.size - 2))
-    return RatFun.from_poly(Poly.constant(V, 1) - x1)
+    x1 = Poly.monomial(ctx, (0, 1) + (0,) * (ctx.size - 2))
+    return RatFun.from_poly(Poly.constant(ctx, 1) - x1)
 
 
 def test_c04_invariance(monkeypatch):
@@ -280,13 +278,13 @@ def test_c09_character_formula():
     ok = True
     # exact W-invariance for N <= 2
     for N in (1, 2):
-        V = Vars(N, 0)
+        V = Context(N, 0)
         lam = tuple(range(N, 0, -1))
         c = so_char(V, lam)
         for w in enumerate_group(N):
             ok &= c.substitute_exponents(w.embed_remap(V.size, 1)) == c
     # numeric for N = 3
-    V = Vars(3, 0)
+    V = Context(3, 0)
     c = so_char(V, (2, 1, 0))
     rng = random.Random(9)
     pts = [
@@ -299,7 +297,7 @@ def test_c09_character_formula():
             ok &= abs(c.eval_at(pt) - c.eval_at(wpt)) < 1e-9
     # vanishing strip
     for m in (1, 2):
-        Vm = Vars(m + 1, 0)
+        Vm = Context(m + 1, 0)
         for k in range(1, 2 * m + 1):
             ok &= so_char(Vm, (-k,) + (0,) * m).is_zero()
     report(

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from wscalc import charform, wsformula
-from wscalc.ratfun import Poly, RatFun, Vars
+from wscalc.ratfun import Poly, RatFun
 from wscalc.weyl import character, enumerate_group
 from wscalc.zetafactors import Context
 from wscalc.charform import lhs_series, rhs_series, shintani_verify
@@ -16,6 +16,7 @@ from references import (
     so_char,
     sub,
     weyl_sum_direct,
+    ws_torus,
 )
 
 C21 = Context(2, 1)
@@ -23,14 +24,14 @@ C32 = Context(3, 2)
 
 
 def test_so_char_trivial_weight():
-    V = Vars(2, 0)
+    V = Context(2, 0)
     assert so_char(V, (0, 0)) == RatFun.one(V)
-    assert so_char(Vars(1, 0), (0,)) == RatFun.one(Vars(1, 0))
+    assert so_char(Context(1, 0), (0,)) == RatFun.one(Context(1, 0))
 
 
 def test_so_char_standard_rep_so5():
     # the 5-dimensional standard representation of SO_5
-    V = Vars(2, 0)
+    V = Context(2, 0)
     expect = Poly.constant(V, 1)
     for e in [(0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]:
         expect = expect + Poly.monomial(V, e)
@@ -40,7 +41,7 @@ def test_so_char_standard_rep_so5():
 def test_so_char_vanishing_strip():
     # T_{m+1}((-k, 0, ..., 0)) = 0 for k = 1..2m
     for m in (1, 2):
-        V = Vars(m + 1, 0)
+        V = Context(m + 1, 0)
         for k in range(1, 2 * m + 1):
             lam = (-k,) + (0,) * m
             assert so_char(V, lam).is_zero()
@@ -51,7 +52,7 @@ def test_so_char_vanishing_strip():
 
 def test_so_char_weyl_invariance_exact():
     for N in (1, 2):
-        V = Vars(N, 0)
+        V = Context(N, 0)
         lam = tuple(range(N + 1, 1, -1))
         c = so_char(V, lam)
         for w in enumerate_group(N):
@@ -62,7 +63,7 @@ def test_so_char_weyl_invariance_exact():
 def test_so_char_weyl_invariance_numeric_N3():
     import cmath
 
-    V = Vars(3, 0)
+    V = Context(3, 0)
     c = so_char(V, (2, 1, 0))
     rng = random.Random(3)
     pts = [
@@ -76,7 +77,7 @@ def test_so_char_weyl_invariance_numeric_N3():
 
 
 def test_elementary_sym():
-    V = C21.vars
+    V = C21
     items = satake_multiset(C21)
     assert len(items) == 2 * C21.m
     assert elementary_sym(V, items, 0) == RatFun.one(V)
@@ -93,15 +94,16 @@ def test_exterior_powers_of_sp_standard():
     V(1^s) over s = r (mod 2), s <= min(r, 2m-r): its character is
     e_r(y_1^(+-1), .., y_m^(+-1)) for every r <= 2m, and e_r = 0 beyond."""
     for m in (1, 2, 3):
-        V = Vars(0, m)
-        ys = [tuple(sign if i == j else 0 for i in range(V.size)) for j in range(1, m + 1)
-              for sign in (1, -1)]
+        ctx = Context(m + 1, m)
+        ys = [tuple(sign if i == ctx.n + j else 0 for i in range(ctx.size))
+              for j in range(1, m + 1) for sign in (1, -1)]
+        pad = (0,) * (1 + ctx.n)  # v and the x slots
         for r in range(2 * m + 2):
             decomposed = {}
             for s in range(r % 2, min(r, 2 * m - r) + 1, 2):
                 for e, c in character((1,) * s + (0,) * (m - s), "sp"):
-                    decomposed[(0,) + e] = decomposed.get((0,) + e, 0) + c
-            assert RatFun.from_poly(Poly(V, decomposed)) == elementary_sym(V, ys, r)
+                    decomposed[pad + e] = decomposed.get(pad + e, 0) + c
+            assert RatFun.from_poly(Poly(ctx, decomposed)) == elementary_sym(ctx, ys, r)
 
 
 def test_series_truncation_guards():
@@ -126,20 +128,17 @@ def test_series_k0():
 
 def test_rhs_coefficient_k1():
     # T_2((1,0)) - v (y + y^-1)
-    V = C21.vars
+    V = C21
     expect = sub(so_char(V, (1, 0)), elementary_sym(V, satake_multiset(C21), 1))
     assert rhs_series(C21, 1)[1].ratfun() == expect
 
 
 def test_lhs_coefficient_matches_torus_value():
     """The coefficient of T^l on the left is W0(p^(l,0,..)) |p|^(-ln)."""
-    from wscalc.wsformula import ws_torus
-
     for ctx in (C21, Context(3, 1)):
         lhs = lhs_series(ctx, 2)
-        V = ctx.vars
         for l in (1, 2):
-            comp = RatFun.monomial(V, V.v_exp(2 * l * ctx.n))
+            comp = RatFun.monomial(ctx, ctx.v_exp(2 * l * ctx.n))
             f = (l,) + (0,) * (ctx.n - 1)
             assert lhs[l].ratfun() * comp == ws_torus(ctx, f).ratfun()
 
@@ -170,7 +169,7 @@ def test_branching_consistency_product_form():
     """rhs_series equals the truncated product of the pure character series
     with prod(1 - q^-gamma T) expanded directly, not through e_r."""
     K = 5
-    V = C21.vars
+    V = C21
 
     def mul_truncated(a, b):
         out = []
@@ -301,16 +300,15 @@ CS_WEIGHTS = {
 
 
 def _delta_half(ctx, f):
-    V = ctx.vars
-    return RatFun.monomial(V, V.v_exp(2 * sum(fi * (ctx.n - i) for i, fi in enumerate(f))))
+    return RatFun.monomial(ctx, ctx.v_exp(2 * sum(fi * (ctx.n - i) for i, fi in enumerate(f))))
 
 
 def test_casselman_shalika_at_m0():
     for n, weights in CS_WEIGHTS.items():
         ctx = Context(n, 0)
         for f in weights:
-            expect = _delta_half(ctx, f) * so_char(ctx.vars, f)
-            assert wsformula.ws_torus(ctx, f).ratfun() == expect
+            expect = _delta_half(ctx, f) * so_char(ctx, f)
+            assert ws_torus(ctx, f).ratfun() == expect
             if n <= 2:
                 # the literal Weyl sum shares no character code with so_char
                 assert _delta_half(ctx, f) * weyl_sum_direct(ctx, (), f) == expect
@@ -324,4 +322,4 @@ def test_casselman_shalika_pin_fails_on_wrong_delta(monkeypatch):
     for n, weights in CS_WEIGHTS.items():
         ctx = Context(n, 0)
         for f in weights[1:]:
-            assert wsformula.ws_torus(ctx, f).ratfun() != _delta_half(ctx, f) * so_char(ctx.vars, f)
+            assert ws_torus(ctx, f).ratfun() != _delta_half(ctx, f) * so_char(ctx, f)

@@ -421,9 +421,8 @@ def _with_one_minus_x1(gamma_big):
     from wscalc.ratfun import Poly, RatFun
 
     def mutated(ctx):
-        V = ctx.vars
-        x1 = Poly.monomial(V, (0, 1) + (0,) * (V.size - 2))
-        return gamma_big(ctx) * RatFun.from_poly(Poly.constant(V, 1) - x1)
+        x1 = Poly.monomial(ctx, (0, 1) + (0,) * (ctx.size - 2))
+        return gamma_big(ctx) * RatFun.from_poly(Poly.constant(ctx, 1) - x1)
 
     return mutated
 
@@ -802,7 +801,7 @@ def test_verify_constant_fails_on_a_wrong_b_factor(capsys, monkeypatch, fresh_b_
     def one_factor_replaced(ctx):
         ms = zetafactors.b_monomials(ctx)
         ms[-1] = ms[-1] * ctx.v(2)
-        return prod((zeta_inv_of(m) for m in ms), start=RatFun.one(ctx.vars)).numerator_poly()
+        return prod((zeta_inv_of(m) for m in ms), start=RatFun.one(ctx)).numerator_poly()
 
     monkeypatch.setattr(wsformula, "b_factor_poly", one_factor_replaced)
     code, doc = run_json(capsys, "verify", "constant", "--n", "2", "--m", "1")

@@ -21,8 +21,8 @@ def test_triple_validation():
         ConeTriple(3, 2, (0, 0), (1,), (0, 1))  # d+r not dominant
     with pytest.raises(ValueError):
         ConeTriple(3, 2, (0, 0), (), (1, 0))  # a has wrong length
-    with pytest.raises(ValueError):
-        ConeTriple(2, 2, (0, 0), (), (0, 0))  # rank constraint
+    with pytest.raises(ValueError, match="rank constraint"):
+        ConeTriple(2, 2, (0, 0), (), (0, 0))
 
 
 def test_op1_examples():

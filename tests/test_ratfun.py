@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 
 from references import add, sub
 from wscalc.ratfun import (
+    Context,
     ContextMismatchError,
     PoleError,
     Poly,
     RatFun,
-    Vars,
     canonical_factor,
     zeta_of,
     zeta_inv_of,
 )
 
-V = Vars(2, 1)
-V1 = Vars(1, 0)
+V = Context(2, 1)
+V1 = Context(1, 0)
 
 
 def mono(vars_, v=0, x=(), y=()):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wscalc import weyl, wsformula
-from wscalc.ratfun import PoleError, Poly, RatFun, eval_terms
+from wscalc.ratfun import ContextMismatchError, PoleError, Poly, RatFun, eval_terms
 from wscalc.weyl import (
     character,
     enumerate_group,
@@ -34,7 +34,6 @@ from wscalc.wsformula import (
     sample_points,
     weyl_sum,
     weyl_sum_numeric,
-    ws_torus,
 )
 from wscalc.wsformula import _G_OFF
 
@@ -44,6 +43,7 @@ from references import (
     clear_engine_caches,
     mutant,
     weyl_sum_direct,
+    ws_torus,
 )
 
 C10 = Context(1, 0)
@@ -71,26 +71,24 @@ def test_weyl_denominator_identities():
     rho is handled by comparing d after the substitution x -> x^2."""
     for n in (1, 2, 3):
         ctx = Context(n, 0)
-        V = ctx.vars
         rho2 = (0,) + tuple(2 * (n - i) - 1 for i in range(n))
         sign = -1 if n % 2 else 1
         rhs = (
-            RatFun.monomial(V, tuple(-e for e in rho2))
-            * RatFun.from_poly(alternating_monomial_sum(V, rho2, _G_OFF, n)).inverse()
+            RatFun.monomial(ctx, tuple(-e for e in rho2))
+            * RatFun.from_poly(alternating_monomial_sum(ctx, rho2, _G_OFF, n)).inverse()
             * sign
         )
         doubled = d_factor(ctx).substitute_exponents(lambda e: (e[0],) + tuple(2 * a for a in e[1:]))
         assert doubled == rhs
     for m in (1, 2):
         ctx = Context(m + 1, m)
-        V = ctx.vars
-        q = [0] * V.size
+        q = [0] * ctx.size
         for j in range(m):
             q[1 + ctx.n + j] = m - j
         sign = -1 if m % 2 else 1
         rhs = (
-            RatFun.monomial(V, tuple(-e for e in q))
-            * RatFun.from_poly(alternating_monomial_sum(V, q, 1 + ctx.n, m)).inverse()
+            RatFun.monomial(ctx, tuple(-e for e in q))
+            * RatFun.from_poly(alternating_monomial_sum(ctx, q, 1 + ctx.n, m)).inverse()
             * sign
         )
         assert dprime_factor(ctx) == rhs
@@ -106,7 +104,7 @@ def test_normalization_constant_closed_forms():
         assert _constant(ctx) == normalization_constant_closed(ctx)
     assert _constant(C10) == 1
     # C at m=1 is zeta(1)/zeta(2) = 1 + v^2
-    V = C21.vars
+    V = C21
     assert _constant(C21) == RatFun.from_poly(
         Poly.constant(V, 1) + Poly.monomial(V, V.v_exp(2))
     )
@@ -119,7 +117,7 @@ def test_L_at_origin_is_one():
 
 def test_rank_one_closed_form():
     # L(f) = v^(2f) * sum_{k=-f}^{f} x^k  for (n, m) = (1, 0)
-    V = C10.vars
+    V = C10
     for f in (0, 1, 2, 3):
         expect = Poly.zero(V)
         for k in range(-f, f + 1):
@@ -129,7 +127,7 @@ def test_rank_one_closed_form():
 
 def test_torus_value_2_1():
     # v^4 (1 + x1 + x1^-1 + x2 + x2^-1) - v^5 (y1 + y1^-1)
-    V = C21.vars
+    V = C21
     expect = Poly.zero(V)
     for e in [(4, 0, 0, 0), (4, 1, 0, 0), (4, -1, 0, 0), (4, 0, 1, 0), (4, 0, -1, 0)]:
         expect = expect + Poly.monomial(V, e)
@@ -289,6 +287,21 @@ def test_one_plan_serves_every_point_of_a_form():
         weyl_sum_numeric(C32, (1, 0), (2, 1, 0), pt)
     info = wsformula._form_plan.cache_info()
     assert (info.misses, info.hits) == (1, 99)
+
+
+def test_a_point_of_the_wrong_length_is_refused_by_both_evaluators():
+    """A point has one coordinate per variable, 4 at (2,1).  One without y
+    (3) or with one too many (5) raises ContextMismatchError from the
+    numeric sum and from LValue.eval_at alike, before any arithmetic: not a
+    value, an IndexError, or a pole, although v = i is a zero of C(v) = 1 + v^2."""
+    for d, f in (((0,), (0, 0)), ((1,), (1, 0))):
+        value = L_value(C21, d, f)
+        for size in (3, 5):
+            pt = (1j,) + (0.7,) * (size - 1)
+            with pytest.raises(ContextMismatchError):
+                weyl_sum_numeric(C21, d, f, pt)
+            with pytest.raises(ContextMismatchError):
+                value.eval_at(pt)
 
 
 def _L_numeric_reference(ctx, d, f, point):
@@ -581,12 +594,11 @@ def test_symmetrizer_identity():
     the full torus-inserted sum unchanged (it is invariant by construction)."""
     rng = random.Random(5)
     ctx = C21
-    V = ctx.vars
     s = weyl_sum(ctx, (1,), (2, 0))
     w = rng.choice(enumerate_group(ctx.n))
     w2 = rng.choice(enumerate_group(ctx.m))
-    remap_w = w.embed_remap(V.size, _G_OFF)
-    remap_w2 = w2.embed_remap(V.size, 1 + ctx.n)
+    remap_w = w.embed_remap(ctx.size, _G_OFF)
+    remap_w2 = w2.embed_remap(ctx.size, 1 + ctx.n)
     assert s.substitute_exponents(remap_w).substitute_exponents(remap_w2) == s
 
 
