@@ -19,7 +19,10 @@ Only `eval` and `series` have a numeric path and take --mode, and
 `verify gauss`, which checks the same cases at every rank, takes no ranks.
 
 All output is JSON (schema 1) on stdout or --out; `series --csv` writes a
-CSV table instead.  Any failing verification exits nonzero with a witness.
+CSV table instead.  Each command only computes and returns (ok, fields);
+``main`` builds, times and writes every report, and reports a ValueError or
+PoleError as an error with exit 1.  Any failing verification exits nonzero
+with a witness.
 """
 
 import argparse
@@ -93,12 +96,29 @@ def _failures():
     return ValueError, PoleError
 
 
-def _base_doc(command, cfg):
-    # verify gauss takes no ranks; a command without a numeric path echoes
-    # mode exact, and one that draws nothing seed 0
+def _report(cfg):
+    """The report skeleton: the command, the check of verify and the inputs.
+    verify gauss takes no ranks; a command without a numeric path echoes
+    mode exact, and one that draws nothing seed 0.  eval and reduce echo
+    their vectors (verify invariance reports its own), and verify shintani
+    and series their K."""
     inputs = {"n": cfg.n, "m": cfg.m} if "n" in cfg else {}
     inputs.update(mode=getattr(cfg, "mode", "exact"), seed=getattr(cfg, "seed", 0))
-    return {"schema": SCHEMA, "command": command, "inputs": inputs}
+    doc = {"schema": SCHEMA, "command": cfg.command, "inputs": inputs}
+    if cfg.command == "verify":
+        doc["check"] = cfg.which
+    else:
+        inputs.update((v, list(getattr(cfg, v))) for v in "fdar" if v in cfg)
+    if "K" in cfg:
+        inputs["K"] = cfg.K
+    return doc
+
+
+def _csv(rows):
+    lines = ["l,lhs,rhs,diff"]
+    for row in rows:
+        lines.append('%d,"%s","%s","%s"' % (row["l"], row["lhs"], row["rhs"], row["diff"]))
+    return "\n".join(lines) + "\n"
 
 
 # -- eval ---------------------------------------------------------------------
@@ -107,28 +127,16 @@ def _base_doc(command, cfg):
 def cmd_eval(cfg, ctx):
     from . import wsformula
 
-    d = cfg.d if cfg.d is not None else (0,) * cfg.m
-    f = cfg.f
-    doc = _base_doc("eval", cfg)
-    doc["inputs"]["d"] = list(d)
-    doc["inputs"]["f"] = list(f)
-    t0 = time.time()
-    try:
-        if cfg.mode == "exact":
-            doc["value"] = wsformula.L_value(ctx, d, f).ratfun().text()
-        else:
-            point = wsformula.sample_points(ctx, 1, cfg.seed, q=cfg.q)[0]
-            value = wsformula.L_value(ctx, d, f).eval_at(point)
-            doc["point"] = {"v": _cplx(point[0]),
-                            "x": [_cplx(z) for z in point[1 : 1 + ctx.n]],
-                            "y": [_cplx(z) for z in point[1 + ctx.n :]]}
-            doc["value"] = _cplx(value)
-    except _failures() as exc:
-        doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        doc["wall_time_s"] = round(time.time() - t0, 6)
-        return _emit(doc, cfg.out, 1)
-    doc["wall_time_s"] = round(time.time() - t0, 6)
-    return _emit(doc, cfg.out, 0)
+    if cfg.mode == "exact":
+        return True, {"value": wsformula.L_value(ctx, cfg.d, cfg.f).ratfun().text()}
+    point = wsformula.sample_points(ctx, 1, cfg.seed, q=cfg.q)[0]
+    value = wsformula.L_value(ctx, cfg.d, cfg.f).eval_at(point)
+    return True, {
+        "point": {"v": _cplx(point[0]),
+                  "x": [_cplx(z) for z in point[1 : 1 + ctx.n]],
+                  "y": [_cplx(z) for z in point[1 + ctx.n :]]},
+        "value": _cplx(value),
+    }
 
 
 def _cplx(z):
@@ -165,9 +173,7 @@ def _verify_gamma(cfg, ctx):
 def _verify_invariance(cfg, ctx):
     from . import wsformula
 
-    d = cfg.d if cfg.d is not None else (0,) * ctx.m
-    f = cfg.f if cfg.f is not None else (0,) * ctx.n
-    rep = wsformula.invariance_report(ctx, d, f)
+    rep = wsformula.invariance_report(ctx, cfg.d, cfg.f)
     return rep.ok, rep.as_dict()
 
 
@@ -359,20 +365,8 @@ _VERIFIERS = {
 
 
 def cmd_verify(cfg, ctx):
-    doc = _base_doc("verify", cfg)
-    doc["check"] = cfg.which
-    if cfg.which == "shintani":
-        doc["inputs"]["K"] = cfg.K
-    t0 = time.time()
-    try:
-        ok, report = _VERIFIERS[cfg.which](cfg, ctx)
-    except _failures() as exc:
-        doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        return _emit(doc, cfg.out, 1)
-    doc["report"] = report
-    doc["pass"] = ok
-    doc["wall_time_s"] = round(time.time() - t0, 6)
-    return _emit(doc, cfg.out, 0 if ok else 1)
+    ok, report = _VERIFIERS[cfg.which](cfg, ctx)
+    return ok, {"report": report, "pass": ok}
 
 
 # -- reduce -------------------------------------------------------------------
@@ -381,26 +375,20 @@ def cmd_verify(cfg, ctx):
 def cmd_reduce(cfg, ctx):
     from . import cone
 
-    doc = _base_doc("reduce", cfg)
-    doc["inputs"].update({"d": list(cfg.d), "a": list(cfg.a), "r": list(cfg.r)})
-    try:
-        t = cone.ConeTriple(cfg.n, cfg.m, cfg.d, cfg.a, cfg.r)
-    except ValueError as exc:
-        doc["error"] = {"type": "ValueError", "message": str(exc)}
-        return _emit(doc, cfg.out, 1)
     trace = []
-    nf = cone.normal_form(t, trace=trace)
-    doc["normal_form"] = {"d": list(nf.d), "a": list(nf.a), "r": list(nf.r)}
-    doc["trace"] = [
-        {
-            "op": label,
-            "before": {"d": list(b.d), "r": list(b.r)},
-            "after": {"d": list(a.d), "r": list(a.r)},
-            "effective": b != a,
-        }
-        for label, b, a in trace
-    ]
-    return _emit(doc, cfg.out, 0)
+    nf = cone.normal_form(cone.ConeTriple(cfg.n, cfg.m, cfg.d, cfg.a, cfg.r), trace=trace)
+    return True, {
+        "normal_form": {"d": list(nf.d), "a": list(nf.a), "r": list(nf.r)},
+        "trace": [
+            {
+                "op": label,
+                "before": {"d": list(b.d), "r": list(b.r)},
+                "after": {"d": list(a.d), "r": list(a.r)},
+                "effective": b != a,
+            }
+            for label, b, a in trace
+        ],
+    }
 
 
 # -- series -------------------------------------------------------------------
@@ -409,41 +397,23 @@ def cmd_reduce(cfg, ctx):
 def cmd_series(cfg, ctx):
     from . import charform, wsformula
 
-    doc = _base_doc("series", cfg)
-    doc["inputs"]["K"] = cfg.K
-    t0 = time.time()
-    try:
-        lhs = charform.lhs_series(ctx, cfg.K)
-        rhs = charform.rhs_series(ctx, cfg.K)
-        if cfg.mode == "exact":
-            rep = charform.shintani_verify(ctx, cfg.K)
-            equal = rep.ok
-            rows = [
-                {"l": l, "lhs": a.ratfun().text(), "rhs": b.ratfun().text(),
-                 "diff": charform.difference_text(ctx, diff)}
-                for l, (a, b, diff) in enumerate(zip(lhs, rhs, rep.diffs))
-            ]
-        else:
-            point = wsformula.sample_points(ctx, 1, cfg.seed, q=cfg.q)[0]
-            rows = []
-            for l, (a, b) in enumerate(zip(lhs, rhs)):
-                lv, rv = a.eval_at(point), b.eval_at(point)
-                rows.append({"l": l, "lhs": _cplx(lv), "rhs": _cplx(rv), "diff": abs(lv - rv)})
-            equal = all(row["diff"] < 1e-9 for row in rows)
-    except _failures() as exc:
-        doc["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        return _emit(doc, cfg.out, 1)
-    doc["rows"] = rows
-    doc["pass"] = equal
-    doc["wall_time_s"] = round(time.time() - t0, 6)
-    if cfg.csv:
-        lines = ["l,lhs,rhs,diff"]
-        for row in rows:
-            lines.append(
-                '%d,"%s","%s","%s"' % (row["l"], row["lhs"], row["rhs"], row["diff"])
-            )
-        return _write("\n".join(lines) + "\n", cfg.out, 0 if equal else 1)
-    return _emit(doc, cfg.out, 0 if equal else 1)
+    lhs = charform.lhs_series(ctx, cfg.K)
+    rhs = charform.rhs_series(ctx, cfg.K)
+    if cfg.mode == "exact":
+        rep = charform.shintani_verify(ctx, cfg.K)
+        rows = [
+            {"l": l, "lhs": a.ratfun().text(), "rhs": b.ratfun().text(),
+             "diff": charform.difference_text(ctx, diff)}
+            for l, (a, b, diff) in enumerate(zip(lhs, rhs, rep.diffs))
+        ]
+        return rep.ok, {"rows": rows, "pass": rep.ok}
+    point = wsformula.sample_points(ctx, 1, cfg.seed, q=cfg.q)[0]
+    rows = []
+    for l, (a, b) in enumerate(zip(lhs, rhs)):
+        lv, rv = a.eval_at(point), b.eval_at(point)
+        rows.append({"l": l, "lhs": _cplx(lv), "rhs": _cplx(rv), "diff": abs(lv - rv)})
+    equal = all(row["diff"] < 1e-9 for row in rows)
+    return equal, {"rows": rows, "pass": equal}
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -596,8 +566,10 @@ def main(argv=None):
             ctx = Context(cfg.n, cfg.m)  # rank validation up front
             sizes = {"f": ctx.n, "d": ctx.m, "a": ctx.n - ctx.m, "r": ctx.m}
             for option, size in sizes.items():
-                vec = getattr(cfg, option, None)
-                if vec is not None and len(vec) != size:
+                vec = getattr(cfg, option, ())
+                if vec is None:  # an omitted --d or --f is zero
+                    setattr(cfg, option, (0,) * size)
+                elif option in cfg and len(vec) != size:
                     raise ValueError("--%s must have length %d, got %d" % (option, size, len(vec)))
         if cfg.command in ("eval", "series"):
             if cfg.mode == "exact" and cfg.given:
@@ -610,7 +582,17 @@ def main(argv=None):
             require_b_expandable(ctx)
     except ValueError as exc:
         return _error(str(exc), cfg.out)
-    return _COMMANDS[cfg.command](cfg, ctx)
+    doc = _report(cfg)
+    t0 = time.time()
+    try:
+        ok, fields = _COMMANDS[cfg.command](cfg, ctx)
+    except _failures() as exc:
+        ok, fields = False, {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    doc.update(fields)
+    doc["wall_time_s"] = round(time.time() - t0, 6)
+    if getattr(cfg, "csv", False) and "rows" in doc:
+        return _write(_csv(doc["rows"]), cfg.out, 0 if ok else 1)
+    return _emit(doc, cfg.out, 0 if ok else 1)
 
 
 if __name__ == "__main__":

@@ -324,9 +324,9 @@ def random_rational(rng, p, unit=False):
     return x
 
 
-def random_torus_values(rng, p, k, lo=-3, hi=3):
-    """k torus entries p^e * unit with valuations e in [lo, hi]."""
-    return [Fraction(p) ** rng.randint(lo, hi) * random_rational(rng, p, unit=True) for _ in range(k)]
+def random_torus_values(rng, p, k):
+    """k torus entries p^e * unit with valuations e in [-3, 3]."""
+    return [Fraction(p) ** rng.randint(-3, 3) * random_rational(rng, p, unit=True) for _ in range(k)]
 
 
 def _random_root_product(n, roots, rng, p):

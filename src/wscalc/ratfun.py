@@ -260,10 +260,6 @@ class Poly:
         cs = self.terms.values()
         return Fraction(gcd(*(c.numerator for c in cs)), lcm(*(c.denominator for c in cs)))
 
-    def eval_at(self, point):
-        """Evaluate at a complex point (tuple in canonical variable order)."""
-        return eval_terms(self.terms.items(), point, [{} for _ in point])
-
     def substitute_exponents(self, remap):
         """Apply an exponent-tuple remap (a bijection of the monomial lattice)."""
         return Poly(self.vars, {remap(e): c for e, c in self.terms.items()}, prune=False)
@@ -451,8 +447,6 @@ class RatFun:
         return RatFun(self.vars, 1 / self.coeff, exp_neg(self.mono), self.dfac, self.nfac)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (_ONE / Fraction(other))
         return self * other.inverse()
 
     def __eq__(self, other):
@@ -503,7 +497,7 @@ class RatFun:
         nfac, dfac = _cancel_multisets(nfac, dfac)
         return RatFun(self.vars, coeff, mono, nfac, dfac)
 
-    def eval_at(self, point, tol=POLE_TOL):
+    def eval_at(self, point):
         """Evaluate at a complex point; raise PoleError near a denominator zero."""
         if len(point) != self.vars.size:
             raise ContextMismatchError("point shape does not match context")
@@ -514,10 +508,10 @@ class RatFun:
         den = 1 + 0j
         for key in self.dfac:
             den *= eval_terms(key, point, powers)
-        if abs(den) < tol:
+        if abs(den) < POLE_TOL:
             raise PoleError(
                 "evaluation within %g of a pole (|denominator| = %g)"
-                % (tol, abs(den)),
+                % (POLE_TOL, abs(den)),
                 magnitude=abs(den),
             )
         return num / den

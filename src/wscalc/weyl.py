@@ -21,6 +21,7 @@ character is the sum of their W-orbits.  No alternant is formed or divided.
 
 from functools import lru_cache
 from itertools import permutations, product
+from math import factorial
 
 __all__ = [
     "SignedPerm",
@@ -30,7 +31,6 @@ __all__ = [
     "character",
     "dominant_weights",
     "distinct_permutations",
-    "group_order",
     "is_dominant",
     "positive_roots",
     "simple_roots",
@@ -119,21 +119,13 @@ def enumerate_group(k):
     if k > ENUMERATION_GUARD:
         raise ValueError(
             "W(C_%d) has %d elements; enumeration is guarded at k=%d"
-            % (k, group_order(k), ENUMERATION_GUARD)
+            % (k, 2**k * factorial(k), ENUMERATION_GUARD)
         )
     out = []
     for image in permutations(range(1, k + 1)):
         for bits in product((1, -1), repeat=k):
             out.append(SignedPerm(image, bits))
     return tuple(out)
-
-
-def group_order(k):
-    """|W(C_k)| = 2^k k!."""
-    n = 1
-    for i in range(1, k + 1):
-        n *= 2 * i
-    return n
 
 
 def is_dominant(vec):

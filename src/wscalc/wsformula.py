@@ -497,9 +497,9 @@ def weyl_sum_numeric(ctx, d, f, point):
     return _eval_form(_character_form(ctx, d, f), point, ctx)
 
 
-def sample_points(ctx, count, seed, q=3, radius=0.7):
-    """Seeded sample points: x, y uniform on the circle of the given radius,
-    v fixed to q^(-1/2).  The radius < 1 keeps zeta denominators away from 0."""
+def sample_points(ctx, count, seed, q=3):
+    """Seeded sample points: x, y uniform on the circle of radius 0.7, v fixed
+    to q^(-1/2).  The radius < 1 keeps zeta denominators away from 0."""
     import cmath
     import random
 
@@ -508,10 +508,10 @@ def sample_points(ctx, count, seed, q=3, radius=0.7):
     v = q ** (-0.5)
     for _ in range(count):
         xs = tuple(
-            radius * cmath.exp(2j * cmath.pi * rng.random()) for _ in range(ctx.n)
+            0.7 * cmath.exp(2j * cmath.pi * rng.random()) for _ in range(ctx.n)
         )
         ys = tuple(
-            radius * cmath.exp(2j * cmath.pi * rng.random()) for _ in range(ctx.m)
+            0.7 * cmath.exp(2j * cmath.pi * rng.random()) for _ in range(ctx.m)
         )
         pts.append((v,) + xs + ys)
     return pts

@@ -224,15 +224,29 @@ def _run_subprocess(*argv, timeout=60):
     )
 
 
-@pytest.mark.parametrize("q", ["1", "4", "6"])
+@pytest.mark.parametrize("q", ["1", "4", "6", "x"])
 def test_verify_padic_rejects_non_prime_q(q):
     """q = 1 used to hang in random_rational and q = 4 passed as a
-    mathematical FAIL; both are config errors."""
+    mathematical FAIL; both are config errors, as is a q that is not an integer."""
     proc = _run_subprocess(
         "verify", "padic", "--n", "2", "--m", "1", "--samples", "2", "--q", q
     )
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"]["type"] == "config"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--n", "2", "--m", "1", "--f", "1,0"],
+        ["series", "--n", "2", "--m", "1", "--K", "1"],
+    ],
+)
+def test_numeric_mode_refuses_q_below_2(capsys, argv):
+    code, doc = run_json(capsys, *argv, "--mode", "numeric", "--q", "1")
+    assert code == 2
+    assert doc["error"] == {"type": "config",
+                            "message": "numeric mode requires a concrete q >= 2"}
 
 
 @pytest.mark.parametrize(
@@ -1009,7 +1023,9 @@ def test_eval_contract(warm_ranks, case):
     below its range) exits 2; a weight that is not dominant is a structured
     error with exit 1, as ``tests/golden/eval_non_dominant.json`` pins; a
     valid input exits 0, and a verification passes.  This holds for eval,
-    verify, series and reduce.  Nothing raises, and each run is quick."""
+    verify, series and reduce.  Nothing raises, and each run is quick.
+    Every report of a command that ran, exit 0 or 1, carries the command,
+    its inputs and its wall time, as the one runner in ``main`` writes it."""
     argv, code = case
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -1018,7 +1034,9 @@ def test_eval_contract(warm_ranks, case):
     assert got == code, (argv, doc)
     if code == 2:
         assert doc["error"]["type"] == "config"
-    elif code == 1:
+        return
+    assert {"command", "inputs", "wall_time_s"} <= doc.keys(), (argv, doc)
+    if code == 1:
         assert doc["error"]["type"] == "ValueError" and "dominant" in doc["error"]["message"]
     else:
         assert "error" not in doc and doc.get("pass", True) is True
